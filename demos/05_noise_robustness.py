@@ -11,7 +11,6 @@ from belldistill import (
     detect,
     filter_report,
     partial_transpose,
-    robustness_compare,
     sample_npt,
     witness_operator,
 )
@@ -25,7 +24,7 @@ rep = filter_report(rho, wc)
 print(f"lambda_min = {wc.lambda_min:.6f},  q = {rep.q:.6f}")
 print(f"p_rho_max   = {rep.p_rho_max:.6f}   (witness stops firing on the qutrit pair)")
 print(f"p_sigma_max = {rep.p_sigma_max:.6f}   (filtered qubit pair turns PPT)")
-verdict = robustness_compare(rep, 3)
+verdict = None if rep.robustness_tie else rep.qubit_more_robust
 print(f"filtered pair more robust: {verdict}  (q < 4/9 is {rep.q < 4/9})\n")
 
 print("  p     trace(W rho_noisy)   detected   sigma_noisy NPT")

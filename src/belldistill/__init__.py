@@ -18,7 +18,6 @@ from .filtering import (
     filters_from_witness,
     p_rho_max,
     p_sigma_max,
-    robustness_compare,
 )
 from .linalg import (
     HermitianEigensystem,
@@ -95,7 +94,6 @@ __all__ = [
     "partial_transpose",
     "product_vector_positivity_check",
     "pt_block",
-    "robustness_compare",
     "sample_npt",
     "sample_simplex",
     "schmidt_decompose",

@@ -23,14 +23,13 @@ from .report import (
 )
 from .simplex import (
     NPT,
-    InvalidCoefficientsError,
     SamplingExhaustedError,
     build_state,
     sample_npt,
     sample_simplex,
 )
 from .verify import run_campaign, summary_text, trial_seeds
-from .witness import NotNPTError, construct_witness_vector, detect, witness_operator
+from .witness import construct_witness_vector, detect, witness_operator
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -63,14 +62,11 @@ def _write_text(path: str, text: str) -> None:
 
 def cmd_analyze(args) -> int:
     try:
-        obj = _read_input(args.input)
-    except (OSError, json.JSONDecodeError) as exc:
-        return _fail(f"cannot read input: {exc}")
-    try:
-        coeffs, renormalized = parse_coefficients(obj)
+        coeffs, renormalized = parse_coefficients(_read_input(args.input))
         report = analysis_report(coeffs, renormalized=renormalized)
-    except InvalidCoefficientsError as exc:
-        return _fail(str(exc))
+    except (OSError, ValueError) as exc:
+        # unreadable or invalid tables, and NPT tables the construction refuses (d != 3)
+        return _fail(f"bad input: {exc}")
     try:
         _write_text(args.output, dump_report(report))
     except OSError as exc:
@@ -98,14 +94,11 @@ def cmd_sweep(args) -> int:
     if args.steps < 2:
         return _fail(f"--steps must be >= 2, got {args.steps}")
     try:
-        obj = _read_input(args.input)
-        coeffs, _ = parse_coefficients(obj)
-    except (OSError, json.JSONDecodeError, InvalidCoefficientsError) as exc:
-        return _fail(f"bad input: {exc}")
-    try:
+        coeffs, _ = parse_coefficients(_read_input(args.input))
         wc = construct_witness_vector(coeffs)
-    except NotNPTError as exc:
-        return _fail(str(exc))
+    except (OSError, ValueError) as exc:
+        # unreadable or invalid tables, tables that are not NPT, and d != 3
+        return _fail(f"bad input: {exc}")
     rho = build_state(coeffs)
     wop = witness_operator(wc)
     rep = filter_report(rho, wc)

@@ -33,9 +33,9 @@ class FilterReport:
 
     sigma is expressed in the ordered product basis (a0,b0*), (a0,b1*),
     (a1,b0*), (a1,b1*) built from the witness Schmidt vectors.
-    qubit_more_robust records p_sigma_max > p_rho_max; robustness_tie is
-    set when the two thresholds agree within TIE_TOL, which happens exactly
-    at q = 4/d^2.
+    qubit_more_robust records p_sigma_max > p_rho_max, which coincides
+    with q < 4/9; robustness_tie is set when the two thresholds agree
+    within TIE_TOL, which happens exactly at q = 4/9.
     """
 
     P_A: np.ndarray
@@ -126,25 +126,12 @@ def add_white_noise(state: np.ndarray, p: float) -> np.ndarray:
     return (1.0 - p) * state + (p / n) * np.eye(n)
 
 
-def robustness_compare(report: FilterReport, d: int):
-    """True when the filtered pair tolerates more white noise than the original.
-
-    Returns None on a tie (thresholds within TIE_TOL), which occurs exactly
-    at q = 4/d^2; otherwise the boolean p_sigma_max > p_rho_max, which
-    coincides with q < 4/d^2.
-    """
-    del d  # the comparison is already encoded in the thresholds
-    if abs(report.p_sigma_max - report.p_rho_max) <= TIE_TOL:
-        return None
-    return report.p_sigma_max > report.p_rho_max
-
-
-def filter_report(rho: np.ndarray, wc: WitnessConstruction, d: int = 3) -> FilterReport:
+def filter_report(rho: np.ndarray, wc: WitnessConstruction) -> FilterReport:
     """Run the whole filtering stage for a state and its witness construction."""
     p_a, p_b = filters_from_witness(wc)
     sigma, q = filter_state(rho, p_a, p_b, wc.schmidt)
     spectrum = hermitian_eigensystem(partial_transpose(sigma, 2, 2)).eigenvalues
-    rho_threshold = p_rho_max(wc.lambda_min, d)
+    rho_threshold = p_rho_max(wc.lambda_min, 3)
     sigma_threshold = p_sigma_max(wc.lambda_min, q)
     tie = abs(sigma_threshold - rho_threshold) <= TIE_TOL
     for arr in (p_a, p_b, sigma):

@@ -53,8 +53,9 @@ def parse_coefficients(obj) -> tuple[SimplexCoefficients, bool]:
     """Coefficient table from a decoded input file, applying the renormalization rule.
 
     A sum within RENORM_TOL of one is silently scaled to exactly one (the
-    report records that this happened); anything further off, a negative
-    entry or a malformed table raises InvalidCoefficientsError.
+    report records that this happened). Shape, finiteness, negativity and
+    any sum further off are left to :class:`SimplexCoefficients`; every
+    rejection raises InvalidCoefficientsError.
     """
     if not isinstance(obj, dict) or "d" not in obj or "c" not in obj:
         raise InvalidCoefficientsError('input must be an object with keys "d" and "c"')
@@ -65,19 +66,10 @@ def parse_coefficients(obj) -> tuple[SimplexCoefficients, bool]:
         c = np.asarray(obj["c"], dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidCoefficientsError(f"coefficient table is not numeric: {exc}") from exc
-    if c.shape != (d, d):
-        raise InvalidCoefficientsError(f"table shape {c.shape} does not match d={d}")
-    if not np.all(np.isfinite(c)):
-        raise InvalidCoefficientsError("coefficient table contains non-finite entries")
-    if c.min() < 0.0:
-        raise InvalidCoefficientsError(f"negative coefficient {c.min()!r}")
     total = float(c.sum())
-    renormalized = False
-    if abs(total - 1.0) > RENORM_TOL:
-        raise InvalidCoefficientsError(f"coefficients sum to {total!r}, beyond tolerance")
-    if total != 1.0:
+    renormalized = total != 1.0 and abs(total - 1.0) <= RENORM_TOL
+    if renormalized:
         c = c / total
-        renormalized = True
     return SimplexCoefficients(d=d, c=c), renormalized
 
 

@@ -4,14 +4,16 @@ A Bell-diagonal state of two qudits is fixed by a d x d probability table
 c[k, l], the weight of the Bell projector with Weyl index (k, l). The
 partial transpose of such a state is block-diagonal in the Bell-unitary
 frame, with d Hermitian d x d blocks; for odd d the blocks all share one
-spectrum. Everything in this module works for general d >= 2.
+spectrum. Classification reads the partial-transpose spectrum off these
+blocks; the dense d^2 x d^2 state of :func:`build_state` is not needed for
+it. Everything in this module works for general d >= 2.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dag, hermitian_eigensystem, kron, partial_transpose
+from .linalg import dag, hermitian_eigensystem, kron
 from .weyl import bell_unitary, bell_vector, phase_table, weyl
 
 #: classification labels for the partial-transpose spectrum
@@ -78,7 +80,7 @@ class PTSpectrumReport:
     eigenvalues: np.ndarray
     lambda_min: float
     negative_count: int
-    classification: str = field(default=PPT)
+    classification: str
 
 
 def build_state(coeffs: SimplexCoefficients) -> np.ndarray:
@@ -147,29 +149,37 @@ def assemble_pt_from_blocks(coeffs: SimplexCoefficients) -> np.ndarray:
     return dag(u) @ blocks @ u
 
 
+def _verdict(lambda_min: float) -> str:
+    """NPT below -BOUNDARY_TOL, PPT above +BOUNDARY_TOL, BOUNDARY in the band between.
+
+    The band is reported, not rounded: downstream construction divides by
+    quantities that vanish there.
+    """
+    if lambda_min < -BOUNDARY_TOL:
+        return NPT
+    if lambda_min > BOUNDARY_TOL:
+        return PPT
+    return BOUNDARY
+
+
 def classify(coeffs: SimplexCoefficients) -> PTSpectrumReport:
     """Full ascending spectrum of the partial transpose and its verdict.
 
-    NPT when lambda_min < -BOUNDARY_TOL, PPT when lambda_min > +BOUNDARY_TOL,
-    BOUNDARY in the band between (downstream construction divides by
-    quantities that vanish there, so the band is reported, not rounded).
+    The spectrum is the union of the spectra of the d Bell-frame blocks
+    :func:`pt_block`, m = 0..d-1, each solved by
+    :func:`~belldistill.linalg.hermitian_eigensystem` (which also checks
+    Hermiticity); the dense state is never built.
     """
-    rho = build_state(coeffs)
-    rho_pt = partial_transpose(rho, coeffs.d, coeffs.d)
-    eigenvalues = hermitian_eigensystem(rho_pt).eigenvalues
+    eigenvalues = np.sort(np.concatenate(
+        [hermitian_eigensystem(pt_block(coeffs, m)).eigenvalues for m in range(coeffs.d)]
+    ))
+    eigenvalues.setflags(write=False)
     lambda_min = float(eigenvalues[0])
-    negative_count = int(np.sum(eigenvalues < -BOUNDARY_TOL))
-    if lambda_min < -BOUNDARY_TOL:
-        verdict = NPT
-    elif lambda_min > BOUNDARY_TOL:
-        verdict = PPT
-    else:
-        verdict = BOUNDARY
     return PTSpectrumReport(
         eigenvalues=eigenvalues,
         lambda_min=lambda_min,
-        negative_count=negative_count,
-        classification=verdict,
+        negative_count=int(np.sum(eigenvalues < -BOUNDARY_TOL)),
+        classification=_verdict(lambda_min),
     )
 
 

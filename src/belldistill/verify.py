@@ -14,17 +14,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filtering import add_white_noise, filter_report, robustness_compare
+from .filtering import FilterAnnihilationError, add_white_noise, filter_report
 from .linalg import expectation, kron, partial_transpose
 from .simplex import (
     GENERATOR_NAME,
+    SamplingExhaustedError,
     build_state,
     lambda_min_multiplicity,
     pt_block,
     sample_npt,
 )
 from .weyl import weyl
-from .witness import construct_witness_vector, detect, witness_operator
+from .witness import (
+    NotNPTError,
+    RankCertificationError,
+    construct_witness_vector,
+    detect,
+    witness_operator,
+)
 
 #: default white-noise grid for threshold-semantics checks
 NOISE_GRID = tuple(np.linspace(0.0, 1.0, 21))
@@ -53,7 +60,7 @@ RESIDUAL_KEYS = (
 @dataclass
 class TrialResult:
     seed: int
-    coefficients: np.ndarray
+    coefficients: np.ndarray | None
     failures: list = field(default_factory=list)
     residuals: dict = field(default_factory=dict)
 
@@ -81,9 +88,24 @@ def trial_seeds(master_seed: int, count: int) -> list:
 
 
 def run_trial(seed: int, noise_grid=NOISE_GRID) -> TrialResult:
-    """Sample one NPT state from ``seed`` and check the full invariant battery."""
-    coeffs = sample_npt(seed)
-    result = TrialResult(seed=seed, coefficients=np.asarray(coeffs.c))
+    """Sample one NPT state from ``seed`` and check the full invariant battery.
+
+    An error the package raises fails this trial instead of aborting the campaign.
+    """
+    result = TrialResult(seed=seed, coefficients=None)
+    try:
+        coeffs = sample_npt(seed)
+        result.coefficients = np.asarray(coeffs.c)
+        _check_invariants(coeffs, result, noise_grid)
+    except (
+        SamplingExhaustedError, RankCertificationError, FilterAnnihilationError, NotNPTError
+    ) as exc:
+        result.failures.append(f"{type(exc).__name__}: {exc}")
+    return result
+
+
+def _check_invariants(coeffs, result: TrialResult, noise_grid) -> None:
+    """The invariant battery of :func:`run_trial`; records into ``result``."""
     res = result.residuals
 
     def check(name, condition, detail=""):
@@ -187,11 +209,10 @@ def run_trial(seed: int, noise_grid=NOISE_GRID) -> TrialResult:
         f"spectrum {rep.sigma_pt_spectrum}",
     )
 
-    verdict = robustness_compare(rep, 3)
-    if verdict is not None:
+    if not rep.robustness_tie:
         check(
             "robustness_equivalence",
-            verdict == (rep.q < 4.0 / 9.0),
+            rep.qubit_more_robust == (rep.q < 4.0 / 9.0),
             f"q {rep.q!r}, thresholds {rep.p_rho_max!r} / {rep.p_sigma_max!r}",
         )
 
@@ -216,7 +237,6 @@ def run_trial(seed: int, noise_grid=NOISE_GRID) -> TrialResult:
                 npt == (p < rep.p_sigma_max),
                 f"p={p!r} npt={npt} threshold={rep.p_sigma_max!r}",
             )
-    return result
 
 
 def run_campaign(count: int, master_seed: int, jobs: int = 1) -> CampaignResult:
@@ -258,9 +278,10 @@ def summary_text(campaign: CampaignResult) -> str:
         lines.append(f"    {key:<26s}: {campaign.residual_max[key]:.6e}")
     for trial in campaign.failed_trials:
         lines.append(f"  FAILED trial seed {trial.seed}")
-        lines.append("    coefficients:")
-        for row in trial.coefficients:
-            lines.append("      [" + ", ".join(repr(float(x)) for x in row) + "]")
+        if trial.coefficients is not None:
+            lines.append("    coefficients:")
+            for row in trial.coefficients:
+                lines.append("      [" + ", ".join(repr(float(x)) for x in row) + "]")
         for msg in trial.failures:
             lines.append(f"    {msg}")
     lines.append("PASS" if campaign.ok else "FAIL")

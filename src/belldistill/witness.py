@@ -22,7 +22,7 @@ from .linalg import (
     partial_transpose,
     schmidt_decompose,
 )
-from .simplex import NPT, SimplexCoefficients, build_state, classify, pt_block
+from .simplex import NPT, SimplexCoefficients, _verdict, build_state, pt_block
 from .weyl import fourier, swap_conjugation, weyl
 
 #: |det C| above this fails rank certification
@@ -94,20 +94,17 @@ def construct_witness_vector(coeffs: SimplexCoefficients) -> WitnessConstruction
 
     Only d = 3 is supported and the input must classify as NPT; PPT and
     boundary tables are refused because the construction has no meaning
-    there. The result is deterministic for identical input.
+    there. For d = 3 every block shares the spectrum of B_0, so the ground
+    eigenvalue of B_0 alone decides the verdict. The result is deterministic
+    for identical input.
     """
     if coeffs.d != 3:
         raise ValueError(f"construction is specific to d=3, got d={coeffs.d}")
-    report = classify(coeffs)
-    if report.classification != NPT:
-        raise NotNPTError(
-            f"state classifies as {report.classification} "
-            f"(lambda_min = {report.lambda_min!r}); need NPT"
-        )
-
-    b0 = pt_block(coeffs, 0)
-    eig = hermitian_eigensystem(b0)
+    eig = hermitian_eigensystem(pt_block(coeffs, 0))
     lambda_min = float(eig.eigenvalues[0])
+    verdict = _verdict(lambda_min)
+    if verdict != NPT:
+        raise NotNPTError(f"state classifies as {verdict} (lambda_min = {lambda_min!r}); need NPT")
     u0 = eig.eigenvectors[:, 0]
 
     # u_{m+2} = W_{1,0} u_m keeps the relative phases the identities need;

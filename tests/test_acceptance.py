@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from belldistill.cli import main
-from belldistill.filtering import add_white_noise, filter_report, robustness_compare
+from belldistill.filtering import add_white_noise, filter_report
 from belldistill.linalg import dag, expectation, partial_transpose
 from belldistill.simplex import (
     NPT,
@@ -192,8 +192,7 @@ def test_criterion_5_filter_suite():
         ratio_dev = abs(rep.sigma_pt_spectrum[0] - wc.lambda_min / rep.q)
         worst_ratio = max(worst_ratio, ratio_dev)
         single_negative = int(np.sum(rep.sigma_pt_spectrum < -1e-12)) == 1
-        verdict = robustness_compare(rep, 3)
-        compare_ok = verdict is None or verdict == (rep.q < 4 / 9)
+        compare_ok = rep.robustness_tie or rep.qubit_more_robust == (rep.q < 4 / 9)
         ok = ratio_dev <= 1e-9 and single_negative and compare_ok
         failures += 0 if ok else 1
     elapsed = time.perf_counter() - t0

@@ -16,6 +16,9 @@ def write_input(tmp_path, table, name="in.json"):
 
 PURE = {"d": 3, "c": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]}
 UNIFORM = {"d": 3, "c": [[1 / 9] * 3] * 3}
+PURE_D2 = {"d": 2, "c": [[1, 0], [0, 0]]}
+# isotropic qudit pair at fidelity 1/2 > 1/4, hence NPT
+NPT_D4 = {"d": 4, "c": [[0.5] + [0.5 / 15] * 3] + [[0.5 / 15] * 4] * 3}
 
 
 # ---------------------------------------------------------------- analyze
@@ -82,6 +85,27 @@ def test_analyze_missing_file_exits_1(tmp_path):
                  "--output", str(tmp_path / "r.json")]) == 1
 
 
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+@pytest.mark.parametrize("table", [PURE_D2, NPT_D4], ids=["d2_pure_bell", "d4_npt"])
+def test_npt_table_with_d_not_3_exits_1(tmp_path, capsys, command, table):
+    # the witness construction is specific to d = 3: a clean error, no traceback
+    inp = write_input(tmp_path, table)
+    assert main([command, str(inp), "--output", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "d=3" in err
+
+
+def test_analyze_ppt_d2_exits_2_but_writes(tmp_path):
+    inp = write_input(tmp_path, {"d": 2, "c": [[0.25, 0.25], [0.25, 0.25]]})
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(inp), "--output", str(out)]) == 2
+    report = json.loads(out.read_text())
+    validate_report(report)
+    assert report["classification"]["classification"] == "PPT"
+    assert report["witness"] is None
+
+
 # ----------------------------------------------------------------- verify
 
 def test_verify_small_campaign(capsys):
@@ -128,6 +152,52 @@ def test_verify_failure_exits_1_and_dumps_seed(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAILED trial seed 123456" in out
     assert "eigenvector_property" in out
+    assert out.endswith("FAIL\n")
+
+
+def test_verify_records_package_error_as_failed_trial(monkeypatch, capsys):
+    # an error raised inside one trial fails that trial, named by its seed and
+    # table, while the campaign runs the others to the end
+    from belldistill import verify
+    from belldistill.simplex import sample_npt
+    from belldistill.witness import RankCertificationError
+
+    bad_seed = verify.trial_seeds(5, 4)[2]
+    bad_table = sample_npt(bad_seed).c
+    construct = verify.construct_witness_vector
+
+    def construct_failing_on_bad_seed(coeffs):
+        if np.array_equal(coeffs.c, bad_table):
+            raise RankCertificationError("|det C| = 1.000e-03, max |minor| = 1.000e-02")
+        return construct(coeffs)
+
+    monkeypatch.setattr(verify, "construct_witness_vector", construct_failing_on_bad_seed)
+    assert main(["verify", "--count", "4", "--seed", "5", "--jobs", "1"]) == 1
+    out = capsys.readouterr().out
+    assert "failures      : 1" in out
+    assert f"FAILED trial seed {bad_seed}\n    coefficients:\n" in out
+    assert repr(float(bad_table[0, 0])) in out
+    assert "RankCertificationError: |det C|" in out
+    assert out.endswith("FAIL\n")
+
+
+def test_verify_records_sampling_exhaustion(monkeypatch, capsys):
+    # a sampler that gives up leaves a failed trial without a table
+    from belldistill import verify
+    from belldistill.simplex import SamplingExhaustedError, sample_npt
+
+    bad_seed = verify.trial_seeds(5, 3)[1]
+
+    def sample_exhausted_on_bad_seed(seed, *args, **kwargs):
+        if seed == bad_seed:
+            raise SamplingExhaustedError("no NPT sample within 1000 tries")
+        return sample_npt(seed, *args, **kwargs)
+
+    monkeypatch.setattr(verify, "sample_npt", sample_exhausted_on_bad_seed)
+    assert main(["verify", "--count", "3", "--seed", "5", "--jobs", "1"]) == 1
+    out = capsys.readouterr().out
+    assert f"FAILED trial seed {bad_seed}\n    SamplingExhaustedError: no NPT" in out
+    assert "coefficients:" not in out
     assert out.endswith("FAIL\n")
 
 

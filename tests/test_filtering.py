@@ -3,16 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from belldistill import filtering
 from belldistill.filtering import (
     FilterAnnihilationError,
-    FilterReport,
     add_white_noise,
     filter_report,
     filter_state,
     filters_from_witness,
     p_rho_max,
     p_sigma_max,
-    robustness_compare,
 )
 from belldistill.linalg import kron, partial_transpose
 from belldistill.simplex import build_state, classify
@@ -167,31 +166,28 @@ def test_robustness_pure_bell():
     assert abs(rep.p_rho_max - 3 / 4) <= 1e-10
     assert abs(rep.p_sigma_max - 2 / 3) <= 1e-10
     # q = 2/3 > 4/9: the filtered pair is less noise-tolerant here
-    assert robustness_compare(rep, 3) is False
     assert rep.qubit_more_robust is False
     assert rep.robustness_tie is False
 
 
-def test_robustness_tie():
-    rep = FilterReport(
-        P_A=np.eye(3), P_B=np.eye(3), q=4 / 9, sigma=np.eye(4) / 4,
-        sigma_pt_spectrum=np.full(4, 0.25),
-        p_rho_max=0.75, p_sigma_max=0.75 + 5e-11,
-        qubit_more_robust=True, robustness_tie=True,
-    )
-    assert robustness_compare(rep, 3) is None
+def test_robustness_tie(monkeypatch):
+    # thresholds 5e-11 apart lie within TIE_TOL and count as a tie
+    coeffs = pure_bell_table()
+    wc = construct_witness_vector(coeffs)
+    monkeypatch.setattr(filtering, "p_sigma_max", lambda lam, q: p_rho_max(lam, 3) + 5e-11)
+    rep = filter_report(build_state(coeffs), wc)
+    assert rep.p_sigma_max - rep.p_rho_max == pytest.approx(5e-11, abs=1e-15)
+    assert rep.robustness_tie is True
 
 
 @pytest.mark.parametrize("seed", NPT_SEEDS[:40])
 def test_robustness_matches_q_criterion(seed):
     coeffs, wc = npt_construction(seed)
     rep = filter_report(build_state(coeffs), wc)
-    verdict = robustness_compare(rep, 3)
-    if verdict is None:
+    if rep.robustness_tie:
         assert abs(rep.q - 4 / 9) < 1e-6
     else:
-        assert verdict == (rep.q < 4 / 9)
-        assert rep.qubit_more_robust == verdict
+        assert rep.qubit_more_robust == (rep.q < 4 / 9)
 
 
 # ----------------------------------------------- threshold semantics

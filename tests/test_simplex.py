@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from belldistill.linalg import dag, hermitian_eigensystem, partial_transpose
 from belldistill.simplex import (
     BOUNDARY,
+    BOUNDARY_TOL,
     NPT,
     PPT,
     InvalidCoefficientsError,
@@ -239,6 +240,45 @@ def test_classify_invariant_under_rebuild(seed):
     rep_a, rep_b = classify(coeffs), classify(rebuilt)
     assert rep_a.classification == rep_b.classification
     assert np.abs(rep_a.eigenvalues - rep_b.eigenvalues).max() < 1e-12
+
+
+def _sparse_table(seed: int, d: int) -> SimplexCoefficients:
+    """Dirichlet weights on a random support of 1..d^2 Bell projectors."""
+    rng = np.random.default_rng(seed)
+    support = rng.choice(d * d, size=rng.integers(1, d * d + 1), replace=False)
+    c = np.zeros(d * d)
+    c[support] = rng.dirichlet(np.ones(support.size))
+    return SimplexCoefficients(d=d, c=(c / c.sum()).reshape(d, d))
+
+
+def _isotropic_qudit_table(d: int, fidelity: float) -> SimplexCoefficients:
+    """Weight ``fidelity`` on Omega_00, the rest spread evenly; PPT iff fidelity <= 1/d."""
+    c = np.full((d, d), (1.0 - fidelity) / (d * d - 1))
+    c[0, 0] = fidelity
+    return SimplexCoefficients(d=d, c=c / c.sum())
+
+
+CLASSIFY_FAMILIES = {
+    "flat": lambda d: [random_table(seed, d=d) for seed in range(20)],
+    "sparse": lambda d: [_sparse_table(seed, d) for seed in range(20)],
+    "near_boundary": lambda d: [
+        _isotropic_qudit_table(d, 1.0 / d + delta)
+        for delta in (-1e-3, -1e-9, -1e-11, -1e-13, 0.0, 1e-13, 1e-11, 1e-9, 1e-3)
+    ],
+}
+
+
+@pytest.mark.parametrize("family", sorted(CLASSIFY_FAMILIES))
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_classify_matches_dense_oracle(d, family):
+    # the block route against build_state -> partial_transpose -> eigvalsh
+    for coeffs in CLASSIFY_FAMILIES[family](d):
+        rep = classify(coeffs)
+        dense = np.linalg.eigvalsh(partial_transpose(build_state(coeffs), d, d))
+        assert np.abs(rep.eigenvalues - dense).max() <= 1e-12
+        assert rep.lambda_min == rep.eigenvalues[0]
+        if abs(dense[0]) > BOUNDARY_TOL:
+            assert rep.classification == (NPT if dense[0] < 0 else PPT)
 
 
 # --------------------------------------------------------------- sampling
