@@ -22,7 +22,7 @@ print(np.round(coeffs.c, 4))
 print(f"\nlambda_min(rho^Gamma) = {rep.lambda_min:.6f} "
       f"(multiplicity {int(np.sum(np.isclose(rep.eigenvalues, rep.lambda_min)))})")
 
-wc = construct_witness_vector(coeffs)
+wc = construct_witness_vector(rep)
 
 # The block ground vector and its Weyl-propagated siblings.
 print("\nu_0 (ground vector of block B_0):", np.round(wc.u[0], 4))

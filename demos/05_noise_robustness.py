@@ -7,6 +7,7 @@ import numpy as np
 from belldistill import (
     add_white_noise,
     build_state,
+    classify,
     construct_witness_vector,
     detect,
     filter_report,
@@ -16,7 +17,7 @@ from belldistill import (
 )
 
 coeffs = sample_npt(seed=2718)
-wc = construct_witness_vector(coeffs)
+wc = construct_witness_vector(classify(coeffs))
 rho = build_state(coeffs)
 wop = witness_operator(wc)
 rep = filter_report(rho, wc)

@@ -25,6 +25,7 @@ from .simplex import (
     NPT,
     SamplingExhaustedError,
     build_state,
+    classify,
     sample_npt,
     sample_simplex,
 )
@@ -95,7 +96,7 @@ def cmd_sweep(args) -> int:
         return _fail(f"--steps must be >= 2, got {args.steps}")
     try:
         coeffs, _ = parse_coefficients(_read_input(args.input))
-        wc = construct_witness_vector(coeffs)
+        wc = construct_witness_vector(classify(coeffs))
     except (OSError, ValueError) as exc:
         # unreadable or invalid tables, tables that are not NPT, and d != 3
         return _fail(f"bad input: {exc}")

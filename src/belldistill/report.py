@@ -60,11 +60,14 @@ def parse_coefficients(obj) -> tuple[SimplexCoefficients, bool]:
     if not isinstance(obj, dict) or "d" not in obj or "c" not in obj:
         raise InvalidCoefficientsError('input must be an object with keys "d" and "c"')
     d = obj["d"]
-    if not isinstance(d, int):
+    if isinstance(d, bool) or not isinstance(d, int):
         raise InvalidCoefficientsError(f'"d" must be an integer, got {d!r}')
     try:
-        c = np.asarray(obj["c"], dtype=float)
-    except (TypeError, ValueError) as exc:
+        entries = np.asarray(obj["c"], dtype=object)
+        if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in entries.flat):
+            raise TypeError("entries must be numbers, not strings, booleans or null")
+        c = entries.astype(float)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise InvalidCoefficientsError(f"coefficient table is not numeric: {exc}") from exc
     total = float(c.sum())
     renormalized = total != 1.0 and abs(total - 1.0) <= RENORM_TOL
@@ -145,7 +148,7 @@ def analysis_report(
     if rep.classification != NPT:
         out["reason"] = REASON_PPT if rep.classification == PPT else REASON_BOUNDARY
         return out
-    wc = construct_witness_vector(coeffs)
+    wc = construct_witness_vector(rep)
     wop = witness_operator(wc)
     out["witness"] = witness_to_json(wc)
     out["witness_spectrum"] = real_vector_to_json(np.linalg.eigvalsh(wop.W))
@@ -191,3 +194,5 @@ def validate_report(report: dict) -> None:
         raise ValueError("non-NPT report lacks a reason code")
     if not is_npt and (report["witness"] is not None or report["filter"] is not None):
         raise ValueError("non-NPT report carries witness or filter data")
+    if is_npt and report["witness"]["lambda_min"] != cls["lambda_min"]:
+        raise ValueError("witness lambda_min differs from the classification's lambda_min")

@@ -3,17 +3,17 @@
 A Bell-diagonal state of two qudits is fixed by a d x d probability table
 c[k, l], the weight of the Bell projector with Weyl index (k, l). The
 partial transpose of such a state is block-diagonal in the Bell-unitary
-frame, with d Hermitian d x d blocks; for odd d the blocks all share one
-spectrum. Classification reads the partial-transpose spectrum off these
-blocks; the dense d^2 x d^2 state of :func:`build_state` is not needed for
-it. Everything in this module works for general d >= 2.
+frame, with d Hermitian d x d blocks and B_{m+2} = W_{1,0} B_m W_{1,0}^dag.
+Classification solves one block per orbit of m -> m+2 (B_0 alone for odd
+d), the witness is built from its result, and the dense d^2 x d^2 state of
+:func:`build_state` is not needed. Everything here works for d >= 2.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dag, hermitian_eigensystem, kron
+from .linalg import HermitianEigensystem, dag, hermitian_eigensystem, kron
 from .weyl import bell_unitary, bell_vector, phase_table, weyl
 
 #: classification labels for the partial-transpose spectrum
@@ -75,12 +75,13 @@ class SimplexCoefficients:
 
 @dataclass(frozen=True)
 class PTSpectrumReport:
-    """Ascending partial-transpose spectrum with its NPT / PPT verdict."""
+    """Ascending partial-transpose spectrum, its verdict and the eigensystem of block B_0."""
 
     eigenvalues: np.ndarray
     lambda_min: float
     negative_count: int
     classification: str
+    block0: HermitianEigensystem
 
 
 def build_state(coeffs: SimplexCoefficients) -> np.ndarray:
@@ -149,37 +150,33 @@ def assemble_pt_from_blocks(coeffs: SimplexCoefficients) -> np.ndarray:
     return dag(u) @ blocks @ u
 
 
-def _verdict(lambda_min: float) -> str:
-    """NPT below -BOUNDARY_TOL, PPT above +BOUNDARY_TOL, BOUNDARY in the band between.
-
-    The band is reported, not rounded: downstream construction divides by
-    quantities that vanish there.
-    """
-    if lambda_min < -BOUNDARY_TOL:
-        return NPT
-    if lambda_min > BOUNDARY_TOL:
-        return PPT
-    return BOUNDARY
-
-
 def classify(coeffs: SimplexCoefficients) -> PTSpectrumReport:
     """Full ascending spectrum of the partial transpose and its verdict.
 
-    The spectrum is the union of the spectra of the d Bell-frame blocks
-    :func:`pt_block`, m = 0..d-1, each solved by
+    Solves one block per orbit of B_{m+2} = W_{1,0} B_m W_{1,0}^dag with
     :func:`~belldistill.linalg.hermitian_eigensystem` (which also checks
-    Hermiticity); the dense state is never built.
+    Hermiticity), B_0 for odd d and B_0, B_1 for even d, and repeats each
+    spectrum over its orbit. The verdict is NPT below -BOUNDARY_TOL, PPT
+    above +BOUNDARY_TOL and BOUNDARY in the band between, which is reported
+    rather than rounded: the witness construction has no meaning there.
     """
-    eigenvalues = np.sort(np.concatenate(
-        [hermitian_eigensystem(pt_block(coeffs, m)).eigenvalues for m in range(coeffs.d)]
-    ))
+    blocks = [hermitian_eigensystem(pt_block(coeffs, m)) for m in range(2 - coeffs.d % 2)]
+    orbit = coeffs.d // len(blocks)
+    eigenvalues = np.sort(np.concatenate([np.tile(b.eigenvalues, orbit) for b in blocks]))
     eigenvalues.setflags(write=False)
     lambda_min = float(eigenvalues[0])
+    if lambda_min < -BOUNDARY_TOL:
+        classification = NPT
+    elif lambda_min > BOUNDARY_TOL:
+        classification = PPT
+    else:
+        classification = BOUNDARY
     return PTSpectrumReport(
         eigenvalues=eigenvalues,
         lambda_min=lambda_min,
         negative_count=int(np.sum(eigenvalues < -BOUNDARY_TOL)),
-        classification=_verdict(lambda_min),
+        classification=classification,
+        block0=blocks[0],
     )
 
 
@@ -194,8 +191,8 @@ def lambda_min_multiplicity(eigenvalues: np.ndarray) -> int:
     return int(np.sum(eigenvalues <= eigenvalues[0] + DEGENERACY_RTOL * width))
 
 
-def sample_simplex(seed, d: int = 3) -> SimplexCoefficients:
-    """Uniform sample from the probability simplex (flat Dirichlet), per seed.
+def sample_simplex(seed) -> SimplexCoefficients:
+    """Uniform d = 3 sample from the probability simplex (flat Dirichlet), per seed.
 
     ``seed`` is anything numpy's default_rng accepts (an integer or a
     SeedSequence); the generator is PCG64, so results are reproducible
@@ -203,13 +200,12 @@ def sample_simplex(seed, d: int = 3) -> SimplexCoefficients:
     from one SeedSequence rather than share a seed.
     """
     rng = np.random.default_rng(seed)
-    c = rng.dirichlet(np.ones(d * d))
-    c = c / c.sum()
-    return SimplexCoefficients(d=d, c=c.reshape(d, d))
+    c = rng.dirichlet(np.ones(9))
+    return SimplexCoefficients(d=3, c=(c / c.sum()).reshape(3, 3))
 
 
-def sample_npt(seed, max_tries: int = 1000, d: int = 3) -> SimplexCoefficients:
-    """Rejection-sample a coefficient table whose state is NPT.
+def sample_npt(seed, max_tries: int = 1000) -> SimplexCoefficients:
+    """Rejection-sample a d = 3 coefficient table whose state is NPT.
 
     Deterministic per seed. Raises SamplingExhaustedError if no NPT table
     shows up within ``max_tries`` draws.
@@ -218,8 +214,8 @@ def sample_npt(seed, max_tries: int = 1000, d: int = 3) -> SimplexCoefficients:
         raise ValueError(f"max_tries must be >= 1, got {max_tries}")
     rng = np.random.default_rng(seed)
     for _ in range(max_tries):
-        c = rng.dirichlet(np.ones(d * d))
-        coeffs = SimplexCoefficients(d=d, c=(c / c.sum()).reshape(d, d))
+        c = rng.dirichlet(np.ones(9))
+        coeffs = SimplexCoefficients(d=3, c=(c / c.sum()).reshape(3, 3))
         if classify(coeffs).classification == NPT:
             return coeffs
     raise SamplingExhaustedError(f"no NPT sample within {max_tries} tries")

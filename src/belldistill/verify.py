@@ -20,6 +20,7 @@ from .simplex import (
     GENERATOR_NAME,
     SamplingExhaustedError,
     build_state,
+    classify,
     lambda_min_multiplicity,
     pt_block,
     sample_npt,
@@ -33,7 +34,7 @@ from .witness import (
     witness_operator,
 )
 
-#: default white-noise grid for threshold-semantics checks
+#: white-noise grid for threshold-semantics checks
 NOISE_GRID = tuple(np.linspace(0.0, 1.0, 21))
 
 #: grid points this close to a threshold are excluded from the comparison
@@ -87,7 +88,7 @@ def trial_seeds(master_seed: int, count: int) -> list:
     return [int(w) for w in words]
 
 
-def run_trial(seed: int, noise_grid=NOISE_GRID) -> TrialResult:
+def run_trial(seed: int) -> TrialResult:
     """Sample one NPT state from ``seed`` and check the full invariant battery.
 
     An error the package raises fails this trial instead of aborting the campaign.
@@ -96,7 +97,7 @@ def run_trial(seed: int, noise_grid=NOISE_GRID) -> TrialResult:
     try:
         coeffs = sample_npt(seed)
         result.coefficients = np.asarray(coeffs.c)
-        _check_invariants(coeffs, result, noise_grid)
+        _check_invariants(coeffs, result)
     except (
         SamplingExhaustedError, RankCertificationError, FilterAnnihilationError, NotNPTError
     ) as exc:
@@ -104,7 +105,7 @@ def run_trial(seed: int, noise_grid=NOISE_GRID) -> TrialResult:
     return result
 
 
-def _check_invariants(coeffs, result: TrialResult, noise_grid) -> None:
+def _check_invariants(coeffs, result: TrialResult) -> None:
     """The invariant battery of :func:`run_trial`; records into ``result``."""
     res = result.residuals
 
@@ -112,16 +113,13 @@ def _check_invariants(coeffs, result: TrialResult, noise_grid) -> None:
         if not condition:
             result.failures.append(f"{name}: {detail}")
 
-    wc = construct_witness_vector(coeffs)
+    wc = construct_witness_vector(classify(coeffs))
     rho = build_state(coeffs)
     rho_pt = partial_transpose(rho, 3, 3)
     pt_eigs = np.linalg.eigvalsh(rho_pt)
 
-    check(
-        "negative_count",
-        int(np.sum(pt_eigs < -1e-12)) == 3,
-        f"{int(np.sum(pt_eigs < -1e-12))} negative eigenvalues",
-    )
+    negatives = int(np.sum(pt_eigs < -1e-12))
+    check("negative_count", negatives == 3, f"{negatives} negative eigenvalues")
     mult = lambda_min_multiplicity(pt_eigs)
     check("lambda_min_multiplicity", mult == 3, f"multiplicity {mult}")
 
@@ -216,7 +214,7 @@ def _check_invariants(coeffs, result: TrialResult, noise_grid) -> None:
             f"q {rep.q!r}, thresholds {rep.p_rho_max!r} / {rep.p_sigma_max!r}",
         )
 
-    points = list(noise_grid)
+    points = list(NOISE_GRID)
     points += [rep.p_rho_max - 1e-6, rep.p_rho_max + 1e-6]
     points += [rep.p_sigma_max - 1e-6, rep.p_sigma_max + 1e-6]
     for p in points:

@@ -2,8 +2,8 @@
 
 For an NPT Bell-diagonal qutrit pair the smallest eigenvalue of the
 partially transposed state admits an eigenvector of Schmidt rank 2. It is
-assembled from the ground eigenvector of a single 3 x 3 block: Weyl
-conjugation propagates that eigenvector through the other blocks, a
+assembled from the ground eigenvector of block B_0, which classification
+already solved: Weyl conjugation propagates it through the other blocks, a
 Fourier transform turns the triple into coefficient vectors, and a fixed
 two-term superposition followed by the Bell-frame swap yields the vector.
 Its partially transposed projector is an entanglement witness whose
@@ -18,11 +18,10 @@ from .linalg import (
     SchmidtDecomposition,
     dag,
     expectation,
-    hermitian_eigensystem,
     partial_transpose,
     schmidt_decompose,
 )
-from .simplex import NPT, SimplexCoefficients, _verdict, build_state, pt_block
+from .simplex import NPT, PTSpectrumReport, SimplexCoefficients, build_state
 from .weyl import fourier, swap_conjugation, weyl
 
 #: |det C| above this fails rank certification
@@ -89,20 +88,20 @@ def _principal_minor(c: np.ndarray, j: int) -> complex:
     return complex(np.linalg.det(c[np.ix_(rows, rows)]))
 
 
-def construct_witness_vector(coeffs: SimplexCoefficients) -> WitnessConstruction:
+def construct_witness_vector(spectrum: PTSpectrumReport) -> WitnessConstruction:
     """Build the Schmidt-rank-2 ground eigenvector of the partial transpose.
 
-    Only d = 3 is supported and the input must classify as NPT; PPT and
-    boundary tables are refused because the construction has no meaning
-    there. For d = 3 every block shares the spectrum of B_0, so the ground
-    eigenvalue of B_0 alone decides the verdict. The result is deterministic
-    for identical input.
+    ``spectrum`` is the :func:`~belldistill.simplex.classify` report of the
+    table; lambda_min and u_0 are read from its B_0 eigensystem. Only d = 3
+    is supported and the report must say NPT; PPT and boundary tables are
+    refused because the construction has no meaning there. The result is
+    deterministic for identical input.
     """
-    if coeffs.d != 3:
-        raise ValueError(f"construction is specific to d=3, got d={coeffs.d}")
-    eig = hermitian_eigensystem(pt_block(coeffs, 0))
+    eig = spectrum.block0
+    if eig.eigenvalues.size != 3:
+        raise ValueError(f"construction is specific to d=3, got d={eig.eigenvalues.size}")
     lambda_min = float(eig.eigenvalues[0])
-    verdict = _verdict(lambda_min)
+    verdict = spectrum.classification
     if verdict != NPT:
         raise NotNPTError(f"state classifies as {verdict} (lambda_min = {lambda_min!r}); need NPT")
     u0 = eig.eigenvectors[:, 0]

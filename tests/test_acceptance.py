@@ -55,7 +55,7 @@ def campaign_states():
         states = []
         for seed in trial_seeds(CAMPAIGN_SEED, CAMPAIGN_SIZE):
             coeffs = sample_npt(seed)
-            wc = construct_witness_vector(coeffs)
+            wc = construct_witness_vector(classify(coeffs))
             rho = build_state(coeffs)
             states.append({
                 "seed": seed,
@@ -207,7 +207,7 @@ def test_criterion_5_filter_suite():
 def test_criterion_6_closed_form_spot_checks():
     t0 = time.perf_counter()
     coeffs = pure_bell_table()
-    wc = construct_witness_vector(coeffs)
+    wc = construct_witness_vector(classify(coeffs))
     rep = filter_report(build_state(coeffs), wc)
     checks = {
         "lambda_min": (wc.lambda_min, -1 / 3),

@@ -55,6 +55,26 @@ def test_analyze_boundary_exits_2(tmp_path):
     assert "boundary" in report["reason"]
 
 
+# B_0's ground eigenvalue sits just inside the BOUNDARY_TOL band, while the
+# other blocks' copies of it, 4e-16 lower, fall outside; one verdict must hold
+BOUNDARY_EDGE = {"d": 3, "c": [
+    [0.08924565108963865, 0.12220263900906579, 0.025195110245930886],
+    [0.023493500037076984, 0.0766719044370491, 0.18142294773353887],
+    [0.08862962591869868, 0.09655858805976836, 0.2965800334692327],
+]}
+
+
+def test_analyze_boundary_edge_table_exits_2(tmp_path, capsys):
+    inp = write_input(tmp_path, BOUNDARY_EDGE)
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(inp), "--output", str(out)]) == 2
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text())
+    validate_report(report)
+    assert report["classification"]["classification"] == "BOUNDARY"
+    assert report["witness"] is None
+
+
 def test_analyze_renormalizes_near_one(tmp_path):
     table = {"d": 3, "c": [[0.9999999999, 0, 0], [0, 0, 0], [0, 0, 0]]}
     inp = write_input(tmp_path, table)
@@ -66,12 +86,14 @@ def test_analyze_renormalizes_near_one(tmp_path):
 @pytest.mark.parametrize("table", [
     {"d": 3, "c": [[0.9, 0, 0], [0, 0, 0], [0, 0, 0]]},
     {"d": 3, "c": [[1.1, -0.1, 0], [0, 0, 0], [0, 0, 0]]},
+    {"d": 2, "c": [["0.5", "0"], ["0.5", "0"]]},
 ])
 def test_analyze_invalid_table_exits_1(
     tmp_path, table
 ):
     inp = write_input(tmp_path, table)
     assert main(["analyze", str(inp), "--output", str(tmp_path / "r.json")]) == 1
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_analyze_malformed_json_exits_1(tmp_path):
@@ -164,12 +186,13 @@ def test_verify_records_package_error_as_failed_trial(monkeypatch, capsys):
 
     bad_seed = verify.trial_seeds(5, 4)[2]
     bad_table = sample_npt(bad_seed).c
+    bad_spectrum = classify(sample_npt(bad_seed)).eigenvalues
     construct = verify.construct_witness_vector
 
-    def construct_failing_on_bad_seed(coeffs):
-        if np.array_equal(coeffs.c, bad_table):
+    def construct_failing_on_bad_seed(spectrum):
+        if np.array_equal(spectrum.eigenvalues, bad_spectrum):
             raise RankCertificationError("|det C| = 1.000e-03, max |minor| = 1.000e-02")
-        return construct(coeffs)
+        return construct(spectrum)
 
     monkeypatch.setattr(verify, "construct_witness_vector", construct_failing_on_bad_seed)
     assert main(["verify", "--count", "4", "--seed", "5", "--jobs", "1"]) == 1

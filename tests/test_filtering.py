@@ -24,14 +24,14 @@ NPT_SEEDS = [s for s in range(120) if classify(random_table(s)).classification =
 
 def npt_construction(seed):
     coeffs = random_table(seed)
-    wc = construct_witness_vector(coeffs)
+    wc = construct_witness_vector(classify(coeffs))
     return coeffs, wc
 
 
 # ----------------------------------------------------------- projectors
 
 def test_filters_pure_bell_traces():
-    wc = construct_witness_vector(pure_bell_table())
+    wc = construct_witness_vector(classify(pure_bell_table()))
     p_a, p_b = filters_from_witness(wc)
     assert abs(np.trace(p_a).real - 2.0) <= 1e-11
     assert abs(np.trace(p_b).real - 2.0) <= 1e-11
@@ -40,7 +40,7 @@ def test_filters_pure_bell_traces():
 
 
 def test_filter_projects_own_range():
-    wc = construct_witness_vector(pure_bell_table())
+    wc = construct_witness_vector(classify(pure_bell_table()))
     p_a, _ = filters_from_witness(wc)
     a0 = wc.schmidt.left_vectors[:, 0]
     assert np.abs(p_a @ a0 - a0).max() <= 1e-12
@@ -58,7 +58,7 @@ def test_filters_fix_the_witness_vector(seed):
 
 def test_filter_state_pure_bell():
     coeffs = pure_bell_table()
-    wc = construct_witness_vector(coeffs)
+    wc = construct_witness_vector(classify(coeffs))
     p_a, p_b = filters_from_witness(wc)
     sigma, q = filter_state(build_state(coeffs), p_a, p_b, wc.schmidt)
     assert abs(q - 2 / 3) <= 1e-10
@@ -82,7 +82,7 @@ def test_filtered_pt_minimum_is_lambda_over_q(seed):
 
 def test_filter_annihilation():
     coeffs = pure_bell_table()
-    wc = construct_witness_vector(coeffs)
+    wc = construct_witness_vector(classify(coeffs))
     p_a, p_b = filters_from_witness(wc)
     # a product state built entirely outside the projector ranges
     n_a = np.linalg.eigh(p_a)[1][:, 0]
@@ -161,7 +161,7 @@ def test_white_noise_pt_minimum_affine(p):
 
 def test_robustness_pure_bell():
     coeffs = pure_bell_table()
-    wc = construct_witness_vector(coeffs)
+    wc = construct_witness_vector(classify(coeffs))
     rep = filter_report(build_state(coeffs), wc)
     assert abs(rep.p_rho_max - 3 / 4) <= 1e-10
     assert abs(rep.p_sigma_max - 2 / 3) <= 1e-10
@@ -173,7 +173,7 @@ def test_robustness_pure_bell():
 def test_robustness_tie(monkeypatch):
     # thresholds 5e-11 apart lie within TIE_TOL and count as a tie
     coeffs = pure_bell_table()
-    wc = construct_witness_vector(coeffs)
+    wc = construct_witness_vector(classify(coeffs))
     monkeypatch.setattr(filtering, "p_sigma_max", lambda lam, q: p_rho_max(lam, 3) + 5e-11)
     rep = filter_report(build_state(coeffs), wc)
     assert rep.p_sigma_max - rep.p_rho_max == pytest.approx(5e-11, abs=1e-15)

@@ -10,7 +10,13 @@ from belldistill.report import (
     parse_coefficients,
     validate_report,
 )
-from belldistill.simplex import InvalidCoefficientsError
+from belldistill.simplex import (
+    BOUNDARY_TOL,
+    NPT,
+    InvalidCoefficientsError,
+    SimplexCoefficients,
+    classify,
+)
 
 from conftest import pure_bell_table, random_table, uniform_table
 
@@ -53,6 +59,10 @@ def test_parse_rejects_negative_entry():
     {"d": 2, "c": [[1, 0, 0], [0, 0, 0], [0, 0, 0]]},
     {"d": 3, "c": [[1, 0, "x"], [0, 0, 0], [0, 0, 0]]},
     [1, 2, 3],
+    {"d": 2, "c": [["0.5", "0"], ["0.5", "0"]]},
+    {"d": 2, "c": [[True, False], [False, False]]},
+    {"d": 2, "c": [[0.5, 0.5], [None, 0]]},
+    {"d": True, "c": [[1]]},
 ])
 def test_parse_rejects_malformed(obj):
     with pytest.raises(InvalidCoefficientsError):
@@ -117,3 +127,49 @@ def test_validate_rejects_npt_without_sections():
     report["witness"] = None
     with pytest.raises(ValueError, match="lacks"):
         validate_report(report)
+
+
+def test_validate_rejects_second_lambda_min():
+    report = analysis_report(pure_bell_table())
+    validate_report(report)
+    report["witness"]["lambda_min"] = float(np.nextafter(report["witness"]["lambda_min"], 0.0))
+    with pytest.raises(ValueError, match="lambda_min"):
+        validate_report(report)
+
+
+# ------------------------------------------- walks toward the PPT boundary
+
+BOUNDARY_PATH_SEEDS = [s for s in range(120) if classify(random_table(s)).classification == NPT][:60]
+
+
+def _last_npt_on_path(start: SimplexCoefficients) -> SimplexCoefficients:
+    """Last NPT table on the segment from ``start`` to the uniform table.
+
+    Bisects on classify's verdict down to float resolution in the mixing
+    weight, which lands on the -BOUNDARY_TOL edge of the boundary band.
+    """
+    def at(t):
+        c = (1.0 - t) * start.c + t / 9.0
+        return SimplexCoefficients(d=3, c=c / c.sum())
+
+    lo, hi = 0.0, 1.0
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if classify(at(mid)).classification == NPT:
+            lo = mid
+        else:
+            hi = mid
+    return at(lo)
+
+
+def test_last_npt_tables_toward_the_boundary_get_full_reports():
+    assert len(BOUNDARY_PATH_SEEDS) >= 50
+    for seed in BOUNDARY_PATH_SEEDS:
+        report = analysis_report(_last_npt_on_path(random_table(seed)))
+        validate_report(report)
+        cls = report["classification"]
+        assert cls["classification"] == NPT
+        assert -2 * BOUNDARY_TOL < cls["lambda_min"] < -BOUNDARY_TOL
+        assert report["witness"]["lambda_min"] == cls["lambda_min"]
+        assert report["witness_spectrum"] is not None
+        assert report["filter"] is not None

@@ -26,7 +26,7 @@ def npt_table(seed):
 # ------------------------------------------------- pure Bell closed forms
 
 def test_pure_bell_lambda_and_ground_vector():
-    wc = construct_witness_vector(pure_bell_table())
+    wc = construct_witness_vector(classify(pure_bell_table()))
     assert abs(wc.lambda_min - (-1 / 3)) < 1e-14
     # block ground vector (|1> - |2>)/sqrt(2) under the phase convention
     expected_u0 = np.array([0.0, 1.0, -1.0]) / np.sqrt(2)
@@ -34,7 +34,7 @@ def test_pure_bell_lambda_and_ground_vector():
 
 
 def test_pure_bell_alpha_and_coefficient_matrix():
-    wc = construct_witness_vector(pure_bell_table())
+    wc = construct_witness_vector(classify(pure_bell_table()))
     expected_alpha0 = np.array([0.0, 1j, -1j]) / np.sqrt(2)
     assert np.abs(wc.alpha[0] - expected_alpha0).max() < 1e-14
     expected_c = np.array(
@@ -46,7 +46,7 @@ def test_pure_bell_alpha_and_coefficient_matrix():
 
 
 def test_pure_bell_schmidt_data():
-    wc = construct_witness_vector(pure_bell_table())
+    wc = construct_witness_vector(classify(pure_bell_table()))
     assert wc.schmidt.schmidt_rank == 2
     assert np.abs(wc.schmidt.coefficients[:2] - 1 / np.sqrt(2)).max() < 1e-12
     # the eigenvector of flip/3 at -1/3 is antisymmetric
@@ -56,7 +56,7 @@ def test_pure_bell_schmidt_data():
 
 def test_isotropic_half_noise():
     # by linearity lambda_min = -(1/2)/3 + (1/2)/9 = -1/9
-    wc = construct_witness_vector(isotropic_table(0.5))
+    wc = construct_witness_vector(classify(isotropic_table(0.5)))
     assert abs(wc.lambda_min - (-1 / 9)) < 1e-12
     assert abs(witness_expectation_from_state(isotropic_table(0.5), wc) - (-1 / 9)) < 1e-10
 
@@ -65,17 +65,17 @@ def test_isotropic_half_noise():
 
 def test_rejects_ppt_input():
     with pytest.raises(NotNPTError):
-        construct_witness_vector(uniform_table())
+        construct_witness_vector(classify(uniform_table()))
 
 
 def test_rejects_boundary_input():
     with pytest.raises(NotNPTError):
-        construct_witness_vector(isotropic_table(0.75))
+        construct_witness_vector(classify(isotropic_table(0.75)))
 
 
 def test_rejects_wrong_dimension():
     with pytest.raises(ValueError, match="d=3"):
-        construct_witness_vector(random_table(0, d=4))
+        construct_witness_vector(classify(random_table(0, d=4)))
 
 
 def test_rank_certificate_guard(monkeypatch):
@@ -85,7 +85,7 @@ def test_rank_certificate_guard(monkeypatch):
 
     monkeypatch.setattr(witness_mod, "MINOR_TOL", 1e6)
     with pytest.raises(witness_mod.RankCertificationError):
-        construct_witness_vector(npt_table(NPT_SEEDS[0]))
+        construct_witness_vector(classify(npt_table(NPT_SEEDS[0])))
 
 
 # --------------------------------------------- construction invariants
@@ -93,7 +93,7 @@ def test_rank_certificate_guard(monkeypatch):
 @pytest.mark.parametrize("seed", NPT_SEEDS[:40])
 def test_construction_invariants(seed):
     coeffs = npt_table(seed)
-    wc = construct_witness_vector(coeffs)
+    wc = construct_witness_vector(classify(coeffs))
     lam = wc.lambda_min
     assert lam < 0
 
@@ -127,7 +127,7 @@ def test_construction_invariants(seed):
 @pytest.mark.parametrize("seed", NPT_SEEDS[:20])
 def test_phi_equals_direct_bell_frame_route(seed):
     # independent route: phi = U^dag (sum_i psi_i |i> (x) u_i)
-    wc = construct_witness_vector(npt_table(seed))
+    wc = construct_witness_vector(classify(npt_table(seed)))
     psi_vec = np.zeros(9, dtype=complex)
     for i in range(3):
         psi_vec[i * 3:(i + 1) * 3] = wc.psi[i] * wc.u[i]
@@ -137,15 +137,15 @@ def test_phi_equals_direct_bell_frame_route(seed):
 
 @pytest.mark.parametrize("seed", NPT_SEEDS[:20])
 def test_coefficient_matrix_singular_values_match_schmidt(seed):
-    wc = construct_witness_vector(npt_table(seed))
+    wc = construct_witness_vector(classify(npt_table(seed)))
     singular = np.linalg.svd(wc.C, compute_uv=False)
     assert np.abs(singular[:2] - wc.schmidt.coefficients[:2]).max() <= 1e-10
     assert singular[2] <= 1e-10
 
 
 def test_construction_deterministic():
-    first = construct_witness_vector(npt_table(NPT_SEEDS[0]))
-    second = construct_witness_vector(npt_table(NPT_SEEDS[0]))
+    first = construct_witness_vector(classify(npt_table(NPT_SEEDS[0])))
+    second = construct_witness_vector(classify(npt_table(NPT_SEEDS[0])))
     assert np.array_equal(first.phi, second.phi)
     assert np.array_equal(first.u, second.u)
     assert first.lambda_min == second.lambda_min
@@ -154,7 +154,7 @@ def test_construction_deterministic():
 # ------------------------------------------------------ witness operator
 
 def test_witness_spectrum_pure_bell():
-    wc = construct_witness_vector(pure_bell_table())
+    wc = construct_witness_vector(classify(pure_bell_table()))
     wop = witness_operator(wc)
     eigs = np.linalg.eigvalsh(wop.W)
     expected = np.array([-0.5, 0, 0, 0, 0, 0, 0.5, 0.5, 0.5])
@@ -164,7 +164,7 @@ def test_witness_spectrum_pure_bell():
 @pytest.mark.parametrize("seed", NPT_SEEDS[:25])
 def test_witness_operator_invariants(seed):
     coeffs = npt_table(seed)
-    wc = construct_witness_vector(coeffs)
+    wc = construct_witness_vector(classify(coeffs))
     wop = witness_operator(wc)
     eigs = np.linalg.eigvalsh(wop.W)
     expected = np.sort(
@@ -185,13 +185,13 @@ def test_witness_operator_invariants(seed):
 
 def test_detect_on_generating_state():
     coeffs = pure_bell_table()
-    wc = construct_witness_vector(coeffs)
+    wc = construct_witness_vector(classify(coeffs))
     wop = witness_operator(wc)
     assert abs(detect(wop, build_state(coeffs)) - wc.lambda_min) <= 1e-10
 
 
 def test_detect_on_maximally_mixed():
-    wc = construct_witness_vector(pure_bell_table())
+    wc = construct_witness_vector(classify(pure_bell_table()))
     wop = witness_operator(wc)
     assert abs(detect(wop, np.eye(9) / 9) - 1 / 9) <= 1e-12
 
@@ -200,7 +200,7 @@ def test_detect_on_maximally_mixed():
 def test_detect_affine_in_noise(p):
     # (1-p) <phi|rho^G|phi> + p / 9 for the white-noise admixture
     coeffs = npt_table(NPT_SEEDS[1])
-    wc = construct_witness_vector(coeffs)
+    wc = construct_witness_vector(classify(coeffs))
     wop = witness_operator(wc)
     rho = build_state(coeffs)
     noisy = (1 - p) * rho + p / 9 * np.eye(9)
@@ -209,13 +209,13 @@ def test_detect_affine_in_noise(p):
 
 
 def test_detect_dimension_mismatch():
-    wop = witness_operator(construct_witness_vector(pure_bell_table()))
+    wop = witness_operator(construct_witness_vector(classify(pure_bell_table())))
     with pytest.raises(ValueError, match="shape"):
         detect(wop, np.eye(4))
 
 
 def test_detect_rejects_large_imaginary_part():
-    wc = construct_witness_vector(npt_table(NPT_SEEDS[2]))
+    wc = construct_witness_vector(classify(npt_table(NPT_SEEDS[2])))
     wop = witness_operator(wc)
     # pick the entry with the largest imaginary part and feed the matching
     # non-Hermitian basis unit; trace(W E_jk) = W[k, j]
@@ -230,20 +230,20 @@ def test_detect_rejects_large_imaginary_part():
 # ------------------------------------------- product-vector positivity
 
 def test_product_positivity_pure_bell():
-    wop = witness_operator(construct_witness_vector(pure_bell_table()))
+    wop = witness_operator(construct_witness_vector(classify(pure_bell_table())))
     assert product_vector_positivity_check(wop, 10_000, seed=5) >= -1e-10
 
 
 @pytest.mark.parametrize("seed", NPT_SEEDS[:5])
 def test_product_positivity_random_states(seed):
-    wop = witness_operator(construct_witness_vector(npt_table(seed)))
+    wop = witness_operator(construct_witness_vector(classify(npt_table(seed))))
     assert product_vector_positivity_check(wop, 2_000, seed=seed) >= -1e-10
 
 
 @pytest.mark.parametrize("seed", NPT_SEEDS[:10])
 def test_weak_optimality_vector(seed):
     # the product vector |a_0, b_1*> lies in the witness kernel
-    wc = construct_witness_vector(npt_table(seed))
+    wc = construct_witness_vector(classify(npt_table(seed)))
     wop = witness_operator(wc)
     a0 = wc.schmidt.left_vectors[:, 0]
     b1_star = wc.schmidt.right_vectors[:, 1].conj()
@@ -252,6 +252,6 @@ def test_weak_optimality_vector(seed):
 
 
 def test_product_positivity_rejects_bad_trials():
-    wop = witness_operator(construct_witness_vector(pure_bell_table()))
+    wop = witness_operator(construct_witness_vector(classify(pure_bell_table())))
     with pytest.raises(ValueError):
         product_vector_positivity_check(wop, 0, seed=1)
