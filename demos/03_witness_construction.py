@@ -6,7 +6,6 @@ import numpy as np
 
 from belldistill import (
     build_state,
-    classify,
     construct_witness_vector,
     detect,
     partial_transpose,
@@ -15,8 +14,7 @@ from belldistill import (
     witness_operator,
 )
 
-coeffs = sample_npt(seed=12345)
-rep = classify(coeffs)
+coeffs, rep = sample_npt(seed=12345)
 print("coefficient table:")
 print(np.round(coeffs.c, 4))
 print(f"\nlambda_min(rho^Gamma) = {rep.lambda_min:.6f} "

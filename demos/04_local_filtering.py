@@ -6,14 +6,13 @@ import numpy as np
 
 from belldistill import (
     build_state,
-    classify,
     construct_witness_vector,
     filter_report,
     sample_npt,
 )
 
-coeffs = sample_npt(seed=777)
-wc = construct_witness_vector(classify(coeffs))
+coeffs, spectrum = sample_npt(seed=777)
+wc = construct_witness_vector(spectrum)
 rho = build_state(coeffs)
 rep = filter_report(rho, wc)
 

@@ -7,7 +7,6 @@ import numpy as np
 from belldistill import (
     add_white_noise,
     build_state,
-    classify,
     construct_witness_vector,
     detect,
     filter_report,
@@ -16,8 +15,8 @@ from belldistill import (
     witness_operator,
 )
 
-coeffs = sample_npt(seed=2718)
-wc = construct_witness_vector(classify(coeffs))
+coeffs, spectrum = sample_npt(seed=2718)
+wc = construct_witness_vector(spectrum)
 rho = build_state(coeffs)
 wop = witness_operator(wc)
 rep = filter_report(rho, wc)

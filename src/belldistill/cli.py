@@ -108,14 +108,14 @@ def cmd_sweep(args) -> int:
         f"# p_sigma_max = {rep.p_sigma_max!r}",
         "p,witness_value,detected,sigma_npt",
     ]
-    for p in np.linspace(args.p_min, args.p_max, args.steps):
-        p = float(p)
-        value = detect(wop, add_white_noise(rho, p))
-        noisy_sigma = add_white_noise(rep.sigma, p)
-        sigma_npt = bool(np.linalg.eigvalsh(partial_transpose(noisy_sigma, 2, 2))[0] < 0.0)
+    ps = np.linspace(args.p_min, args.p_max, args.steps)
+    values = detect(wop, add_white_noise(rho, ps))
+    noisy_sigma_pt = partial_transpose(add_white_noise(rep.sigma, ps), 2, 2)
+    sigma_npt = np.linalg.eigvalsh(noisy_sigma_pt)[:, 0] < 0.0
+    for p, value, npt in zip(ps.tolist(), values.tolist(), sigma_npt.tolist()):
         lines.append(
             f"{p!r},{value!r},{'true' if value < 0 else 'false'},"
-            f"{'true' if sigma_npt else 'false'}"
+            f"{'true' if npt else 'false'}"
         )
     try:
         _write_text(args.output, "\n".join(lines) + "\n")
@@ -132,7 +132,7 @@ def cmd_sample(args) -> int:
     try:
         for seed in trial_seeds(args.seed, args.count):
             if args.npt_only:
-                coeffs = sample_npt(seed)
+                coeffs, _ = sample_npt(seed)
             else:
                 coeffs = sample_simplex(seed)
             tables.append(coefficients_to_json(coeffs))

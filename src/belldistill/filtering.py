@@ -83,10 +83,8 @@ def filter_state(
     sigma9 = joint @ rho @ joint / q
     a = schmidt.left_vectors
     b_star = schmidt.right_vectors.conj()
-    embed = np.zeros((9, 4), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            embed[:, 2 * i + j] = np.kron(a[:, i], b_star[:, j])
+    # column 2i+j is a_i (x) b*_j
+    embed = (a[:, None, :2, None] * b_star[None, :, None, :2]).reshape(9, 4)
     sigma = dag(embed) @ sigma9 @ embed
     return sigma, q
 
@@ -117,12 +115,20 @@ def p_sigma_max(lambda_min_rho: float, q: float) -> float:
     return 4.0 * lambda_min_rho / (4.0 * lambda_min_rho - q)
 
 
-def add_white_noise(state: np.ndarray, p: float) -> np.ndarray:
-    """Mix a state with the maximally mixed one: (1-p) state + p/n * 1."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"noise weight {p!r} outside [0, 1]")
+def add_white_noise(state: np.ndarray, p) -> np.ndarray:
+    """Mix a state with the maximally mixed one: (1-p) state + p/n * 1.
+
+    ``p`` is one weight or an array of weights; for an array the result is
+    the stack of mixtures, shape p.shape + (n, n), each bit for bit the
+    single-weight result. Every weight must lie in [0, 1].
+    """
+    p = np.asarray(p, dtype=float)
+    outside = ~((0.0 <= p) & (p <= 1.0))
+    if np.any(outside):
+        raise ValueError(f"noise weight {float(p[outside][0])!r} outside [0, 1]")
     state = np.asarray(state, dtype=complex)
     n = state.shape[0]
+    p = p[..., None, None]
     return (1.0 - p) * state + (p / n) * np.eye(n)
 
 

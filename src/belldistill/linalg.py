@@ -3,8 +3,11 @@
 Everything here operates on plain numpy arrays: matrices are square
 complex 2-d arrays, state vectors are complex 1-d arrays, and a bipartite
 space of local dimensions (dA, dB) is indexed row-major, |a,b> -> a*dB + b.
-Dimensions stay tiny (at most 81), so all routines favour clarity and
-deterministic output over speed.
+:func:`partial_transpose` also takes a stack of matrices, shape (..., n, n),
+so that a family of states is handled in one call. Dimensions stay tiny (at
+most 81), so per-call overhead, not arithmetic, dominates the cost; results
+are deterministic and a stacked call gives the same bits as a loop of
+single calls.
 """
 
 from dataclasses import dataclass
@@ -24,21 +27,34 @@ def dag(m: np.ndarray) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product A (x) B with complex dtype."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    """Kronecker product A (x) B with complex dtype, for A and B of equal rank.
+
+    One broadcast multiply: out[(i,k),(j,l)] = A[i,j] * B[k,l], the same
+    products as ``np.kron`` without its generic set-up.
+    """
+    a = np.asarray(a, dtype=complex)
+    b = np.asarray(b, dtype=complex)
+    if a.ndim != b.ndim:
+        raise ValueError(f"kron needs factors of equal rank, got {a.ndim} and {b.ndim}")
+    product = a.reshape([x for n in a.shape for x in (n, 1)]) * b.reshape(
+        [x for n in b.shape for x in (1, n)]
+    )
+    return product.reshape([m * n for m, n in zip(a.shape, b.shape)])
 
 
 def partial_transpose(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
-    """Transpose the second tensor factor of a (dA*dB) x (dA*dB) matrix.
+    """Transpose the second tensor factor of (dA*dB) x (dA*dB) matrices.
 
-    out[(a,b),(a',b')] = m[(a,b'),(a',b)]. The operation is an involution,
-    preserves the trace and preserves Hermiticity.
+    out[..., (a,b),(a',b')] = m[..., (a,b'),(a',b)] for a single matrix or a
+    stack of shape (..., n, n). The operation is an involution, preserves
+    the trace and preserves Hermiticity.
     """
     m = np.asarray(m)
     n = d_a * d_b
-    if m.shape != (n, n):
+    if m.shape[-2:] != (n, n):
         raise ValueError(f"matrix shape {m.shape} does not match dims ({d_a},{d_b})")
-    return m.reshape(d_a, d_b, d_a, d_b).transpose(0, 3, 2, 1).reshape(n, n)
+    lead = m.shape[:-2]
+    return m.reshape(lead + (d_a, d_b, d_a, d_b)).swapaxes(-3, -1).reshape(lead + (n, n))
 
 
 def expectation(m: np.ndarray, v: np.ndarray) -> complex:

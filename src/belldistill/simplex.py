@@ -204,9 +204,11 @@ def sample_simplex(seed) -> SimplexCoefficients:
     return SimplexCoefficients(d=3, c=(c / c.sum()).reshape(3, 3))
 
 
-def sample_npt(seed, max_tries: int = 1000) -> SimplexCoefficients:
+def sample_npt(seed, max_tries: int = 1000) -> tuple[SimplexCoefficients, PTSpectrumReport]:
     """Rejection-sample a d = 3 coefficient table whose state is NPT.
 
+    Returns the table together with its :func:`classify` report, the one
+    the acceptance test computed, so callers need not classify it again.
     Deterministic per seed. Raises SamplingExhaustedError if no NPT table
     shows up within ``max_tries`` draws.
     """
@@ -216,6 +218,7 @@ def sample_npt(seed, max_tries: int = 1000) -> SimplexCoefficients:
     for _ in range(max_tries):
         c = rng.dirichlet(np.ones(9))
         coeffs = SimplexCoefficients(d=3, c=(c / c.sum()).reshape(3, 3))
-        if classify(coeffs).classification == NPT:
-            return coeffs
+        spectrum = classify(coeffs)
+        if spectrum.classification == NPT:
+            return coeffs, spectrum
     raise SamplingExhaustedError(f"no NPT sample within {max_tries} tries")

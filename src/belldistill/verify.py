@@ -20,13 +20,12 @@ from .simplex import (
     GENERATOR_NAME,
     SamplingExhaustedError,
     build_state,
-    classify,
     lambda_min_multiplicity,
     pt_block,
     sample_npt,
 )
-from .weyl import weyl
 from .witness import (
+    W10,
     NotNPTError,
     RankCertificationError,
     construct_witness_vector,
@@ -34,8 +33,8 @@ from .witness import (
     witness_operator,
 )
 
-#: white-noise grid for threshold-semantics checks
-NOISE_GRID = tuple(np.linspace(0.0, 1.0, 21))
+#: white-noise grid for threshold-semantics checks, as plain floats
+NOISE_GRID = tuple(np.linspace(0.0, 1.0, 21).tolist())
 
 #: grid points this close to a threshold are excluded from the comparison
 THRESHOLD_BAND = 1e-6
@@ -95,9 +94,9 @@ def run_trial(seed: int) -> TrialResult:
     """
     result = TrialResult(seed=seed, coefficients=None)
     try:
-        coeffs = sample_npt(seed)
+        coeffs, spectrum = sample_npt(seed)
         result.coefficients = np.asarray(coeffs.c)
-        _check_invariants(coeffs, result)
+        _check_invariants(coeffs, spectrum, result)
     except (
         SamplingExhaustedError, RankCertificationError, FilterAnnihilationError, NotNPTError
     ) as exc:
@@ -105,56 +104,59 @@ def run_trial(seed: int) -> TrialResult:
     return result
 
 
-def _check_invariants(coeffs, result: TrialResult) -> None:
-    """The invariant battery of :func:`run_trial`; records into ``result``."""
+def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
+    """The invariant battery of :func:`run_trial`; records into ``result``.
+
+    ``spectrum`` is the classification report of ``coeffs``.
+    """
     res = result.residuals
 
-    def check(name, condition, detail=""):
+    def check(name, condition, detail):
+        # detail() formats the message; it runs only when the check fails
         if not condition:
-            result.failures.append(f"{name}: {detail}")
+            result.failures.append(f"{name}: {detail()}")
 
-    wc = construct_witness_vector(classify(coeffs))
+    wc = construct_witness_vector(spectrum)
     rho = build_state(coeffs)
     rho_pt = partial_transpose(rho, 3, 3)
     pt_eigs = np.linalg.eigvalsh(rho_pt)
 
     negatives = int(np.sum(pt_eigs < -1e-12))
-    check("negative_count", negatives == 3, f"{negatives} negative eigenvalues")
+    check("negative_count", negatives == 3, lambda: f"{negatives} negative eigenvalues")
     mult = lambda_min_multiplicity(pt_eigs)
-    check("lambda_min_multiplicity", mult == 3, f"multiplicity {mult}")
+    check("lambda_min_multiplicity", mult == 3, lambda: f"multiplicity {mult}")
 
     lam = wc.lambda_min
     block_res = max(
         float(np.abs(pt_block(coeffs, m) @ wc.u[m] - lam * wc.u[m]).max()) for m in range(3)
     )
     res["block_eigen_residual"] = block_res
-    check("block_eigenvectors", block_res <= 1e-10, f"residual {block_res:.3e}")
-    w10 = weyl(3, 1, 0)
+    check("block_eigenvectors", block_res <= 1e-10, lambda: f"residual {block_res:.3e}")
     check(
         "u_shift_relation",
-        all(np.array_equal(wc.u[(m + 2) % 3], w10 @ wc.u[m]) for m in (0, 2)),
-        "u_{m+2} differs from W_{1,0} u_m",
+        all(np.array_equal(wc.u[(m + 2) % 3], W10 @ wc.u[m]) for m in (0, 2)),
+        lambda: "u_{m+2} differs from W_{1,0} u_m",
     )
     alpha_res = max(
         float(np.abs(np.roll(wc.alpha[m], -1) - wc.alpha[(m + 2) % 3]).max()) for m in range(3)
     )
     res["alpha_shift_residual"] = alpha_res
-    check("alpha_shift_relation", alpha_res <= 1e-12, f"residual {alpha_res:.3e}")
+    check("alpha_shift_relation", alpha_res <= 1e-12, lambda: f"residual {alpha_res:.3e}")
 
     eig_res = float(np.abs(rho_pt @ wc.phi - lam * wc.phi).max())
     res["eigenvector_residual"] = eig_res
-    check("eigenvector_property", eig_res <= 1e-10, f"residual {eig_res:.3e}")
+    check("eigenvector_property", eig_res <= 1e-10, lambda: f"residual {eig_res:.3e}")
 
     exp_dev = abs(expectation(rho_pt, wc.phi).real - lam)
     res["expectation_minus_lambda"] = exp_dev
-    check("expectation_equals_lambda", exp_dev <= 1e-10, f"deviation {exp_dev:.3e}")
+    check("expectation_equals_lambda", exp_dev <= 1e-10, lambda: f"deviation {exp_dev:.3e}")
 
     res["abs_det_C"] = abs(wc.det_C)
-    check("det_C_vanishes", abs(wc.det_C) <= 1e-10, f"|det C| {abs(wc.det_C):.3e}")
+    check("det_C_vanishes", abs(wc.det_C) <= 1e-10, lambda: f"|det C| {abs(wc.det_C):.3e}")
     check(
         "minor_nonzero",
         float(np.abs(wc.minors).max()) > 1e-9,
-        f"max minor {np.abs(wc.minors).max():.3e}",
+        lambda: f"max minor {np.abs(wc.minors).max():.3e}",
     )
 
     mu = wc.schmidt.coefficients
@@ -163,7 +165,7 @@ def _check_invariants(coeffs, result: TrialResult) -> None:
     check(
         "schmidt_rank_2",
         wc.schmidt.schmidt_rank == 2 and mu[1] > 1e-9 and third < 1e-9,
-        f"coefficients {mu}",
+        lambda: f"coefficients {mu}",
     )
 
     wop = witness_operator(wc)
@@ -173,68 +175,76 @@ def _check_invariants(coeffs, result: TrialResult) -> None:
     )
     spec_dev = float(np.abs(w_eigs - expected).max())
     res["witness_spectrum_dev"] = spec_dev
-    check("witness_spectrum", spec_dev <= 1e-9, f"deviation {spec_dev:.3e}")
+    check("witness_spectrum", spec_dev <= 1e-9, lambda: f"deviation {spec_dev:.3e}")
 
     value = detect(wop, rho)
     trace_dev = abs(value - lam)
     res["witness_trace_identity"] = trace_dev
-    check("witness_detects", value < 0 and trace_dev <= 1e-10, f"trace(W rho) {value!r}")
+    check(
+        "witness_detects", value < 0 and trace_dev <= 1e-10, lambda: f"trace(W rho) {value!r}"
+    )
 
     mirror_floor = float(np.linalg.eigvalsh(wop.mirror)[0])
     res["mirror_negative_part"] = max(0.0, -mirror_floor)
-    check("mirror_psd", mirror_floor >= -1e-10, f"floor {mirror_floor:.3e}")
+    check("mirror_psd", mirror_floor >= -1e-10, lambda: f"floor {mirror_floor:.3e}")
 
     rep = filter_report(rho, wc)
     fix_res = float(
         np.abs(kron(rep.P_A, rep.P_B.T) @ wc.phi - wc.phi).max()
     )
     res["filter_fixpoint_residual"] = fix_res
-    check("filter_fixpoint", fix_res <= 1e-10, f"residual {fix_res:.3e}")
+    check("filter_fixpoint", fix_res <= 1e-10, lambda: f"residual {fix_res:.3e}")
 
     sigma_eigs = np.linalg.eigvalsh(rep.sigma)
     res["sigma_negative_part"] = max(0.0, -float(sigma_eigs[0]))
-    check("sigma_psd", sigma_eigs[0] >= -1e-10, f"floor {sigma_eigs[0]:.3e}")
+    check("sigma_psd", sigma_eigs[0] >= -1e-10, lambda: f"floor {sigma_eigs[0]:.3e}")
     trace_dev = abs(float(np.trace(rep.sigma).real) - 1.0)
     res["sigma_trace_dev"] = trace_dev
-    check("sigma_unit_trace", trace_dev <= 1e-12, f"deviation {trace_dev:.3e}")
+    check("sigma_unit_trace", trace_dev <= 1e-12, lambda: f"deviation {trace_dev:.3e}")
 
     ratio_dev = abs(float(rep.sigma_pt_spectrum[0]) - lam / rep.q)
     res["sigma_lambda_ratio_dev"] = ratio_dev
-    check("sigma_pt_minimum", ratio_dev <= 1e-9, f"deviation {ratio_dev:.3e}")
+    check("sigma_pt_minimum", ratio_dev <= 1e-9, lambda: f"deviation {ratio_dev:.3e}")
     check(
         "sigma_single_negative",
         int(np.sum(rep.sigma_pt_spectrum < -1e-12)) == 1,
-        f"spectrum {rep.sigma_pt_spectrum}",
+        lambda: f"spectrum {rep.sigma_pt_spectrum}",
     )
 
     if not rep.robustness_tie:
         check(
             "robustness_equivalence",
             rep.qubit_more_robust == (rep.q < 4.0 / 9.0),
-            f"q {rep.q!r}, thresholds {rep.p_rho_max!r} / {rep.p_sigma_max!r}",
+            lambda: f"q {rep.q!r}, thresholds {rep.p_rho_max!r} / {rep.p_sigma_max!r}",
         )
 
-    points = list(NOISE_GRID)
-    points += [rep.p_rho_max - 1e-6, rep.p_rho_max + 1e-6]
-    points += [rep.p_sigma_max - 1e-6, rep.p_sigma_max + 1e-6]
-    for p in points:
-        if not 0.0 <= p <= 1.0:
-            continue
-        if abs(p - rep.p_rho_max) >= THRESHOLD_BAND - 1e-15:
-            detected = detect(wop, add_white_noise(rho, p)) < 0.0
-            check(
-                "rho_threshold_semantics",
-                detected == (p < rep.p_rho_max),
-                f"p={p!r} detected={detected} threshold={rep.p_rho_max!r}",
-            )
-        if abs(p - rep.p_sigma_max) >= THRESHOLD_BAND - 1e-15:
-            noisy = add_white_noise(rep.sigma, p)
-            npt = float(np.linalg.eigvalsh(partial_transpose(noisy, 2, 2))[0]) < 0.0
-            check(
-                "sigma_threshold_semantics",
-                npt == (p < rep.p_sigma_max),
-                f"p={p!r} npt={npt} threshold={rep.p_sigma_max!r}",
-            )
+    # Every grid point is evaluated densely, all points of one state in one
+    # stacked call; failures are reported point by point, rho before sigma.
+    grid = NOISE_GRID + (
+        rep.p_rho_max - 1e-6, rep.p_rho_max + 1e-6, rep.p_sigma_max - 1e-6, rep.p_sigma_max + 1e-6
+    )
+    points = np.array([p for p in grid if 0.0 <= p <= 1.0])
+    on_rho = np.abs(points - rep.p_rho_max) >= THRESHOLD_BAND - 1e-15
+    on_sigma = np.abs(points - rep.p_sigma_max) >= THRESHOLD_BAND - 1e-15
+    detected = np.zeros(points.size, dtype=bool)
+    detected[on_rho] = detect(wop, add_white_noise(rho, points[on_rho])) < 0.0
+    noisy_sigma_pt = partial_transpose(add_white_noise(rep.sigma, points[on_sigma]), 2, 2)
+    npt = np.zeros(points.size, dtype=bool)
+    npt[on_sigma] = np.linalg.eigvalsh(noisy_sigma_pt)[:, 0] < 0.0
+    rho_wrong = on_rho & (detected != (points < rep.p_rho_max))
+    sigma_wrong = on_sigma & (npt != (points < rep.p_sigma_max))
+    for i in np.flatnonzero(rho_wrong | sigma_wrong):
+        p = float(points[i])
+        check(
+            "rho_threshold_semantics",
+            not rho_wrong[i],
+            lambda: f"p={p!r} detected={bool(detected[i])} threshold={rep.p_rho_max!r}",
+        )
+        check(
+            "sigma_threshold_semantics",
+            not sigma_wrong[i],
+            lambda: f"p={p!r} npt={bool(npt[i])} threshold={rep.p_sigma_max!r}",
+        )
 
 
 def run_campaign(count: int, master_seed: int, jobs: int = 1) -> CampaignResult:

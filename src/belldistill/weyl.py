@@ -1,9 +1,10 @@
 """Weyl-Heisenberg operators, Bell basis vectors and the structural unitaries.
 
-All constructors take the local dimension d >= 2 first and build fresh
-arrays on every call. Roots of unity are always drawn from a single phase
-table of omega = exp(2 pi i / d) with exponents folded mod d, which keeps
-the group relations exact at machine precision.
+All constructors take the local dimension d >= 2 first and return a fresh,
+writable array. Roots of unity are always drawn from a single phase table
+of omega = exp(2 pi i / d) with exponents folded mod d, which keeps the
+group relations exact at machine precision; that table is built once per d
+and shared read-only.
 """
 
 import numpy as np
@@ -18,10 +19,22 @@ def _check_dim(d: int) -> int:
     return d
 
 
+#: d -> read-only phase table, filled on first use
+_PHASE_TABLES = {}
+
+
 def phase_table(d: int) -> np.ndarray:
-    """Array of the d-th roots of unity, entry j = omega**j."""
+    """Read-only array of the d-th roots of unity, entry j = omega**j.
+
+    Built on the first call for each d and shared by every later one.
+    """
     d = _check_dim(d)
-    return np.exp(2j * np.pi * np.arange(d) / d)
+    tab = _PHASE_TABLES.get(d)
+    if tab is None:
+        tab = np.exp(2j * np.pi * np.arange(d) / d)
+        tab.setflags(write=False)
+        _PHASE_TABLES[d] = tab
+    return tab
 
 
 def weyl(d: int, k: int, l: int) -> np.ndarray:

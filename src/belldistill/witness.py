@@ -33,6 +33,15 @@ MINOR_TOL = 1e-9
 #: imaginary parts above this in a witness expectation signal a Hermiticity bug
 IMAG_TOL = 1e-11
 
+#: the d = 3 unitaries of the construction, built once and shared read-only:
+#: the diagonal Weyl operator W_{1,0}, the Fourier matrix F and the
+#: Bell-frame swap (F^dag (x) F) flip
+W10 = weyl(3, 1, 0)
+F3 = fourier(3)
+SWAP3 = swap_conjugation(3)
+for _unitary in (W10, F3, SWAP3):
+    _unitary.setflags(write=False)
+
 
 class NotNPTError(ValueError):
     """Witness construction requires a strictly NPT input state."""
@@ -108,13 +117,11 @@ def construct_witness_vector(spectrum: PTSpectrumReport) -> WitnessConstruction:
 
     # u_{m+2} = W_{1,0} u_m keeps the relative phases the identities need;
     # only u_0 comes from an eigensolve, the other two are derived.
-    w10 = weyl(3, 1, 0)
-    u2 = w10 @ u0
-    u1 = w10 @ u2
+    u2 = W10 @ u0
+    u1 = W10 @ u2
     u = np.array([u0, u1, u2])
 
-    f = fourier(3)
-    alpha = np.array([dag(f) @ u[m] for m in range(3)])
+    alpha = np.array([dag(F3) @ u[m] for m in range(3)])
 
     psi = np.array([1.0, 0.0, -1.0], dtype=complex) / np.sqrt(2.0)
     phi_tilde = np.zeros(9, dtype=complex)
@@ -132,7 +139,7 @@ def construct_witness_vector(spectrum: PTSpectrumReport) -> WitnessConstruction:
             f"|det C| = {abs(det_c):.3e}, max |minor| = {np.abs(minors).max():.3e}"
         )
 
-    phi = swap_conjugation(3) @ phi_tilde
+    phi = SWAP3 @ phi_tilde
     schmidt = schmidt_decompose(phi, 3, 3)
     if schmidt.schmidt_rank != 2:
         raise RankCertificationError(
@@ -167,22 +174,26 @@ def witness_operator(wc: WitnessConstruction) -> WitnessOperator:
     return WitnessOperator(W=w, mirror=mirror, mu0=mu0, mu1=mu1)
 
 
-def detect(wop: WitnessOperator, test_state: np.ndarray) -> float:
+def detect(wop: WitnessOperator, test_state: np.ndarray) -> float | np.ndarray:
     """Witness expectation trace(W rho) as a real number.
 
-    Negative values certify one-copy distillability of ``test_state``.
-    An imaginary part above IMAG_TOL raises, catching non-Hermitian input
-    early.
+    Negative values certify one-copy distillability of ``test_state``. A
+    single 9 x 9 state gives a float; a stack of shape (..., 9, 9) gives the
+    array of its expectations, bit for bit the values of single calls. An
+    imaginary part above IMAG_TOL in any of them raises, catching
+    non-Hermitian input early.
     """
     test_state = np.asarray(test_state)
-    if test_state.shape != wop.W.shape:
+    if test_state.shape[-2:] != wop.W.shape:
         raise ValueError(
             f"state shape {test_state.shape} does not match witness {wop.W.shape}"
         )
-    value = complex(np.trace(wop.W @ test_state))
-    if abs(value.imag) > IMAG_TOL:
-        raise ValueError(f"witness expectation has imaginary part {value.imag:.3e}")
-    return value.real
+    values = np.trace(wop.W @ test_state, axis1=-2, axis2=-1)
+    imag = np.abs(values.imag)
+    if np.any(imag > IMAG_TOL):
+        worst = values.imag.flat[np.argmax(imag)]
+        raise ValueError(f"witness expectation has imaginary part {worst:.3e}")
+    return float(values.real) if values.ndim == 0 else values.real
 
 
 def product_vector_positivity_check(wop: WitnessOperator, trials: int, seed) -> float:

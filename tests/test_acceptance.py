@@ -54,8 +54,8 @@ def campaign_states():
     if "states" not in _CACHE:
         states = []
         for seed in trial_seeds(CAMPAIGN_SEED, CAMPAIGN_SIZE):
-            coeffs = sample_npt(seed)
-            wc = construct_witness_vector(classify(coeffs))
+            coeffs, spectrum = sample_npt(seed)
+            wc = construct_witness_vector(spectrum)
             rho = build_state(coeffs)
             states.append({
                 "seed": seed,

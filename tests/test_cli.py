@@ -185,8 +185,9 @@ def test_verify_records_package_error_as_failed_trial(monkeypatch, capsys):
     from belldistill.witness import RankCertificationError
 
     bad_seed = verify.trial_seeds(5, 4)[2]
-    bad_table = sample_npt(bad_seed).c
-    bad_spectrum = classify(sample_npt(bad_seed)).eigenvalues
+    bad_coeffs, bad_report = sample_npt(bad_seed)
+    bad_table = bad_coeffs.c
+    bad_spectrum = bad_report.eigenvalues
     construct = verify.construct_witness_vector
 
     def construct_failing_on_bad_seed(spectrum):

@@ -146,6 +146,42 @@ def test_white_noise_domain():
         add_white_noise(np.eye(9) / 9, 1.01)
 
 
+@pytest.mark.parametrize(
+    "ps", [[0.0, 0.5, 1.01], [-0.01, 0.5], [0.2, np.nan], [[0.1, 0.2], [0.3, 2.0]]]
+)
+def test_white_noise_domain_of_weight_arrays(ps):
+    with pytest.raises(ValueError, match="outside"):
+        add_white_noise(np.eye(9) / 9, np.array(ps))
+
+
+def test_stacked_noise_grid_equals_single_points():
+    # one call over a weight array gives, bit for bit, the values of one call
+    # per weight: the mixtures, the witness values and sigma's partial transpose
+    grid = np.linspace(0.0, 1.0, 101)
+    assert len(NPT_SEEDS) >= 50
+    for seed in NPT_SEEDS[:50]:
+        coeffs, wc = npt_construction(seed)
+        rho = build_state(coeffs)
+        wop = witness_operator(wc)
+        sigma = filter_report(rho, wc).sigma
+        rho_stack = add_white_noise(rho, grid)
+        sigma_stack = add_white_noise(sigma, grid)
+        rho_single = [add_white_noise(rho, float(p)) for p in grid]
+        sigma_single = [add_white_noise(sigma, float(p)) for p in grid]
+        assert np.array_equal(rho_stack, rho_single)
+        assert np.array_equal(sigma_stack, sigma_single)
+        assert np.array_equal(detect(wop, rho_stack), [detect(wop, m) for m in rho_single])
+        assert np.array_equal(
+            partial_transpose(rho_stack, 3, 3), [partial_transpose(m, 3, 3) for m in rho_single]
+        )
+        pt_stack = partial_transpose(sigma_stack, 2, 2)
+        pt_single = [partial_transpose(m, 2, 2) for m in sigma_single]
+        assert np.array_equal(pt_stack, pt_single)
+        assert np.array_equal(
+            np.linalg.eigvalsh(pt_stack)[:, 0], [np.linalg.eigvalsh(m)[0] for m in pt_single]
+        )
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.floats(0.0, 1.0))
 def test_white_noise_pt_minimum_affine(p):

@@ -58,7 +58,40 @@ def test_kron_against_index_oracle():
                     assert out[i * 3 + k, j * 3 + l] == a[i, j] * b[k, l]
 
 
+@pytest.mark.parametrize(
+    "shape_a, shape_b",
+    [((2,), (2,)), ((3,), (3,)), ((3,), (2,))]
+    + [((d, d), (d, d)) for d in (2, 3, 4, 5)]
+    + [((3, 2), (3, 2)), ((9, 4), (1, 1))],
+)
+def test_kron_matches_numpy_bit_for_bit(shape_a, shape_b):
+    rng = np.random.default_rng(sum(shape_a) * 100 + sum(shape_b))
+    for _ in range(20):
+        a = rng.standard_normal(shape_a) + 1j * rng.standard_normal(shape_a)
+        b = rng.standard_normal(shape_b) + 1j * rng.standard_normal(shape_b)
+        assert np.array_equal(kron(a, b), np.kron(a, b))
+        real = np.kron(a.real.astype(complex), b.real.astype(complex))
+        assert np.array_equal(kron(a.real, b.real), real)
+
+
+def test_kron_rejects_unequal_ranks():
+    with pytest.raises(ValueError, match="rank"):
+        kron(np.eye(2), np.ones(2))
+
+
 # --------------------------------------------------- partial transpose
+
+def test_partial_transpose_of_a_stack():
+    rng = np.random.default_rng(4)
+    stack = rng.standard_normal((2, 3, 6, 6)) + 1j * rng.standard_normal((2, 3, 6, 6))
+    out = partial_transpose(stack, 2, 3)
+    assert out.shape == stack.shape
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(out[i, j], partial_transpose(stack[i, j], 2, 3))
+    with pytest.raises(ValueError, match="shape"):
+        partial_transpose(stack, 3, 3)
+
 
 def test_partial_transpose_identity():
     assert np.array_equal(partial_transpose(np.eye(9), 3, 3), np.eye(9))

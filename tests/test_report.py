@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from belldistill.linalg import partial_transpose
 from belldistill.report import (
     REASON_PPT,
     analysis_report,
@@ -11,10 +12,13 @@ from belldistill.report import (
     validate_report,
 )
 from belldistill.simplex import (
+    BOUNDARY,
     BOUNDARY_TOL,
     NPT,
+    PPT,
     InvalidCoefficientsError,
     SimplexCoefficients,
+    build_state,
     classify,
 )
 
@@ -173,3 +177,21 @@ def test_last_npt_tables_toward_the_boundary_get_full_reports():
         assert report["witness"]["lambda_min"] == cls["lambda_min"]
         assert report["witness_spectrum"] is not None
         assert report["filter"] is not None
+
+
+def test_equal_weight_supports_match_dense_oracle():
+    # every nonempty support of the nine Bell weights, equal weight on each:
+    # many zero weights and exact degeneracies, 24 tables exactly on the boundary
+    counts = {NPT: 0, PPT: 0, BOUNDARY: 0}
+    for mask in range(1, 2**9):
+        c = np.array([(mask >> i) & 1 for i in range(9)], dtype=float)
+        coeffs = SimplexCoefficients(d=3, c=(c / c.sum()).reshape(3, 3))
+        report = analysis_report(coeffs)
+        validate_report(json.loads(dump_report(report)))
+        verdict = report["classification"]["classification"]
+        counts[verdict] += 1
+        lam = np.linalg.eigvalsh(partial_transpose(build_state(coeffs), 3, 3))[0]
+        if not BOUNDARY_TOL / 2 < abs(lam) < 2 * BOUNDARY_TOL:
+            oracle = NPT if lam < -BOUNDARY_TOL else PPT if lam > BOUNDARY_TOL else BOUNDARY
+            assert verdict == oracle, f"support mask {mask:09b}"
+    assert counts == {NPT: 315, PPT: 172, BOUNDARY: 24}

@@ -313,8 +313,8 @@ def test_sample_npt_postcondition_and_degeneracy():
     # negative eigenvalue of the partial transpose; classify repeats B_0's
     # spectrum by construction, so the degeneracy is read off the dense route
     for seed in range(10_000):
-        coeffs = sample_npt(seed)
-        rep = classify(coeffs)
+        coeffs, rep = sample_npt(seed)
+        assert np.array_equal(rep.eigenvalues, classify(coeffs).eigenvalues)
         assert rep.classification == NPT
         assert rep.negative_count == 3
         dense = np.linalg.eigvalsh(partial_transpose(build_state(coeffs), 3, 3))
@@ -323,7 +323,7 @@ def test_sample_npt_postcondition_and_degeneracy():
 
 
 def test_sample_npt_deterministic():
-    assert np.array_equal(sample_npt(99).c, sample_npt(99).c)
+    assert np.array_equal(sample_npt(99)[0].c, sample_npt(99)[0].c)
 
 
 def test_sample_npt_exhaustion():

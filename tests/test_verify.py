@@ -1,0 +1,87 @@
+import dataclasses
+
+import numpy as np
+import pytest
+
+from belldistill import verify, witness
+from belldistill.filtering import add_white_noise
+from belldistill.linalg import partial_transpose
+from belldistill.simplex import SimplexCoefficients, build_state, classify
+from belldistill.weyl import fourier, swap_conjugation, weyl
+from belldistill.witness import construct_witness_vector, detect, witness_operator
+
+
+def halved_thresholds(filter_report):
+    def report(rho, wc):
+        rep = filter_report(rho, wc)
+        return dataclasses.replace(
+            rep, p_rho_max=rep.p_rho_max / 2, p_sigma_max=rep.p_sigma_max / 2
+        )
+
+    return report
+
+
+def test_threshold_failures_are_reported_point_by_point(monkeypatch):
+    # with halved thresholds the grid points between half and the true
+    # threshold fail; the expected lines come from one scalar evaluation per
+    # point, the rho line before the sigma line at each point, and every
+    # point prints as a plain float
+    halved = halved_thresholds(verify.filter_report)
+    monkeypatch.setattr(verify, "filter_report", halved)
+    seed = verify.trial_seeds(0, 1)[0]
+    result = verify.run_trial(seed)
+
+    coeffs = SimplexCoefficients(d=3, c=result.coefficients)
+    wc = construct_witness_vector(classify(coeffs))
+    wop = witness_operator(wc)
+    rho = build_state(coeffs)
+    rep = halved(rho, wc)
+    points = np.linspace(0.0, 1.0, 21).tolist()
+    points += [rep.p_rho_max - 1e-6, rep.p_rho_max + 1e-6]
+    points += [rep.p_sigma_max - 1e-6, rep.p_sigma_max + 1e-6]
+    band = verify.THRESHOLD_BAND - 1e-15
+    expected = []
+    for p in points:
+        if not 0.0 <= p <= 1.0:
+            continue
+        if abs(p - rep.p_rho_max) >= band:
+            detected = detect(wop, add_white_noise(rho, p)) < 0.0
+            if detected != (p < rep.p_rho_max):
+                expected.append(
+                    f"rho_threshold_semantics: p={p!r} detected={detected} "
+                    f"threshold={rep.p_rho_max!r}"
+                )
+        if abs(p - rep.p_sigma_max) >= band:
+            noisy_pt = partial_transpose(add_white_noise(rep.sigma, p), 2, 2)
+            npt = float(np.linalg.eigvalsh(noisy_pt)[0]) < 0.0
+            if npt != (p < rep.p_sigma_max):
+                expected.append(
+                    f"sigma_threshold_semantics: p={p!r} npt={npt} "
+                    f"threshold={rep.p_sigma_max!r}"
+                )
+    assert any(line.startswith("rho_") for line in expected)
+    assert any(line.startswith("sigma_") for line in expected)
+    assert result.failures == expected
+
+
+@pytest.mark.parametrize(
+    "name, fresh",
+    [
+        ("W10", lambda: weyl(3, 1, 0)),
+        ("F3", lambda: fourier(3)),
+        ("SWAP3", lambda: swap_conjugation(3)),
+    ],
+)
+def test_shared_unitaries_are_read_only(name, fresh):
+    # built once at import and used by every trial, so no caller may write them
+    const = getattr(witness, name)
+    assert np.array_equal(const, fresh())
+    with pytest.raises(ValueError):
+        const[0, 0] = 0.0
+    assert np.array_equal(const, fresh())
+
+
+def test_verify_reuses_the_read_only_weyl_operator():
+    assert verify.W10 is witness.W10
+    with pytest.raises(ValueError):
+        verify.W10[1, 1] = 1.0

@@ -24,6 +24,15 @@ def ket2(d, i, j):
 
 # ------------------------------------------------------ basic shapes
 
+@pytest.mark.parametrize("d", DIMS)
+def test_phase_table_is_shared_and_read_only(d):
+    tab = phase_table(d)
+    assert phase_table(d) is tab
+    with pytest.raises(ValueError):
+        tab[0] = 2.0
+    assert np.array_equal(tab, np.exp(2j * np.pi * np.arange(d) / d))
+
+
 def test_weyl_identity():
     assert np.array_equal(weyl(3, 0, 0), np.eye(3))
 

@@ -227,6 +227,24 @@ def test_detect_rejects_large_imaginary_part():
         detect(wop, state)
 
 
+def test_detect_on_a_stack():
+    # a single state gives a float, a stack an array; one non-Hermitian
+    # state anywhere in a stack raises
+    wc = construct_witness_vector(classify(npt_table(NPT_SEEDS[2])))
+    wop = witness_operator(wc)
+    stack = np.array([np.eye(9) / 9] * 5, dtype=complex)
+    assert isinstance(detect(wop, stack[0]), float)
+    values = detect(wop, stack)
+    assert values.shape == (5,)
+    assert np.abs(values - 1 / 9).max() <= 1e-12
+    k, j = np.unravel_index(np.argmax(np.abs(wop.W.imag)), wop.W.shape)
+    stack[3, j, k] = 1.0
+    with pytest.raises(ValueError, match="imaginary"):
+        detect(wop, stack)
+    with pytest.raises(ValueError, match="shape"):
+        detect(wop, np.zeros((5, 4, 4)))
+
+
 # ------------------------------------------- product-vector positivity
 
 def test_product_positivity_pure_bell():
