@@ -66,13 +66,19 @@ def expectation(m: np.ndarray, v: np.ndarray) -> complex:
     return complex(v.conj() @ m @ v)
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate a vector's global phase so its largest-modulus entry is real positive.
+#: entries within this relative distance of the largest modulus tie for the pivot
+PIVOT_RTOL = 1e-12
 
-    The first index attaining the maximum modulus is used, which makes the
-    convention deterministic also for entries of equal modulus.
+
+def _fix_phase(v: np.ndarray) -> np.ndarray:
+    """Rotate a vector's global phase so its pivot entry is real positive.
+
+    The pivot is the first entry whose modulus is at least (1 - PIVOT_RTOL)
+    times the largest, so entries of equal modulus up to rounding (such as
+    (0, 1, 1)/sqrt 2) give the same pivot whichever of them rounds larger.
     """
-    j = int(np.argmax(np.abs(v)))
+    mod = np.abs(v)
+    j = int(np.argmax(mod >= (1.0 - PIVOT_RTOL) * mod.max()))
     pivot = v[j]
     if pivot == 0:
         return v
@@ -100,14 +106,15 @@ def hermitian_eigensystem(h: np.ndarray) -> HermitianEigensystem:
     callers must not rely on a particular choice there.
 
     Raises ValueError if ``h`` deviates from Hermiticity by more than
-    HERMITICITY_TOL in max-norm; numpy raises LinAlgError in the (never
-    observed at these sizes) event the iteration fails to converge.
+    HERMITICITY_TOL in max-norm or holds NaN; numpy raises LinAlgError in
+    the (never observed at these sizes) event the iteration fails to
+    converge.
     """
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {h.shape}")
     dev = np.abs(h - dag(h)).max()
-    if dev > HERMITICITY_TOL:
+    if not dev <= HERMITICITY_TOL:  # NaN entries fail too
         raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {dev:.3e}")
     eigenvalues, vectors = np.linalg.eigh(h)
     vectors = vectors.copy()

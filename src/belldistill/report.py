@@ -5,6 +5,14 @@ row-major with c[k][l] the weight of the Bell projector with Weyl index
 (k, l). Reports serialize every number as a JSON double (repr round-trips
 at up to 17 significant digits) and complex entries as [re, im] pairs, so
 a report reloads losslessly.
+
+Three fields depend on a choice of basis rather than on the state alone:
+``witness.schmidt_left``, ``witness.schmidt_right`` and ``filter.sigma``.
+The witness vector has equal Schmidt coefficients, mu0 = mu1 = 1/sqrt 2,
+so the SVD may return any orthonormal basis of that degenerate singular
+subspace, and rounding differences of 1e-16 in the input can move these
+fields by O(1). The projectors ``P_A`` and ``P_B``, ``q``, the thresholds
+and every spectrum do not depend on that choice.
 """
 
 import json

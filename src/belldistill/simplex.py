@@ -4,9 +4,12 @@ A Bell-diagonal state of two qudits is fixed by a d x d probability table
 c[k, l], the weight of the Bell projector with Weyl index (k, l). The
 partial transpose of such a state is block-diagonal in the Bell-unitary
 frame, with d Hermitian d x d blocks and B_{m+2} = W_{1,0} B_m W_{1,0}^dag.
-Classification solves one block per orbit of m -> m+2 (B_0 alone for odd
-d), the witness is built from its result, and the dense d^2 x d^2 state of
-:func:`build_state` is not needed. Everything here works for d >= 2.
+Both the blocks and the dense state are linear in c, so each is one
+product of the flattened table with a constant built once per d
+(:func:`_bell_frame`). Classification solves one block per orbit of
+m -> m+2 (B_0 alone for odd d), the witness is built from its result, and
+the dense d^2 x d^2 state of :func:`build_state` is not needed. Everything
+here works for d >= 2.
 """
 
 from dataclasses import dataclass
@@ -84,15 +87,42 @@ class PTSpectrumReport:
     block0: HermitianEigensystem
 
 
+#: d -> read-only Bell-frame constants (T, V, V^dag), filled on first use
+_BELL_FRAMES = {}
+
+
+def _bell_frame(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Constant linear maps from a flattened table c to the Bell-frame objects.
+
+    T has shape (d, d^2, d^2) with T[m, i*d + j, k*d + l] the coefficient of
+    c[k, l] in B_m[i, j]: omega^(y (k-m)) / d where i = l - y and j = l + y
+    (mod d), zero elsewhere. V is the d^2 x d^2 matrix whose column k*d + l
+    is the Bell vector Omega_kl, so V^dag is the Bell unitary. Built from
+    the shared phase table on the first call for each d, read-only after.
+    """
+    frame = _BELL_FRAMES.get(d)
+    if frame is None:
+        tab = phase_table(d)
+        m, k, l, y = np.ogrid[:d, :d, :d, :d]
+        t = np.zeros((d, d * d, d * d), dtype=complex)
+        # for fixed (k, l) distinct y hit distinct entries, so no term is lost
+        t[m, ((l - y) % d) * d + (l + y) % d, k * d + l] = tab[(y * (k - m)) % d] / d
+        vh = bell_unitary(d)
+        frame = (t, dag(vh).copy(), vh)
+        for arr in frame:
+            arr.setflags(write=False)
+        _BELL_FRAMES[d] = frame
+    return frame
+
+
 def build_state(coeffs: SimplexCoefficients) -> np.ndarray:
-    """Density matrix sum_kl c[k,l] |Omega_kl><Omega_kl|."""
-    d = coeffs.d
-    rho = np.zeros((d * d, d * d), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            v = bell_vector(d, k, l)
-            rho += coeffs.c[k, l] * np.outer(v, v.conj())
-    return rho
+    """Density matrix sum_kl c[k,l] |Omega_kl><Omega_kl|.
+
+    One product with the constant Bell-vector matrix V: rho = (V * c) V^dag,
+    c flattened row-major so that column k*d + l of V carries c[k, l].
+    """
+    _, v, vh = _bell_frame(coeffs.d)
+    return (v * coeffs.c.ravel()) @ vh
 
 
 def apply_weyl_channel(coeffs: SimplexCoefficients) -> np.ndarray:
@@ -117,23 +147,16 @@ def apply_weyl_channel(coeffs: SimplexCoefficients) -> np.ndarray:
 def pt_block(coeffs: SimplexCoefficients, m: int) -> np.ndarray:
     """The m-th d x d Hermitian block of the partially transposed state.
 
-    B_m = (1/d) sum_{k,l,y} omega^(y (k-m)) c[k,l] |l-y><l+y|, indices mod d.
-    Neighbouring-by-two blocks are related by conjugation with the diagonal
-    Weyl operator: B_{m+2} = W_{1,0} B_m W_{1,0}^dag.
+    B_m = (1/d) sum_{k,l,y} omega^(y (k-m)) c[k,l] |l-y><l+y|, indices mod d,
+    evaluated as one product of the constant map T[m] (see
+    :func:`_bell_frame`) with the flattened table. Neighbouring-by-two
+    blocks are related by conjugation with the diagonal Weyl operator:
+    B_{m+2} = W_{1,0} B_m W_{1,0}^dag.
     """
     d = coeffs.d
     if not 0 <= m < d:
         raise ValueError(f"block index {m} out of range for d={d}")
-    tab = phase_table(d)
-    b = np.zeros((d, d), dtype=complex)
-    for k in range(d):
-        for l in range(d):
-            w = coeffs.c[k, l]
-            if w == 0.0:
-                continue
-            for y in range(d):
-                b[(l - y) % d, (l + y) % d] += tab[(y * (k - m)) % d] * w
-    return b / d
+    return (_bell_frame(d)[0][m] @ coeffs.c.ravel()).reshape(d, d)
 
 
 def assemble_pt_from_blocks(coeffs: SimplexCoefficients) -> np.ndarray:
@@ -204,6 +227,26 @@ def sample_simplex(seed) -> SimplexCoefficients:
     return SimplexCoefficients(d=3, c=(c / c.sum()).reshape(3, 3))
 
 
+#: a draw goes on to :func:`classify` when its screened lambda_min is below
+#: -BOUNDARY_TOL + SCREEN_MARGIN; the margin is far above the largest gap
+#: between the screen and classify (a few 1e-16), so no NPT draw is dropped
+SCREEN_MARGIN = 1e-14
+
+#: Dirichlet draws per batch of :func:`sample_npt`
+SCREEN_BATCH = 8
+
+
+def _screen_lambda_min(cs: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of B_0 for each row of a stack of raw d = 3 draws.
+
+    One stacked ``eigvalsh`` of the blocks T[0] c; for d = 3 B_0 carries
+    the whole partial-transpose spectrum, so this is classify's lambda_min
+    up to rounding.
+    """
+    blocks = cs @ _bell_frame(3)[0][0].T
+    return np.linalg.eigvalsh(blocks.reshape(-1, 3, 3))[:, 0]
+
+
 def sample_npt(seed, max_tries: int = 1000) -> tuple[SimplexCoefficients, PTSpectrumReport]:
     """Rejection-sample a d = 3 coefficient table whose state is NPT.
 
@@ -211,14 +254,27 @@ def sample_npt(seed, max_tries: int = 1000) -> tuple[SimplexCoefficients, PTSpec
     the acceptance test computed, so callers need not classify it again.
     Deterministic per seed. Raises SamplingExhaustedError if no NPT table
     shows up within ``max_tries`` draws.
+
+    Draws come in batches of up to SCREEN_BATCH from one
+    ``rng.dirichlet(..., size=k)`` call, which yields the same numbers as k
+    single draws. A batch is screened by :func:`_screen_lambda_min`, and
+    only rows below -BOUNDARY_TOL + SCREEN_MARGIN are normalized and
+    classified, in draw order. Since the screen agrees with classify to far
+    better than SCREEN_MARGIN, every draw classify would call NPT passes the
+    screen: the accepted table, its report and the draw count at which
+    sampling gives up are those of classifying every draw one by one.
     """
     if max_tries < 1:
         raise ValueError(f"max_tries must be >= 1, got {max_tries}")
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
-        c = rng.dirichlet(np.ones(9))
-        coeffs = SimplexCoefficients(d=3, c=(c / c.sum()).reshape(3, 3))
-        spectrum = classify(coeffs)
-        if spectrum.classification == NPT:
-            return coeffs, spectrum
+    left = max_tries
+    while left:
+        k = min(SCREEN_BATCH, left)
+        left -= k
+        cs = rng.dirichlet(np.ones(9), size=k)
+        for c in cs[_screen_lambda_min(cs) < -BOUNDARY_TOL + SCREEN_MARGIN]:
+            coeffs = SimplexCoefficients(d=3, c=(c / c.sum()).reshape(3, 3))
+            spectrum = classify(coeffs)
+            if spectrum.classification == NPT:
+                return coeffs, spectrum
     raise SamplingExhaustedError(f"no NPT sample within {max_tries} tries")

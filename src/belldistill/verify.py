@@ -9,7 +9,6 @@ threshold semantics on a p-grid. Trials are pure functions of their seed,
 so campaigns parallelize and aggregate order-independently.
 """
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -257,6 +256,9 @@ def run_campaign(count: int, master_seed: int, jobs: int = 1) -> CampaignResult:
     if jobs == 1:
         results = [run_trial(s) for s in seeds]
     else:
+        # imported here so that one-job runs never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(run_trial, seeds, chunksize=max(1, count // (4 * jobs))))
     residual_max = {key: 0.0 for key in RESIDUAL_KEYS}

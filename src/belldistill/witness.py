@@ -14,14 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    SchmidtDecomposition,
-    dag,
-    expectation,
-    partial_transpose,
-    schmidt_decompose,
-)
-from .simplex import NPT, PTSpectrumReport, SimplexCoefficients, build_state
+from .linalg import SchmidtDecomposition, dag, partial_transpose, schmidt_decompose
+from .simplex import NPT, PTSpectrumReport
 from .weyl import fourier, swap_conjugation, weyl
 
 #: |det C| above this fails rank certification
@@ -92,11 +86,6 @@ class WitnessOperator:
     mu1: float
 
 
-def _principal_minor(c: np.ndarray, j: int) -> complex:
-    rows = [i for i in range(3) if i != j]
-    return complex(np.linalg.det(c[np.ix_(rows, rows)]))
-
-
 def construct_witness_vector(spectrum: PTSpectrumReport) -> WitnessConstruction:
     """Build the Schmidt-rank-2 ground eigenvector of the partial transpose.
 
@@ -132,8 +121,11 @@ def construct_witness_vector(spectrum: PTSpectrumReport) -> WitnessConstruction:
             phi_tilde[3 * k + (k + i) % 3] += psi[i] * alpha[i, k]
 
     c_matrix = phi_tilde.reshape(3, 3)
-    det_c = complex(np.linalg.det(c_matrix))
-    minors = np.array([_principal_minor(c_matrix, j) for j in range(3)])
+    # cofactor formulas on Python complex entries; minors[j] deletes row and column j
+    (a, b, c), (d, e, f), (g, h, i) = c_matrix.tolist()
+    minor0, minor1, minor2 = e * i - f * h, a * i - c * g, a * e - b * d
+    det_c = a * minor0 - b * (d * i - f * g) + c * (d * h - e * g)
+    minors = np.array([minor0, minor1, minor2])
     if abs(det_c) > DET_TOL or np.abs(minors).max() <= MINOR_TOL:
         raise RankCertificationError(
             f"|det C| = {abs(det_c):.3e}, max |minor| = {np.abs(minors).max():.3e}"
@@ -180,7 +172,7 @@ def detect(wop: WitnessOperator, test_state: np.ndarray) -> float | np.ndarray:
     Negative values certify one-copy distillability of ``test_state``. A
     single 9 x 9 state gives a float; a stack of shape (..., 9, 9) gives the
     array of its expectations, bit for bit the values of single calls. An
-    imaginary part above IMAG_TOL in any of them raises, catching
+    imaginary part above IMAG_TOL, or NaN, in any of them raises, catching
     non-Hermitian input early.
     """
     test_state = np.asarray(test_state)
@@ -190,7 +182,7 @@ def detect(wop: WitnessOperator, test_state: np.ndarray) -> float | np.ndarray:
         )
     values = np.trace(wop.W @ test_state, axis1=-2, axis2=-1)
     imag = np.abs(values.imag)
-    if np.any(imag > IMAG_TOL):
+    if not np.all(imag <= IMAG_TOL):  # NaN parts fail too
         worst = values.imag.flat[np.argmax(imag)]
         raise ValueError(f"witness expectation has imaginary part {worst:.3e}")
     return float(values.real) if values.ndim == 0 else values.real
@@ -213,15 +205,3 @@ def product_vector_positivity_check(wop: WitnessOperator, trials: int, seed) -> 
     products = np.einsum("ni,nj->nij", a, b).reshape(trials, 9)
     values = np.einsum("ni,ij,nj->n", products.conj(), wop.W, products).real
     return float(values.min())
-
-
-def eigenvector_residual(coeffs: SimplexCoefficients, wc: WitnessConstruction) -> float:
-    """Max-norm of rho^Gamma phi - lambda_min phi for the generating state."""
-    rho_pt = partial_transpose(build_state(coeffs), 3, 3)
-    return float(np.abs(rho_pt @ wc.phi - wc.lambda_min * wc.phi).max())
-
-
-def witness_expectation_from_state(coeffs: SimplexCoefficients, wc: WitnessConstruction) -> float:
-    """<phi| rho^Gamma |phi> evaluated directly on the generating state."""
-    rho_pt = partial_transpose(build_state(coeffs), 3, 3)
-    return expectation(rho_pt, wc.phi).real

@@ -27,6 +27,29 @@ def uniform_table(d: int = 3) -> SimplexCoefficients:
     return SimplexCoefficients(d=d, c=np.full((d, d), 1.0 / (d * d)))
 
 
+def sparse_table(seed: int, d: int = 3) -> SimplexCoefficients:
+    """Dirichlet weights on a random support of 1..d^2 Bell projectors."""
+    rng = np.random.default_rng(seed)
+    support = rng.choice(d * d, size=rng.integers(1, d * d + 1), replace=False)
+    c = np.zeros(d * d)
+    c[support] = rng.dirichlet(np.ones(support.size))
+    return SimplexCoefficients(d=d, c=(c / c.sum()).reshape(d, d))
+
+
+def boundary_walk_table(start: SimplexCoefficients, lambda_min: float, target: float):
+    """Table on the segment from an NPT ``start`` to the uniform table with PT minimum ``target``.
+
+    ``lambda_min`` is the start's PT minimum. Mixing in white noise shifts
+    the whole PT spectrum, so along the segment the minimum is affine,
+    (1 - t) lambda_min + t / d^2, and ``target`` near zero lands on the PPT
+    boundary up to rounding.
+    """
+    d = start.d
+    t = (lambda_min - target) / (lambda_min - 1.0 / (d * d))
+    c = (1.0 - t) * start.c + t / (d * d)
+    return SimplexCoefficients(d=d, c=c / c.sum())
+
+
 @pytest.fixture
 def pure_bell():
     return pure_bell_table()

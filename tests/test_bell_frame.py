@@ -1,0 +1,199 @@
+"""The closed-form Bell-frame kernel and the screened sampler against their loop forms."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from belldistill import simplex
+from belldistill.simplex import (
+    BOUNDARY_TOL,
+    NPT,
+    PPT,
+    SCREEN_MARGIN,
+    SamplingExhaustedError,
+    SimplexCoefficients,
+    build_state,
+    classify,
+    pt_block,
+    sample_npt,
+)
+from belldistill.weyl import bell_unitary, bell_vector
+from belldistill.witness import construct_witness_vector, witness_operator
+
+from conftest import boundary_walk_table, random_table, sparse_table
+from reference import build_state_loop, pt_block_loop, sample_npt_sequential
+
+#: PT minima of the boundary-walk tables: NPT, on the boundary band, PPT
+WALK_TARGETS = (-1e-9, -2e-12, -1e-13, 0.0, 1e-13, 2e-12)
+
+
+def _npt_starts(count: int, d: int = 3) -> list:
+    """(table, lambda_min) of the first ``count`` NPT flat tables by seed."""
+    starts = []
+    seed = 0
+    while len(starts) < count:
+        coeffs = random_table(seed, d=d)
+        rep = classify(coeffs)
+        if rep.classification == NPT:
+            starts.append((coeffs, rep.lambda_min))
+        seed += 1
+    return starts
+
+
+def _walk_family(count: int, d: int = 3) -> list:
+    return [
+        boundary_walk_table(start, lam, target)
+        for start, lam in _npt_starts(count, d)
+        for target in WALK_TARGETS
+    ]
+
+
+KERNEL_FAMILIES = {
+    "flat": lambda d, n: [random_table(seed, d=d) for seed in range(n)],
+    "sparse": lambda d, n: [sparse_table(seed, d) for seed in range(n)],
+    "boundary_walk": lambda d, n: _walk_family(n // len(WALK_TARGETS), d),
+}
+
+
+def _kernel_deviation(tables) -> float:
+    worst = 0.0
+    for coeffs in tables:
+        worst = max(worst, float(np.abs(build_state(coeffs) - build_state_loop(coeffs)).max()))
+        for m in range(coeffs.d):
+            dev = np.abs(pt_block(coeffs, m) - pt_block_loop(coeffs, m)).max()
+            worst = max(worst, float(dev))
+    return worst
+
+
+# ------------------------------------------------------------- the kernel
+
+@pytest.mark.parametrize("family", sorted(KERNEL_FAMILIES))
+def test_kernel_matches_loops_d3(family):
+    # 4000 flat + 4000 sparse + 2004 boundary-walk tables: >= 10^4 in all
+    n = {"flat": 4000, "sparse": 4000, "boundary_walk": 2004}[family]
+    tables = KERNEL_FAMILIES[family](3, n)
+    assert len(tables) == n
+    assert _kernel_deviation(tables) <= 1e-15
+
+
+@pytest.mark.parametrize("family", sorted(KERNEL_FAMILIES))
+@pytest.mark.parametrize("d", [2, 4, 5])
+def test_kernel_matches_loops_across_dims(d, family):
+    assert _kernel_deviation(KERNEL_FAMILIES[family](d, 60)) <= 1e-15
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_bell_frame_constants_are_shared_and_read_only(d):
+    t, v, vh = simplex._bell_frame(d)
+    assert simplex._bell_frame(d)[0] is t
+    assert t.shape == (d, d * d, d * d)
+    for arr in (t, v, vh):
+        assert not arr.flags.writeable
+    columns = np.array([bell_vector(d, k, l) for k in range(d) for l in range(d)]).T
+    assert np.array_equal(v, columns)
+    assert np.array_equal(vh, bell_unitary(d))
+
+
+def test_pt_block_rejects_bad_index():
+    with pytest.raises(ValueError, match="out of range"):
+        pt_block(random_table(0), -1)
+
+
+# ------------------------------------------------------------ the sampler
+
+def _same_draw(a, b) -> bool:
+    (ca, ra), (cb, rb) = a, b
+    return (
+        np.array_equal(ca.c, cb.c)
+        and np.array_equal(ra.eigenvalues, rb.eigenvalues)
+        and ra.lambda_min == rb.lambda_min
+        and ra.negative_count == rb.negative_count
+        and ra.classification == rb.classification
+        and np.array_equal(ra.block0.eigenvalues, rb.block0.eigenvalues)
+        and np.array_equal(ra.block0.eigenvectors, rb.block0.eigenvectors)
+    )
+
+
+def _outcome(sampler, seed, max_tries):
+    try:
+        return sampler(seed, max_tries=max_tries)
+    except SamplingExhaustedError as exc:
+        return str(exc)
+
+
+def test_batched_sampler_equals_sequential():
+    for seed in range(2000):
+        assert _same_draw(sample_npt(seed), sample_npt_sequential(seed)), seed
+
+
+def test_batched_sampler_equals_sequential_across_the_batch_edge():
+    exhausted = 0
+    for seed in range(150):
+        for max_tries in range(1, 18):
+            got = _outcome(sample_npt, seed, max_tries)
+            want = _outcome(sample_npt_sequential, seed, max_tries)
+            if isinstance(want, str):
+                exhausted += 1
+                assert got == want
+            else:
+                assert _same_draw(got, want), (seed, max_tries)
+    assert exhausted > 0
+
+
+def test_forced_exhaustion_matches_sequential(monkeypatch):
+    # every classification reads PPT, so both samplers use up all their tries
+    calls = []
+
+    def never_npt(coeffs):
+        calls.append(coeffs)
+        return dataclasses.replace(classify(coeffs), classification=PPT)
+
+    monkeypatch.setattr(simplex, "classify", never_npt)
+    for max_tries in range(1, 18):
+        del calls[:]
+        with pytest.raises(SamplingExhaustedError, match=f"within {max_tries} tries"):
+            sample_npt(5, max_tries=max_tries)
+        screened = len(calls)
+        with pytest.raises(SamplingExhaustedError, match=f"within {max_tries} tries"):
+            sample_npt_sequential(5, max_tries=max_tries)
+        assert screened <= len(calls) - screened == max_tries
+
+
+def test_screen_agrees_with_classify():
+    # raw draws, unnormalized as the sampler screens them; the gap must stay
+    # far inside SCREEN_MARGIN for the screen to drop no NPT draw
+    cs = np.random.default_rng(2024).dirichlet(np.ones(9), size=10_000)
+    screened = simplex._screen_lambda_min(cs)
+    tables = (SimplexCoefficients(d=3, c=(c / c.sum()).reshape(3, 3)) for c in cs)
+    exact = np.array([classify(t).lambda_min for t in tables])
+    gap = np.abs(screened - exact).max()
+    assert gap <= 1e-15
+    assert gap <= SCREEN_MARGIN / 10
+    assert np.sum(exact < -BOUNDARY_TOL) > 5000
+
+
+# ------------------------------------------- structural invariants (d = 3)
+
+def _npt_family(name: str, count: int) -> list:
+    if name == "boundary_walk":
+        tables = [boundary_walk_table(s, lam, -1e-11) for s, lam in _npt_starts(count)]
+    else:
+        make = random_table if name == "flat" else sparse_table
+        tables = (make(seed) for seed in range(4 * count))
+    reports = [(t, classify(t)) for t in tables]
+    return [(t, r) for t, r in reports if r.classification == NPT][:count]
+
+
+@pytest.mark.parametrize("family", ["boundary_walk", "flat", "sparse"])
+def test_witness_vector_is_maximally_entangled_on_its_qubit(family):
+    # mu0 = mu1 = 1/sqrt 2 on every NPT table, so W's spectrum is the constant
+    # {-1/2, 0 x5, 1/2 x3} and the mirror is 1/2 - W
+    expected = np.array([-0.5] + [0.0] * 5 + [0.5] * 3)
+    tables = _npt_family(family, 170)
+    assert len(tables) == 170
+    for coeffs, rep in tables:
+        wop = witness_operator(construct_witness_vector(rep))
+        assert abs(wop.mu0 - 2**-0.5) <= 1e-14 and abs(wop.mu1 - 2**-0.5) <= 1e-14
+        assert np.abs(np.linalg.eigvalsh(wop.W) - expected).max() <= 1e-14
+        assert np.abs(wop.mirror - (0.5 * np.eye(9) - wop.W)).max() <= 1e-14

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,3 +333,20 @@ def test_unknown_command_exits_1():
     with pytest.raises(SystemExit) as err:
         main(["frobnicate"])
     assert err.value.code == 1
+
+
+def test_cli_import_loads_no_process_pool():
+    # one-job runs never start a pool, so importing the CLI must not pay for
+    # multiprocessing; run_campaign imports it only when jobs > 1
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        "import sys, belldistill.cli; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+        "if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -10,6 +10,7 @@ from belldistill.linalg import (
     partial_transpose,
     schmidt_decompose,
 )
+from belldistill.simplex import SimplexCoefficients, pt_block
 from belldistill.weyl import weyl
 
 
@@ -308,3 +309,43 @@ def test_expectation_basis_case():
 def test_expectation_dimension_mismatch():
     with pytest.raises(ValueError):
         expectation(np.eye(4), np.ones(5))
+
+
+def test_eigensystem_rejects_nan():
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eigensystem(np.array([[1.0, np.nan], [np.nan, 1.0]]))
+    with pytest.raises(ValueError, match="not Hermitian"):
+        hermitian_eigensystem(np.diag([1.0, np.nan]))
+    finite = hermitian_eigensystem(np.array([[1.0, 0.5j], [-0.5j, 1.0]]))
+    assert np.allclose(finite.eigenvalues, [0.5, 1.5], atol=1e-15)
+
+
+def _one_ulp_perturbation(h: np.ndarray, rng) -> np.ndarray:
+    """Move every real and imaginary part of ``h`` one ulp up or down at random."""
+    toward = np.where(rng.random(h.shape + (2,)) < 0.5, -np.inf, np.inf)
+    parts = np.stack([h.real, h.imag], -1)
+    moved = np.nextafter(parts, toward)
+    return moved[..., 0] + 1j * moved[..., 1]
+
+
+def test_phase_convention_is_stable_under_one_ulp():
+    # equal-weight supports whose ground vector of B_0 has entries of equal
+    # modulus, e.g. (0, 1, -1)/sqrt 2 for the pure Bell table: the pivot must
+    # not depend on which of them rounds larger
+    rng = np.random.default_rng(11)
+    checked = 0
+    for mask in range(1, 2**9):
+        c = np.array([(mask >> i) & 1 for i in range(9)], dtype=float)
+        b0 = pt_block(SimplexCoefficients(d=3, c=(c / c.sum()).reshape(3, 3)), 0)
+        ref = hermitian_eigensystem(b0)
+        lam = ref.eigenvalues
+        if lam[1] - lam[0] < 1e-6:
+            continue  # degenerate ground space: no vector to compare
+        mod = np.abs(ref.eigenvectors[:, 0])
+        if np.sum(mod >= mod.max() - 1e-12) < 2:
+            continue
+        checked += 1
+        for _ in range(20):
+            moved = hermitian_eigensystem(_one_ulp_perturbation(b0, rng))
+            assert np.abs(moved.eigenvectors[:, 0] - ref.eigenvectors[:, 0]).max() <= 1e-12
+    assert checked >= 20

@@ -23,7 +23,7 @@ from belldistill.simplex import (
 )
 from belldistill.weyl import bell_unitary, fourier, weyl
 
-from conftest import isotropic_table, random_table, uniform_table
+from conftest import isotropic_table, random_table, sparse_table, uniform_table
 
 
 # ------------------------------------------------------------ validation
@@ -242,15 +242,6 @@ def test_classify_invariant_under_rebuild(seed):
     assert np.abs(rep_a.eigenvalues - rep_b.eigenvalues).max() < 1e-12
 
 
-def _sparse_table(seed: int, d: int) -> SimplexCoefficients:
-    """Dirichlet weights on a random support of 1..d^2 Bell projectors."""
-    rng = np.random.default_rng(seed)
-    support = rng.choice(d * d, size=rng.integers(1, d * d + 1), replace=False)
-    c = np.zeros(d * d)
-    c[support] = rng.dirichlet(np.ones(support.size))
-    return SimplexCoefficients(d=d, c=(c / c.sum()).reshape(d, d))
-
-
 def _isotropic_qudit_table(d: int, fidelity: float) -> SimplexCoefficients:
     """Weight ``fidelity`` on Omega_00, the rest spread evenly; PPT iff fidelity <= 1/d."""
     c = np.full((d, d), (1.0 - fidelity) / (d * d - 1))
@@ -260,7 +251,7 @@ def _isotropic_qudit_table(d: int, fidelity: float) -> SimplexCoefficients:
 
 CLASSIFY_FAMILIES = {
     "flat": lambda d: [random_table(seed, d=d) for seed in range(20)],
-    "sparse": lambda d: [_sparse_table(seed, d) for seed in range(20)],
+    "sparse": lambda d: [sparse_table(seed, d) for seed in range(20)],
     "near_boundary": lambda d: [
         _isotropic_qudit_table(d, 1.0 / d + delta)
         for delta in (-1e-3, -1e-9, -1e-11, -1e-13, 0.0, 1e-13, 1e-11, 1e-9, 1e-3)

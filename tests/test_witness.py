@@ -8,13 +8,12 @@ from belldistill.witness import (
     NotNPTError,
     construct_witness_vector,
     detect,
-    eigenvector_residual,
     product_vector_positivity_check,
-    witness_expectation_from_state,
     witness_operator,
 )
 
 from conftest import isotropic_table, pure_bell_table, random_table, uniform_table
+from reference import eigenvector_residual, witness_expectation_from_state
 
 NPT_SEEDS = [s for s in range(160) if classify(random_table(s)).classification == "NPT"][:100]
 
@@ -243,6 +242,15 @@ def test_detect_on_a_stack():
         detect(wop, stack)
     with pytest.raises(ValueError, match="shape"):
         detect(wop, np.zeros((5, 4, 4)))
+
+
+def test_detect_rejects_nan():
+    wop = witness_operator(construct_witness_vector(classify(npt_table(NPT_SEEDS[2]))))
+    with pytest.raises(ValueError, match="imaginary"):
+        detect(wop, np.full((9, 9), complex(0, np.nan)))
+    with pytest.raises(ValueError, match="imaginary"):
+        detect(wop, np.array([np.eye(9) / 9, np.full((9, 9), np.nan)]))
+    assert abs(detect(wop, np.eye(9, dtype=complex) / 9) - 1 / 9) <= 1e-12
 
 
 # ------------------------------------------- product-vector positivity
