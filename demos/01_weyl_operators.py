@@ -4,8 +4,9 @@ Run:  python demos/01_weyl_operators.py
 """
 import numpy as np
 
-from belldistill import bell_unitary, bell_vector, controlled_sum, flip, fourier, kron, weyl
-from belldistill.weyl import phase_table
+from belldistill import weyl
+from belldistill.linalg import kron
+from belldistill.weyl import bell_unitary, bell_vector, flip, fourier, phase_table
 
 d = 3
 tab = phase_table(d)
@@ -30,9 +31,11 @@ gram = np.array([
 ])
 print(f"Bell basis Gram matrix deviation from identity: {np.abs(gram - np.eye(9)).max():.2e}")
 
-# The Bell unitary U maps |Omega_rs> to |r,s> and factors as (F x 1) C_s.
+# The Bell unitary U maps |Omega_rs> to |r,s> and factors as (F x 1) C_s,
+# with C_s the controlled sum |i,j> -> |i, j-i mod d>, a permutation matrix.
 u = bell_unitary(d)
-factored = kron(fourier(d), np.eye(d)) @ controlled_sum(d)
+c_sum = np.eye(d * d)[:, [i * d + (j - i) % d for i in range(d) for j in range(d)]]
+factored = kron(fourier(d), np.eye(d)) @ c_sum
 print(f"U - (F x 1) C_s deviation: {np.abs(u - factored).max():.2e}")
 
 # Conjugating the flip into the Bell frame gives a local operation times a swap,

@@ -92,10 +92,6 @@ class HermitianEigensystem:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        """Sum of lambda_i |v_i><v_i|."""
-        return (self.eigenvectors * self.eigenvalues) @ dag(self.eigenvectors)
-
 
 def hermitian_eigensystem(h: np.ndarray) -> HermitianEigensystem:
     """Full eigendecomposition of a Hermitian matrix.
@@ -139,12 +135,6 @@ class SchmidtDecomposition:
     left_vectors: np.ndarray
     right_vectors: np.ndarray
     schmidt_rank: int
-
-    def reconstruct(self) -> np.ndarray:
-        out = np.zeros(self.left_vectors.shape[0] * self.right_vectors.shape[0], dtype=complex)
-        for mu, a, b in zip(self.coefficients, self.left_vectors.T, self.right_vectors.T):
-            out += mu * np.kron(a, b)
-        return out
 
 
 def schmidt_decompose(v: np.ndarray, d_a: int, d_b: int) -> SchmidtDecomposition:

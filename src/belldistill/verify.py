@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filtering import FilterAnnihilationError, add_white_noise, filter_report
-from .linalg import expectation, kron, partial_transpose
+from .linalg import RANK_RTOL, expectation, kron, partial_transpose
 from .simplex import (
+    BOUNDARY_TOL,
     GENERATOR_NAME,
     SamplingExhaustedError,
     build_state,
@@ -24,6 +25,8 @@ from .simplex import (
     sample_npt,
 )
 from .witness import (
+    DET_TOL,
+    MINOR_TOL,
     W10,
     NotNPTError,
     RankCertificationError,
@@ -120,7 +123,7 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
     rho_pt = partial_transpose(rho, 3, 3)
     pt_eigs = np.linalg.eigvalsh(rho_pt)
 
-    negatives = int(np.sum(pt_eigs < -1e-12))
+    negatives = int(np.sum(pt_eigs < -BOUNDARY_TOL))
     check("negative_count", negatives == 3, lambda: f"{negatives} negative eigenvalues")
     mult = lambda_min_multiplicity(pt_eigs)
     check("lambda_min_multiplicity", mult == 3, lambda: f"multiplicity {mult}")
@@ -151,10 +154,10 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
     check("expectation_equals_lambda", exp_dev <= 1e-10, lambda: f"deviation {exp_dev:.3e}")
 
     res["abs_det_C"] = abs(wc.det_C)
-    check("det_C_vanishes", abs(wc.det_C) <= 1e-10, lambda: f"|det C| {abs(wc.det_C):.3e}")
+    check("det_C_vanishes", abs(wc.det_C) <= DET_TOL, lambda: f"|det C| {abs(wc.det_C):.3e}")
     check(
         "minor_nonzero",
-        float(np.abs(wc.minors).max()) > 1e-9,
+        float(np.abs(wc.minors).max()) > MINOR_TOL,
         lambda: f"max minor {np.abs(wc.minors).max():.3e}",
     )
 
@@ -163,7 +166,7 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
     res["schmidt_third_relative"] = third
     check(
         "schmidt_rank_2",
-        wc.schmidt.schmidt_rank == 2 and mu[1] > 1e-9 and third < 1e-9,
+        wc.schmidt.schmidt_rank == 2 and mu[1] > 1e-9 and third < RANK_RTOL,
         lambda: f"coefficients {mu}",
     )
 
@@ -206,7 +209,7 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
     check("sigma_pt_minimum", ratio_dev <= 1e-9, lambda: f"deviation {ratio_dev:.3e}")
     check(
         "sigma_single_negative",
-        int(np.sum(rep.sigma_pt_spectrum < -1e-12)) == 1,
+        int(np.sum(rep.sigma_pt_spectrum < -BOUNDARY_TOL)) == 1,
         lambda: f"spectrum {rep.sigma_pt_spectrum}",
     )
 
@@ -220,7 +223,10 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
     # Every grid point is evaluated densely, all points of one state in one
     # stacked call; failures are reported point by point, rho before sigma.
     grid = NOISE_GRID + (
-        rep.p_rho_max - 1e-6, rep.p_rho_max + 1e-6, rep.p_sigma_max - 1e-6, rep.p_sigma_max + 1e-6
+        rep.p_rho_max - THRESHOLD_BAND,
+        rep.p_rho_max + THRESHOLD_BAND,
+        rep.p_sigma_max - THRESHOLD_BAND,
+        rep.p_sigma_max + THRESHOLD_BAND,
     )
     points = np.array([p for p in grid if 0.0 <= p <= 1.0])
     on_rho = np.abs(points - rep.p_rho_max) >= THRESHOLD_BAND - 1e-15

@@ -73,20 +73,11 @@ def fourier(d: int) -> np.ndarray:
     return f / np.sqrt(d)
 
 
-def controlled_sum(d: int) -> np.ndarray:
-    """Permutation unitary mapping |i,j> to |i, j-i mod d>."""
-    d = _check_dim(d)
-    cs = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            cs[i * d + (j - i) % d, i * d + j] = 1.0
-    return cs
-
-
 def bell_unitary(d: int) -> np.ndarray:
     """Unitary sending the Bell basis to the computational basis, |Omega_rs> -> |r,s>.
 
-    Equals (F (x) 1) C_s with F the Fourier matrix and C_s the controlled sum.
+    Equals (F (x) 1) C_s with F the Fourier matrix and C_s the controlled sum
+    |i,j> -> |i, j-i mod d>.
     """
     d = _check_dim(d)
     u = np.zeros((d * d, d * d), dtype=complex)

@@ -1,18 +1,37 @@
-"""Loop forms of the Bell-frame kernel and of the sampler, kept as test oracles.
+"""Second routes to the package's quantities, kept as test oracles.
 
-Each function spells out the definition the package evaluates in closed
-form: ``pt_block`` and ``build_state`` term by term, ``sample_npt`` one
-draw and one full classification at a time, and the two dense quantities
-that the verify battery computes inline. None of them shares code with the
-package's fast paths beyond ``weyl`` and ``classify``.
+The package holds one route per quantity; each function here reaches the
+same quantity another way, so that the tests can compare the two:
+
+- ``pt_block_loop`` and ``build_state_loop`` spell out term by term the
+  Bell-frame kernel that ``pt_block`` and ``build_state`` evaluate in
+  closed form;
+- ``apply_weyl_channel`` builds the state as a Weyl channel acting on one
+  side of the canonical Bell projector, and ``assemble_pt_from_blocks``
+  rebuilds the partial transpose from its Bell-frame blocks;
+- ``controlled_sum`` is the permutation unitary of the factorisation
+  U = (F (x) 1) C_s of the Bell unitary;
+- ``product_vector_positivity_check`` samples the witness on random
+  product vectors;
+- ``eigensystem_reconstruct`` and ``schmidt_reconstruct`` rebuild a matrix
+  and a vector from their decompositions;
+- ``sample_npt_sequential`` draws and fully classifies one table at a time;
+- ``eigenvector_residual`` and ``witness_expectation_from_state`` are the
+  two dense quantities that the verify battery computes inline;
+- ``complex_to_json``, ``vector_to_json``, ``matrix_to_json`` and
+  ``real_vector_to_json`` convert entry by entry, the serialisation the
+  report writer's array conversion must match byte for byte.
+
+Each is built from package pieces other than the route it checks.
 """
 
 import numpy as np
 
 from belldistill import simplex
-from belldistill.linalg import expectation, partial_transpose
-from belldistill.simplex import SamplingExhaustedError, SimplexCoefficients
-from belldistill.weyl import bell_vector, phase_table
+from belldistill.linalg import dag, expectation, kron, partial_transpose
+from belldistill.simplex import SamplingExhaustedError, SimplexCoefficients, pt_block
+from belldistill.weyl import _check_dim, bell_unitary, bell_vector, phase_table, weyl
+from belldistill.witness import WitnessOperator
 
 
 def pt_block_loop(coeffs: SimplexCoefficients, m: int) -> np.ndarray:
@@ -39,6 +58,81 @@ def build_state_loop(coeffs: SimplexCoefficients) -> np.ndarray:
             v = bell_vector(d, k, l)
             rho += coeffs.c[k, l] * np.outer(v, v.conj())
     return rho
+
+
+def apply_weyl_channel(coeffs: SimplexCoefficients) -> np.ndarray:
+    """Action of the Weyl channel on one side of the canonical Bell projector.
+
+    Conjugates |Omega_00><Omega_00| by the Kraus operators W_kl (x) 1 with
+    weights c[k, l]. Agrees with :func:`build_state` and serves as its
+    independent cross-check.
+    """
+    d = coeffs.d
+    omega00 = bell_vector(d, 0, 0)
+    p00 = np.outer(omega00, omega00.conj())
+    eye = np.eye(d)
+    rho = np.zeros_like(p00)
+    for k in range(d):
+        for l in range(d):
+            kraus = kron(weyl(d, k, l), eye)
+            rho += coeffs.c[k, l] * (kraus @ p00 @ dag(kraus))
+    return rho
+
+
+def assemble_pt_from_blocks(coeffs: SimplexCoefficients) -> np.ndarray:
+    """Partial transpose rebuilt as U^dag (sum_m |m><m| (x) B_m) U.
+
+    Must agree with the direct partial transpose of :func:`build_state`;
+    the pair of routes is used as a consistency oracle in the tests.
+    """
+    d = coeffs.d
+    blocks = np.zeros((d * d, d * d), dtype=complex)
+    for m in range(d):
+        blocks[m * d:(m + 1) * d, m * d:(m + 1) * d] = pt_block(coeffs, m)
+    u = bell_unitary(d)
+    return dag(u) @ blocks @ u
+
+
+def controlled_sum(d: int) -> np.ndarray:
+    """Permutation unitary mapping |i,j> to |i, j-i mod d>."""
+    d = _check_dim(d)
+    cs = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            cs[i * d + (j - i) % d, i * d + j] = 1.0
+    return cs
+
+
+def product_vector_positivity_check(wop: WitnessOperator, trials: int, seed) -> float:
+    """Minimum of <a,b|W|a,b> over random product vectors.
+
+    Samples ``trials`` isotropically random product vectors and returns the
+    smallest expectation, which for a valid witness never drops below zero
+    beyond roundoff.
+    """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((trials, 3)) + 1j * rng.standard_normal((trials, 3))
+    b = rng.standard_normal((trials, 3)) + 1j * rng.standard_normal((trials, 3))
+    a /= np.linalg.norm(a, axis=1, keepdims=True)
+    b /= np.linalg.norm(b, axis=1, keepdims=True)
+    products = np.einsum("ni,nj->nij", a, b).reshape(trials, 9)
+    values = np.einsum("ni,ij,nj->n", products.conj(), wop.W, products).real
+    return float(values.min())
+
+
+def eigensystem_reconstruct(eig) -> np.ndarray:
+    """Sum of lambda_i |v_i><v_i| for a HermitianEigensystem."""
+    return (eig.eigenvectors * eig.eigenvalues) @ dag(eig.eigenvectors)
+
+
+def schmidt_reconstruct(dec) -> np.ndarray:
+    """Sum of mu_i a_i (x) b_i for a SchmidtDecomposition."""
+    out = np.zeros(dec.left_vectors.shape[0] * dec.right_vectors.shape[0], dtype=complex)
+    for mu, a, b in zip(dec.coefficients, dec.left_vectors.T, dec.right_vectors.T):
+        out += mu * np.kron(a, b)
+    return out
 
 
 def sample_npt_sequential(seed, max_tries: int = 1000):
@@ -69,3 +163,20 @@ def witness_expectation_from_state(coeffs: SimplexCoefficients, wc) -> float:
     """<phi| rho^Gamma |phi> evaluated directly on the generating state."""
     rho_pt = partial_transpose(build_state_loop(coeffs), 3, 3)
     return expectation(rho_pt, wc.phi).real
+
+
+def complex_to_json(z) -> list:
+    z = complex(z)
+    return [z.real, z.imag]
+
+
+def vector_to_json(v) -> list:
+    return [complex_to_json(z) for z in np.asarray(v).ravel()]
+
+
+def matrix_to_json(m) -> list:
+    return [[complex_to_json(z) for z in row] for row in np.asarray(m)]
+
+
+def real_vector_to_json(v) -> list:
+    return [float(x) for x in np.asarray(v).ravel()]

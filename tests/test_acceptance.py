@@ -17,7 +17,6 @@ from belldistill.filtering import add_white_noise, filter_report
 from belldistill.linalg import dag, expectation, partial_transpose
 from belldistill.simplex import (
     NPT,
-    assemble_pt_from_blocks,
     build_state,
     classify,
     lambda_min_multiplicity,
@@ -30,11 +29,11 @@ from belldistill.weyl import phase_table, weyl
 from belldistill.witness import (
     construct_witness_vector,
     detect,
-    product_vector_positivity_check,
     witness_operator,
 )
 
 from conftest import isotropic_table, pure_bell_table
+from reference import assemble_pt_from_blocks, product_vector_positivity_check
 
 CAMPAIGN_SEED = 20240901
 CAMPAIGN_SIZE = 1000

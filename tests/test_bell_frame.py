@@ -1,11 +1,15 @@
 """The closed-form Bell-frame kernel and the screened sampler against their loop forms."""
 
 import dataclasses
+import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from belldistill import simplex
+from belldistill.cli import main
+from belldistill.report import validate_report
 from belldistill.simplex import (
     BOUNDARY_TOL,
     NPT,
@@ -21,7 +25,7 @@ from belldistill.simplex import (
 from belldistill.weyl import bell_unitary, bell_vector
 from belldistill.witness import construct_witness_vector, witness_operator
 
-from conftest import boundary_walk_table, random_table, sparse_table
+from conftest import boundary_walk_table, random_table, sparse_table, uniform_table
 from reference import build_state_loop, pt_block_loop, sample_npt_sequential
 
 #: PT minima of the boundary-walk tables: NPT, on the boundary band, PPT
@@ -85,14 +89,40 @@ def test_kernel_matches_loops_across_dims(d, family):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_bell_frame_constants_are_shared_and_read_only(d):
-    t, v, vh = simplex._bell_frame(d)
-    assert simplex._bell_frame(d)[0] is t
-    assert t.shape == (d, d * d, d * d)
-    for arr in (t, v, vh):
+    maps = [simplex._block_map(d, m) for m in range(d)]
+    v, vh = simplex._bell_vectors(d)
+    assert simplex._block_map(d, d - 1) is maps[-1]
+    assert simplex._bell_vectors(d)[0] is v
+    assert all(t.shape == (d * d, d * d) for t in maps)
+    for arr in maps + [v, vh]:
         assert not arr.flags.writeable
     columns = np.array([bell_vector(d, k, l) for k in range(d) for l in range(d)]).T
     assert np.array_equal(v, columns)
     assert np.array_equal(vh, bell_unitary(d))
+
+
+def test_classify_builds_only_the_blocks_it_reads(tmp_path):
+    # d = 24 is used by no other test; its maps are dropped first so that the
+    # measurement covers building them. classify reads B_0 and B_1 (d even),
+    # each map is d^4 complex numbers, where all d maps would take 127 MB.
+    d = 24
+    for m in range(d):
+        simplex._BLOCK_MAPS.pop((d, m), None)
+    table = uniform_table(d)
+    tracemalloc.start()
+    try:
+        assert classify(table).classification == PPT
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * d**4 * 16
+    assert sorted(m for dd, m in simplex._BLOCK_MAPS if dd == d) == [0, 1]
+
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps({"d": d, "c": table.c.tolist()}), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(inp), "--output", str(out)]) == 2
+    validate_report(json.loads(out.read_text(encoding="utf-8")))
 
 
 def test_pt_block_rejects_bad_index():

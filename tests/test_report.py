@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from belldistill.filtering import filter_report
 from belldistill.linalg import partial_transpose
 from belldistill.report import (
     REASON_PPT,
@@ -21,8 +22,10 @@ from belldistill.simplex import (
     build_state,
     classify,
 )
+from belldistill.witness import construct_witness_vector, witness_operator
 
-from conftest import pure_bell_table, random_table, uniform_table
+from conftest import pure_bell_table, random_table, sparse_table, uniform_table
+from reference import complex_to_json, matrix_to_json, real_vector_to_json, vector_to_json
 
 
 def pure_input():
@@ -188,6 +191,7 @@ def test_equal_weight_supports_match_dense_oracle():
         coeffs = SimplexCoefficients(d=3, c=(c / c.sum()).reshape(3, 3))
         report = analysis_report(coeffs)
         validate_report(json.loads(dump_report(report)))
+        assert_sections_match_oracle(coeffs, report)
         verdict = report["classification"]["classification"]
         counts[verdict] += 1
         lam = np.linalg.eigvalsh(partial_transpose(build_state(coeffs), 3, 3))[0]
@@ -195,3 +199,73 @@ def test_equal_weight_supports_match_dense_oracle():
             oracle = NPT if lam < -BOUNDARY_TOL else PPT if lam > BOUNDARY_TOL else BOUNDARY
             assert verdict == oracle, f"support mask {mask:09b}"
     assert counts == {NPT: 315, PPT: 172, BOUNDARY: 24}
+
+
+# ------------------------------------------------- serialisation oracle
+
+def oracle_sections(coeffs: SimplexCoefficients) -> dict:
+    """The report's array-valued sections, converted entry by entry."""
+    rep = classify(coeffs)
+    out = {
+        "input": {"d": coeffs.d, "c": [[float(x) for x in row] for row in coeffs.c]},
+        "classification": {
+            "eigenvalues": real_vector_to_json(rep.eigenvalues),
+            "lambda_min": float(rep.lambda_min),
+            "negative_count": int(rep.negative_count),
+            "classification": rep.classification,
+        },
+        "witness": None,
+        "witness_spectrum": None,
+        "filter": None,
+    }
+    if rep.classification != NPT:
+        return out
+    wc = construct_witness_vector(rep)
+    fr = filter_report(build_state(coeffs), wc)
+    out["witness"] = {
+        "lambda_min": wc.lambda_min,
+        "mu0": float(wc.schmidt.coefficients[0]),
+        "mu1": float(wc.schmidt.coefficients[1]),
+        "u": [vector_to_json(wc.u[m]) for m in range(3)],
+        "alpha": [vector_to_json(wc.alpha[m]) for m in range(3)],
+        "psi": vector_to_json(wc.psi),
+        "C": matrix_to_json(wc.C),
+        "minors": vector_to_json(wc.minors),
+        "det_C": complex_to_json(wc.det_C),
+        "phi_tilde": vector_to_json(wc.phi_tilde),
+        "phi": vector_to_json(wc.phi),
+        "schmidt_coefficients": real_vector_to_json(wc.schmidt.coefficients),
+        "schmidt_left": matrix_to_json(wc.schmidt.left_vectors.T),
+        "schmidt_right": matrix_to_json(wc.schmidt.right_vectors.T),
+        "schmidt_rank": wc.schmidt.schmidt_rank,
+    }
+    out["witness_spectrum"] = real_vector_to_json(np.linalg.eigvalsh(witness_operator(wc).W))
+    out["filter"] = {
+        "P_A": matrix_to_json(fr.P_A),
+        "P_B": matrix_to_json(fr.P_B),
+        "q": fr.q,
+        "sigma": matrix_to_json(fr.sigma),
+        "sigma_pt_spectrum": real_vector_to_json(fr.sigma_pt_spectrum),
+        "p_rho_max": fr.p_rho_max,
+        "p_sigma_max": fr.p_sigma_max,
+        "qubit_more_robust": fr.qubit_more_robust,
+        "robustness_tie": fr.robustness_tie,
+    }
+    return out
+
+
+def assert_sections_match_oracle(coeffs: SimplexCoefficients, report: dict) -> None:
+    for key, section in oracle_sections(coeffs).items():
+        assert json.dumps(report[key], indent=2) == json.dumps(section, indent=2), key
+
+
+@pytest.mark.parametrize("family", ["flat", "sparse"])
+def test_seeded_tables_match_serialisation_oracle(family):
+    make = random_table if family == "flat" else sparse_table
+    verdicts = set()
+    for seed in range(200):
+        coeffs = make(seed)
+        report = analysis_report(coeffs)
+        assert_sections_match_oracle(coeffs, report)
+        verdicts.add(report["classification"]["classification"])
+    assert NPT in verdicts and PPT in verdicts

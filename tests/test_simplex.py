@@ -12,8 +12,6 @@ from belldistill.simplex import (
     InvalidCoefficientsError,
     SamplingExhaustedError,
     SimplexCoefficients,
-    apply_weyl_channel,
-    assemble_pt_from_blocks,
     build_state,
     classify,
     lambda_min_multiplicity,
@@ -24,6 +22,7 @@ from belldistill.simplex import (
 from belldistill.weyl import bell_unitary, fourier, weyl
 
 from conftest import isotropic_table, random_table, sparse_table, uniform_table
+from reference import apply_weyl_channel, assemble_pt_from_blocks
 
 
 # ------------------------------------------------------------ validation

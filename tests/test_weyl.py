@@ -5,13 +5,14 @@ from belldistill.linalg import kron
 from belldistill.weyl import (
     bell_unitary,
     bell_vector,
-    controlled_sum,
     flip,
     fourier,
     phase_table,
     swap_conjugation,
     weyl,
 )
+
+from reference import controlled_sum
 
 DIMS = (2, 3, 4, 5)
 

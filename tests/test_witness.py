@@ -8,12 +8,15 @@ from belldistill.witness import (
     NotNPTError,
     construct_witness_vector,
     detect,
-    product_vector_positivity_check,
     witness_operator,
 )
 
 from conftest import isotropic_table, pure_bell_table, random_table, uniform_table
-from reference import eigenvector_residual, witness_expectation_from_state
+from reference import (
+    eigenvector_residual,
+    product_vector_positivity_check,
+    witness_expectation_from_state,
+)
 
 NPT_SEEDS = [s for s in range(160) if classify(random_table(s)).classification == "NPT"][:100]
 
