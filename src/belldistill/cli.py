@@ -139,7 +139,7 @@ def cmd_sample(args) -> int:
     except SamplingExhaustedError as exc:
         return _fail(str(exc))
     try:
-        _write_text(args.output, json.dumps(tables, indent=2) + "\n")
+        _write_text(args.output, dump_report(tables))
     except OSError as exc:
         return _fail(f"cannot write samples: {exc}")
     print(f"{args.count} tables written to {args.output}")

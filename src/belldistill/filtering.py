@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dag, hermitian_eigensystem, kron, partial_transpose
+from .linalg import dag, kron, partial_transpose
 from .witness import WitnessConstruction
 
 #: thresholds closer than this count as a tie in the robustness comparison
@@ -136,11 +136,12 @@ def filter_report(rho: np.ndarray, wc: WitnessConstruction) -> FilterReport:
     """Run the whole filtering stage for a state and its witness construction."""
     p_a, p_b = filters_from_witness(wc)
     sigma, q = filter_state(rho, p_a, p_b, wc.schmidt)
-    spectrum = hermitian_eigensystem(partial_transpose(sigma, 2, 2)).eigenvalues
+    # eigh, not eigvalsh: the report writes these bytes and eigvalsh moves their last digits
+    spectrum = np.linalg.eigh(partial_transpose(sigma, 2, 2)).eigenvalues
     rho_threshold = p_rho_max(wc.lambda_min, 3)
     sigma_threshold = p_sigma_max(wc.lambda_min, q)
     tie = abs(sigma_threshold - rho_threshold) <= TIE_TOL
-    for arr in (p_a, p_b, sigma):
+    for arr in (p_a, p_b, sigma, spectrum):
         arr.setflags(write=False)
     return FilterReport(
         P_A=p_a,

@@ -14,9 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-#: max-norm tolerance for accepting a matrix as Hermitian
-HERMITICITY_TOL = 1e-12
-
 #: a singular / Schmidt value counts as nonzero iff > RANK_RTOL * largest
 RANK_RTOL = 1e-9
 
@@ -64,61 +61,6 @@ def expectation(m: np.ndarray, v: np.ndarray) -> complex:
     if m.shape != (v.size, v.size):
         raise ValueError(f"matrix shape {m.shape} does not match vector dim {v.size}")
     return complex(v.conj() @ m @ v)
-
-
-#: entries within this relative distance of the largest modulus tie for the pivot
-PIVOT_RTOL = 1e-12
-
-
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate a vector's global phase so its pivot entry is real positive.
-
-    The pivot is the first entry whose modulus is at least (1 - PIVOT_RTOL)
-    times the largest, so entries of equal modulus up to rounding (such as
-    (0, 1, 1)/sqrt 2) give the same pivot whichever of them rounds larger.
-    """
-    mod = np.abs(v)
-    j = int(np.argmax(mod >= (1.0 - PIVOT_RTOL) * mod.max()))
-    pivot = v[j]
-    if pivot == 0:
-        return v
-    return v * (abs(pivot) / pivot)
-
-
-@dataclass(frozen=True)
-class HermitianEigensystem:
-    """Eigenvalues ascending; eigenvectors[:, i] is the unit eigenvector of eigenvalues[i]."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eigensystem(h: np.ndarray) -> HermitianEigensystem:
-    """Full eigendecomposition of a Hermitian matrix.
-
-    Eigenvalues are returned in ascending order and each eigenvector carries
-    the deterministic phase convention of :func:`_fix_phase`. Inside a
-    degenerate cluster the returned basis is whatever the solver produces;
-    callers must not rely on a particular choice there.
-
-    Raises ValueError if ``h`` deviates from Hermiticity by more than
-    HERMITICITY_TOL in max-norm or holds NaN; numpy raises LinAlgError in
-    the (never observed at these sizes) event the iteration fails to
-    converge.
-    """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {h.shape}")
-    dev = np.abs(h - dag(h)).max()
-    if not dev <= HERMITICITY_TOL:  # NaN entries fail too
-        raise ValueError(f"matrix is not Hermitian: max |H - H^dag| = {dev:.3e}")
-    eigenvalues, vectors = np.linalg.eigh(h)
-    vectors = vectors.copy()
-    for i in range(vectors.shape[1]):
-        vectors[:, i] = _fix_phase(vectors[:, i])
-    eigenvalues.setflags(write=False)
-    vectors.setflags(write=False)
-    return HermitianEigensystem(eigenvalues=eigenvalues, eigenvectors=vectors)
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,8 @@ def analysis_report(
     return out
 
 
-def dump_report(report: dict) -> str:
+def dump_report(report: dict | list) -> str:
+    """JSON text of a report, or of a list of input tables: two-space indent, final newline."""
     return json.dumps(report, indent=2) + "\n"
 
 

@@ -12,11 +12,12 @@ d), the witness is built from its result, and the dense d^2 x d^2 state of
 :func:`build_state` is not needed. Everything here works for d >= 2.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianEigensystem, dag, hermitian_eigensystem
+from .linalg import dag
 from .weyl import bell_unitary, phase_table
 
 #: classification labels for the partial-transpose spectrum
@@ -35,6 +36,9 @@ COEFF_SUM_TOL = 1e-12
 
 #: relative tolerance for clustering degenerate eigenvalues
 DEGENERACY_RTOL = 1e-9
+
+#: entries within this relative distance of the largest modulus tie for the pivot
+PIVOT_RTOL = 1e-12
 
 #: the bit generator behind all sampling in this package
 GENERATOR_NAME = "PCG64"
@@ -81,22 +85,31 @@ class SimplexCoefficients:
 
 @dataclass(frozen=True)
 class PTSpectrumReport:
-    """Ascending partial-transpose spectrum, its verdict and the eigensystem of block B_0."""
+    """Ascending PT spectrum, its verdict and u0, B_0's read-only ground vector (see _fix_phase)."""
 
     eigenvalues: np.ndarray
     lambda_min: float
     negative_count: int
     classification: str
-    block0: HermitianEigensystem
+    u0: np.ndarray
 
 
-#: (d, m) -> read-only block map T_m, filled on first use
-_BLOCK_MAPS = {}
+def _fix_phase(v: np.ndarray) -> np.ndarray:
+    """Rotate a vector's global phase so its pivot entry is real positive.
 
-#: d -> read-only (V, V^dag), filled on first use
-_BELL_VECTORS = {}
+    The pivot is the first entry whose modulus is at least (1 - PIVOT_RTOL)
+    times the largest, so entries of equal modulus up to rounding (such as
+    (0, 1, 1)/sqrt 2) give the same pivot whichever of them rounds larger.
+    """
+    mod = np.abs(v)
+    j = int(np.argmax(mod >= (1.0 - PIVOT_RTOL) * mod.max()))
+    pivot = v[j]
+    if pivot == 0:
+        return v
+    return v * (abs(pivot) / pivot)
 
 
+@functools.cache
 def _block_map(d: int, m: int) -> np.ndarray:
     """Constant linear map from a flattened table c to the block B_m.
 
@@ -106,31 +119,26 @@ def _block_map(d: int, m: int) -> np.ndarray:
     call for each (d, m), read-only after; only the blocks that are used
     are ever built.
     """
-    t = _BLOCK_MAPS.get((d, m))
-    if t is None:
-        tab = phase_table(d)
-        k, l, y = np.ogrid[:d, :d, :d]
-        t = np.zeros((d * d, d * d), dtype=complex)
-        # for fixed (k, l) distinct y hit distinct entries, so no term is lost
-        t[((l - y) % d) * d + (l + y) % d, k * d + l] = tab[(y * (k - m)) % d] / d
-        t.setflags(write=False)
-        _BLOCK_MAPS[d, m] = t
+    tab = phase_table(d)
+    k, l, y = np.ogrid[:d, :d, :d]
+    t = np.zeros((d * d, d * d), dtype=complex)
+    # for fixed (k, l) distinct y hit distinct entries, so no term is lost
+    t[((l - y) % d) * d + (l + y) % d, k * d + l] = tab[(y * (k - m)) % d] / d
+    t.setflags(write=False)
     return t
 
 
+@functools.cache
 def _bell_vectors(d: int) -> tuple[np.ndarray, np.ndarray]:
     """The d^2 x d^2 matrix V whose column k*d + l is the Bell vector Omega_kl, and V^dag.
 
     V^dag is the Bell unitary. Built on the first call for each d,
     read-only after.
     """
-    pair = _BELL_VECTORS.get(d)
-    if pair is None:
-        vh = bell_unitary(d)
-        pair = (dag(vh).copy(), vh)
-        for arr in pair:
-            arr.setflags(write=False)
-        _BELL_VECTORS[d] = pair
+    vh = bell_unitary(d)
+    pair = (dag(vh).copy(), vh)
+    for arr in pair:
+        arr.setflags(write=False)
     return pair
 
 
@@ -160,18 +168,19 @@ def pt_block(coeffs: SimplexCoefficients, m: int) -> np.ndarray:
 
 
 def classify(coeffs: SimplexCoefficients) -> PTSpectrumReport:
-    """Full ascending spectrum of the partial transpose and its verdict.
+    """Full ascending spectrum of the partial transpose, its verdict and B_0's ground vector.
 
     Solves one block per orbit of B_{m+2} = W_{1,0} B_m W_{1,0}^dag with
-    :func:`~belldistill.linalg.hermitian_eigensystem` (which also checks
-    Hermiticity), B_0 for odd d and B_0, B_1 for even d, and repeats each
-    spectrum over its orbit. The verdict is NPT below -BOUNDARY_TOL, PPT
-    above +BOUNDARY_TOL and BOUNDARY in the band between, which is reported
-    rather than rounded: the witness construction has no meaning there.
+    ``np.linalg.eigh``, B_0 for odd d and B_0, B_1 for even d, and repeats
+    each spectrum over its orbit. The blocks are Hermitian to rounding for
+    every table SimplexCoefficients admits. The verdict is NPT below
+    -BOUNDARY_TOL, PPT above +BOUNDARY_TOL and BOUNDARY in the band
+    between, which is reported rather than rounded: the witness
+    construction has no meaning there.
     """
-    blocks = [hermitian_eigensystem(pt_block(coeffs, m)) for m in range(2 - coeffs.d % 2)]
-    orbit = coeffs.d // len(blocks)
-    eigenvalues = np.sort(np.concatenate([np.tile(b.eigenvalues, orbit) for b in blocks]))
+    solves = [np.linalg.eigh(pt_block(coeffs, m)) for m in range(2 - coeffs.d % 2)]
+    orbit = coeffs.d // len(solves)
+    eigenvalues = np.sort(np.concatenate([np.tile(s.eigenvalues, orbit) for s in solves]))
     eigenvalues.setflags(write=False)
     lambda_min = float(eigenvalues[0])
     if lambda_min < -BOUNDARY_TOL:
@@ -180,12 +189,14 @@ def classify(coeffs: SimplexCoefficients) -> PTSpectrumReport:
         classification = PPT
     else:
         classification = BOUNDARY
+    u0 = _fix_phase(solves[0].eigenvectors[:, 0])
+    u0.setflags(write=False)
     return PTSpectrumReport(
         eigenvalues=eigenvalues,
         lambda_min=lambda_min,
         negative_count=int(np.sum(eigenvalues < -BOUNDARY_TOL)),
         classification=classification,
-        block0=blocks[0],
+        u0=u0,
     )
 
 

@@ -9,6 +9,7 @@ threshold semantics on a p-grid. Trials are pure functions of their seed,
 so campaigns parallelize and aggregate order-independently.
 """
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -259,14 +260,16 @@ def run_campaign(count: int, master_seed: int, jobs: int = 1) -> CampaignResult:
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     seeds = trial_seeds(master_seed, count)
-    if jobs == 1:
+    # the pool forks all its workers at the first submit, so ask for no more than can work
+    workers = min(jobs, count, os.cpu_count() or 1)
+    if workers == 1:
         results = [run_trial(s) for s in seeds]
     else:
         # imported here so that one-job runs never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_trial, seeds, chunksize=max(1, count // (4 * jobs))))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(run_trial, seeds, chunksize=max(1, count // (4 * workers))))
     residual_max = {key: 0.0 for key in RESIDUAL_KEYS}
     failed = []
     for r in results:

@@ -7,6 +7,8 @@ group relations exact at machine precision; that table is built once per d
 and shared read-only.
 """
 
+import functools
+
 import numpy as np
 
 from .linalg import kron
@@ -19,21 +21,15 @@ def _check_dim(d: int) -> int:
     return d
 
 
-#: d -> read-only phase table, filled on first use
-_PHASE_TABLES = {}
-
-
+@functools.cache
 def phase_table(d: int) -> np.ndarray:
     """Read-only array of the d-th roots of unity, entry j = omega**j.
 
     Built on the first call for each d and shared by every later one.
     """
     d = _check_dim(d)
-    tab = _PHASE_TABLES.get(d)
-    if tab is None:
-        tab = np.exp(2j * np.pi * np.arange(d) / d)
-        tab.setflags(write=False)
-        _PHASE_TABLES[d] = tab
+    tab = np.exp(2j * np.pi * np.arange(d) / d)
+    tab.setflags(write=False)
     return tab
 
 

@@ -92,19 +92,18 @@ def construct_witness_vector(spectrum: PTSpectrumReport) -> WitnessConstruction:
     """Build the Schmidt-rank-2 ground eigenvector of the partial transpose.
 
     ``spectrum`` is the :func:`~belldistill.simplex.classify` report of the
-    table; lambda_min and u_0 are read from its B_0 eigensystem. Only d = 3
-    is supported and the report must say NPT; PPT and boundary tables are
-    refused because the construction has no meaning there. The result is
-    deterministic for identical input.
+    table; lambda_min and u_0, the ground vector of B_0, are read from it.
+    Only d = 3 is supported and the report must say NPT; PPT and boundary
+    tables are refused because the construction has no meaning there. The
+    result is deterministic for identical input.
     """
-    eig = spectrum.block0
-    if eig.eigenvalues.size != 3:
-        raise ValueError(f"construction is specific to d=3, got d={eig.eigenvalues.size}")
-    lambda_min = float(eig.eigenvalues[0])
+    u0 = spectrum.u0
+    if u0.size != 3:
+        raise ValueError(f"construction is specific to d=3, got d={u0.size}")
+    lambda_min = spectrum.lambda_min
     verdict = spectrum.classification
     if verdict != NPT:
         raise NotNPTError(f"state classifies as {verdict} (lambda_min = {lambda_min!r}); need NPT")
-    u0 = eig.eigenvectors[:, 0]
 
     # u_{m+2} = W_{1,0} u_m keeps the relative phases the identities need;
     # only u_0 comes from an eigensolve, the other two are derived.

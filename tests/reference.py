@@ -13,8 +13,7 @@ same quantity another way, so that the tests can compare the two:
   U = (F (x) 1) C_s of the Bell unitary;
 - ``product_vector_positivity_check`` samples the witness on random
   product vectors;
-- ``eigensystem_reconstruct`` and ``schmidt_reconstruct`` rebuild a matrix
-  and a vector from their decompositions;
+- ``schmidt_reconstruct`` rebuilds a vector from its Schmidt decomposition;
 - ``sample_npt_sequential`` draws and fully classifies one table at a time;
 - ``eigenvector_residual`` and ``witness_expectation_from_state`` are the
   two dense quantities that the verify battery computes inline;
@@ -120,11 +119,6 @@ def product_vector_positivity_check(wop: WitnessOperator, trials: int, seed) -> 
     products = np.einsum("ni,nj->nij", a, b).reshape(trials, 9)
     values = np.einsum("ni,ij,nj->n", products.conj(), wop.W, products).real
     return float(values.min())
-
-
-def eigensystem_reconstruct(eig) -> np.ndarray:
-    """Sum of lambda_i |v_i><v_i| for a HermitianEigensystem."""
-    return (eig.eigenvectors * eig.eigenvalues) @ dag(eig.eigenvectors)
 
 
 def schmidt_reconstruct(dec) -> np.ndarray:

@@ -1,10 +1,19 @@
 """The top-level API is the pipeline; cross-check routes live in tests/reference.py."""
 
+import dataclasses
 import importlib
 import pkgutil
 
+import pytest
+
 import belldistill
-from belldistill.linalg import HermitianEigensystem, SchmidtDecomposition
+from belldistill import linalg
+from belldistill.filtering import filter_report
+from belldistill.linalg import SchmidtDecomposition
+from belldistill.simplex import PTSpectrumReport, build_state, classify
+from belldistill.witness import construct_witness_vector
+
+from conftest import random_table
 
 PIPELINE = {
     # types
@@ -42,5 +51,22 @@ def test_cross_check_routes_are_not_in_the_package():
     for module in modules:
         for name in MOVED:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
-    assert not hasattr(HermitianEigensystem, "reconstruct")
     assert not hasattr(SchmidtDecomposition, "reconstruct")
+
+
+def test_spectra_come_straight_from_eigh():
+    # classify keeps only B_0's ground vector; no eigensystem wrapper remains
+    assert not hasattr(linalg, "hermitian_eigensystem")
+    assert not hasattr(linalg, "HermitianEigensystem")
+    assert [f.name for f in dataclasses.fields(PTSpectrumReport)] == [
+        "eigenvalues", "lambda_min", "negative_count", "classification", "u0",
+    ]
+
+
+def test_u0_and_sigma_pt_spectrum_are_read_only():
+    coeffs = random_table(0)
+    spectrum = classify(coeffs)
+    rep = filter_report(build_state(coeffs), construct_witness_vector(spectrum))
+    for arr in (spectrum.u0, rep.sigma_pt_spectrum):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0

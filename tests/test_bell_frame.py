@@ -9,6 +9,8 @@ import pytest
 
 from belldistill import simplex
 from belldistill.cli import main
+from belldistill.filtering import filter_report
+from belldistill.linalg import partial_transpose
 from belldistill.report import validate_report
 from belldistill.simplex import (
     BOUNDARY_TOL,
@@ -87,6 +89,17 @@ def test_kernel_matches_loops_across_dims(d, family):
     assert _kernel_deviation(KERNEL_FAMILIES[family](d, 60)) <= 1e-15
 
 
+@pytest.mark.parametrize("family", sorted(KERNEL_FAMILIES))
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_pt_blocks_are_hermitian(d, family):
+    # classify hands each block to eigh, which reads one triangle only, so
+    # the other must agree to rounding on every table SimplexCoefficients admits
+    for coeffs in KERNEL_FAMILIES[family](d, 60):
+        for m in range(d):
+            block = pt_block(coeffs, m)
+            assert np.abs(block - block.conj().T).max() <= 1e-14
+
+
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_bell_frame_constants_are_shared_and_read_only(d):
     maps = [simplex._block_map(d, m) for m in range(d)]
@@ -106,8 +119,7 @@ def test_classify_builds_only_the_blocks_it_reads(tmp_path):
     # measurement covers building them. classify reads B_0 and B_1 (d even),
     # each map is d^4 complex numbers, where all d maps would take 127 MB.
     d = 24
-    for m in range(d):
-        simplex._BLOCK_MAPS.pop((d, m), None)
+    simplex._block_map.cache_clear()
     table = uniform_table(d)
     tracemalloc.start()
     try:
@@ -116,7 +128,7 @@ def test_classify_builds_only_the_blocks_it_reads(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * d**4 * 16
-    assert sorted(m for dd, m in simplex._BLOCK_MAPS if dd == d) == [0, 1]
+    assert simplex._block_map.cache_info().currsize == 2
 
     inp = tmp_path / "in.json"
     inp.write_text(json.dumps({"d": d, "c": table.c.tolist()}), encoding="utf-8")
@@ -140,8 +152,7 @@ def _same_draw(a, b) -> bool:
         and ra.lambda_min == rb.lambda_min
         and ra.negative_count == rb.negative_count
         and ra.classification == rb.classification
-        and np.array_equal(ra.block0.eigenvalues, rb.block0.eigenvalues)
-        and np.array_equal(ra.block0.eigenvectors, rb.block0.eigenvectors)
+        and np.array_equal(ra.u0, rb.u0)
     )
 
 
@@ -213,6 +224,15 @@ def _npt_family(name: str, count: int) -> list:
         tables = (make(seed) for seed in range(4 * count))
     reports = [(t, classify(t)) for t in tables]
     return [(t, r) for t, r in reports if r.classification == NPT][:count]
+
+
+@pytest.mark.parametrize("family", ["boundary_walk", "flat", "sparse"])
+def test_filtered_partial_transpose_is_hermitian(family):
+    # filter_report hands sigma's partial transpose to eigh as it stands
+    for coeffs, rep in _npt_family(family, 100):
+        sigma = filter_report(build_state(coeffs), construct_witness_vector(rep)).sigma
+        sigma_pt = partial_transpose(sigma, 2, 2)
+        assert np.abs(sigma_pt - sigma_pt.conj().T).max() <= 1e-14
 
 
 @pytest.mark.parametrize("family", ["boundary_walk", "flat", "sparse"])

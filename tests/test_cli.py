@@ -100,6 +100,21 @@ def test_analyze_invalid_table_exits_1(
     assert not (tmp_path / "r.json").exists()
 
 
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_input_exits_1(tmp_path, capsys, command, literal):
+    # Python's json module reads these literals as floats; the table must refuse them
+    inp = tmp_path / "in.json"
+    inp.write_text(
+        '{"d": 3, "c": [[0.5, %s, 0], [0, 0, 0], [0, 0, 0.5]]}' % literal, encoding="utf-8"
+    )
+    out = tmp_path / "out"
+    assert main([command, str(inp), "--output", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad input: ") and "non-finite" in err
+
+
 def test_analyze_malformed_json_exits_1(tmp_path):
     inp = tmp_path / "bad.json"
     inp.write_text("{not json", encoding="utf-8")
@@ -337,7 +352,7 @@ def test_unknown_command_exits_1():
 
 def test_cli_import_loads_no_process_pool():
     # one-job runs never start a pool, so importing the CLI must not pay for
-    # multiprocessing; run_campaign imports it only when jobs > 1
+    # multiprocessing; run_campaign imports it only when it runs more than one worker
     src = Path(__file__).resolve().parent.parent / "src"
     code = (
         "import sys, belldistill.cli; "

@@ -3,17 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from belldistill.linalg import (
-    expectation,
-    hermitian_eigensystem,
-    kron,
-    partial_transpose,
-    schmidt_decompose,
-)
-from belldistill.simplex import SimplexCoefficients, pt_block
+from belldistill.linalg import expectation, kron, partial_transpose, schmidt_decompose
+from belldistill.simplex import SimplexCoefficients, _fix_phase, build_state, classify, pt_block
 from belldistill.weyl import weyl
 
-from reference import eigensystem_reconstruct, schmidt_reconstruct
+from conftest import pure_bell_table, random_table, uniform_table
+from reference import schmidt_reconstruct
 
 
 def basis_ket(dim, i):
@@ -143,11 +138,20 @@ def test_partial_transpose_preserves_hermiticity():
     assert np.abs(pt - pt.conj().T).max() == 0.0
 
 
-# ---------------------------------------------------- eigendecomposition
+# ------------------------------------ B_0 eigensolve and phase convention
+
+def _pivot_is_real_positive(v) -> bool:
+    pivot = v[np.argmax(np.abs(v))]
+    return abs(pivot.imag) < 1e-15 * abs(pivot) and pivot.real > 0.0
+
 
 def test_eigensystem_diagonal_case():
-    eig = hermitian_eigensystem(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(eig.eigenvalues, [1.0, 2.0, 3.0], atol=1e-15)
+    # c[k, l] = p_l / 3 is constant down each column, so the Weyl phases of
+    # every off-diagonal entry of B_0 sum to zero: B_0 = diag(p) / 3
+    p = np.array([3.0, 1.0, 2.0]) / 6.0
+    rep = classify(SimplexCoefficients(d=3, c=np.tile(p / 3.0, (3, 1))))
+    assert np.abs(rep.eigenvalues - np.repeat([1 / 18, 1 / 9, 1 / 6], 3)).max() < 1e-15
+    assert np.abs(rep.u0 - np.array([0.0, 1.0, 0.0])).max() < 1e-15
 
 
 def test_eigensystem_pure_bell_block():
@@ -155,6 +159,7 @@ def test_eigensystem_pure_bell_block():
     b0 = np.zeros((3, 3))
     b0[0, 0] = 1 / 3
     b0[1, 2] = b0[2, 1] = 1 / 3
+    assert np.abs(pt_block(pure_bell_table(), 0) - b0).max() < 1e-15
     # independent oracle: roots of the characteristic polynomial
     # det(B - x) = (1/3 - x) (x^2 - 1/9)
     oracle = np.sort(np.roots([-1.0, np.trace(b0),
@@ -165,46 +170,46 @@ def test_eigensystem_pure_bell_block():
                                np.linalg.det(b0)]).real)
     # the double root limits the polynomial oracle to ~sqrt(eps) accuracy
     assert np.abs(oracle - np.array([-1 / 3, 1 / 3, 1 / 3])).max() < 1e-6
-    eig = hermitian_eigensystem(b0)
-    assert np.abs(eig.eigenvalues - np.array([-1 / 3, 1 / 3, 1 / 3])).max() < 1e-12
+    rep = classify(pure_bell_table())
+    assert np.abs(rep.eigenvalues - np.repeat([-1 / 3, 1 / 3], [3, 6])).max() < 1e-12
+    # the pivot of (0, 1, -1)/sqrt 2 is its first entry of largest modulus
+    assert np.abs(rep.u0 - np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0)).max() < 1e-15
 
 
 def test_eigensystem_maximally_mixed():
-    eig = hermitian_eigensystem(np.eye(9) / 9)
-    assert np.abs(eig.eigenvalues - 1 / 9).max() < 1e-15
+    rep = classify(uniform_table())
+    assert np.abs(rep.eigenvalues - 1 / 9).max() < 1e-15
 
 
 @pytest.mark.parametrize("seed,n", [(0, 3), (1, 5), (2, 9), (3, 9)])
 def test_eigensystem_invariants_on_random_hermitian(seed, n):
-    h = random_hermitian(seed, n)
-    eig = hermitian_eigensystem(h)
-    assert np.all(np.diff(eig.eigenvalues) >= 0)
-    v = eig.eigenvectors
-    assert np.abs(v.conj().T @ v - np.eye(n)).max() < 1e-10
-    for i in range(n):
-        assert np.abs(h @ v[:, i] - eig.eigenvalues[i] * v[:, i]).max() < 1e-10
-    assert np.abs(eigensystem_reconstruct(eig) - h).max() < 1e-9
+    # B_0 of a random table of odd dimension n is a random Hermitian block
+    # whose spectrum, repeated over the n blocks, is the dense PT spectrum
+    coeffs = random_table(seed, d=n)
+    rep = classify(coeffs)
+    assert np.all(np.diff(rep.eigenvalues) >= 0)
+    dense = np.linalg.eigvalsh(partial_transpose(build_state(coeffs), n, n))
+    assert np.abs(rep.eigenvalues - dense).max() < 1e-12
+    assert abs(np.linalg.norm(rep.u0) - 1.0) < 1e-14
+    b0 = pt_block(coeffs, 0)
+    assert np.abs(b0 @ rep.u0 - rep.lambda_min * rep.u0).max() < 1e-12
+    assert _pivot_is_real_positive(rep.u0)
 
 
 def test_eigensystem_phase_convention():
-    h = random_hermitian(11, 6)
-    eig = hermitian_eigensystem(h)
+    vectors = np.linalg.eigh(random_hermitian(11, 6)).eigenvectors
     for i in range(6):
-        pivot = eig.eigenvectors[np.argmax(np.abs(eig.eigenvectors[:, i])), i]
-        assert abs(pivot.imag) < 1e-15 * abs(pivot) and pivot.real > 0.0
+        assert _pivot_is_real_positive(_fix_phase(vectors[:, i]))
+    for seed in range(20):
+        assert _pivot_is_real_positive(classify(random_table(seed)).u0)
 
 
 def test_eigensystem_deterministic():
-    h = random_hermitian(12, 9)
-    first = hermitian_eigensystem(h)
-    second = hermitian_eigensystem(h)
+    coeffs = random_table(12, d=9)
+    first = classify(coeffs)
+    second = classify(coeffs)
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
-    assert np.array_equal(first.eigenvectors, second.eigenvectors)
-
-
-def test_eigensystem_rejects_non_hermitian():
-    with pytest.raises(ValueError, match="Hermitian"):
-        hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    assert np.array_equal(first.u0, second.u0)
 
 
 # ------------------------------------------------- Schmidt decomposition
@@ -313,15 +318,6 @@ def test_expectation_dimension_mismatch():
         expectation(np.eye(4), np.ones(5))
 
 
-def test_eigensystem_rejects_nan():
-    with pytest.raises(ValueError, match="not Hermitian"):
-        hermitian_eigensystem(np.array([[1.0, np.nan], [np.nan, 1.0]]))
-    with pytest.raises(ValueError, match="not Hermitian"):
-        hermitian_eigensystem(np.diag([1.0, np.nan]))
-    finite = hermitian_eigensystem(np.array([[1.0, 0.5j], [-0.5j, 1.0]]))
-    assert np.allclose(finite.eigenvalues, [0.5, 1.5], atol=1e-15)
-
-
 def _one_ulp_perturbation(h: np.ndarray, rng) -> np.ndarray:
     """Move every real and imaginary part of ``h`` one ulp up or down at random."""
     toward = np.where(rng.random(h.shape + (2,)) < 0.5, -np.inf, np.inf)
@@ -338,16 +334,17 @@ def test_phase_convention_is_stable_under_one_ulp():
     checked = 0
     for mask in range(1, 2**9):
         c = np.array([(mask >> i) & 1 for i in range(9)], dtype=float)
-        b0 = pt_block(SimplexCoefficients(d=3, c=(c / c.sum()).reshape(3, 3)), 0)
-        ref = hermitian_eigensystem(b0)
-        lam = ref.eigenvalues
+        coeffs = SimplexCoefficients(d=3, c=(c / c.sum()).reshape(3, 3))
+        b0 = pt_block(coeffs, 0)
+        lam = np.linalg.eigvalsh(b0)
         if lam[1] - lam[0] < 1e-6:
             continue  # degenerate ground space: no vector to compare
-        mod = np.abs(ref.eigenvectors[:, 0])
+        ref = classify(coeffs).u0
+        mod = np.abs(ref)
         if np.sum(mod >= mod.max() - 1e-12) < 2:
             continue
         checked += 1
         for _ in range(20):
-            moved = hermitian_eigensystem(_one_ulp_perturbation(b0, rng))
-            assert np.abs(moved.eigenvectors[:, 0] - ref.eigenvectors[:, 0]).max() <= 1e-12
+            moved = _fix_phase(np.linalg.eigh(_one_ulp_perturbation(b0, rng)).eigenvectors[:, 0])
+            assert np.abs(moved - ref).max() <= 1e-12
     assert checked >= 20

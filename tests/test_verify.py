@@ -81,6 +81,39 @@ def test_shared_unitaries_are_read_only(name, fresh):
     assert np.array_equal(const, fresh())
 
 
+class _SerialPool:
+    """Stand-in for ProcessPoolExecutor that records its size and starts no process."""
+
+    asked = []
+
+    def __init__(self, max_workers):
+        self.asked.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("cpus, expected", [(64, [3]), (2, [2]), (None, [])])
+def test_campaign_never_asks_for_more_workers_than_it_can_use(monkeypatch, cpus, expected):
+    # the pool forks every worker at its first submit, so --jobs 10000 for
+    # three trials must ask for at most three, and one worker runs serially
+    import concurrent.futures
+
+    _SerialPool.asked = []
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: cpus)
+    campaign = verify.run_campaign(3, 0, jobs=10_000)
+    assert _SerialPool.asked == expected
+    serial = verify.run_campaign(3, 0, jobs=1)
+    assert verify.summary_text(campaign) == verify.summary_text(serial)
+
+
 def test_verify_reuses_the_read_only_weyl_operator():
     assert verify.W10 is witness.W10
     with pytest.raises(ValueError):
