@@ -13,9 +13,23 @@ so the SVD may return any orthonormal basis of that degenerate singular
 subspace, and rounding differences of 1e-16 in the input can move these
 fields by O(1). The projectors ``P_A`` and ``P_B``, ``q``, the thresholds
 and every spectrum do not depend on that choice.
+
+:func:`dump_report` writes exactly the bytes of
+``json.dumps(obj, indent=2, allow_nan=False)`` plus a final newline, but
+without the standard library's pure-Python encoder (``json`` uses its C
+encoder only when ``indent`` is None). It walks dicts, lists and scalars
+recursively, and writes a list that is a regular nest of floats, which is
+what every array of a report becomes, in one step: its leaves are
+flattened, formatted with ``float.__repr__`` and joined with a bracket and
+indent skeleton memoised per shape and depth. Like ``allow_nan=False`` it
+refuses NaN and infinities with ValueError, so a report is always RFC 8259
+JSON.
 """
 
-import json
+import functools
+import math
+from itertools import chain
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -156,8 +170,102 @@ def analysis_report(
 
 
 def dump_report(report: dict | list) -> str:
-    """JSON text of a report, or of a list of input tables: two-space indent, final newline."""
-    return json.dumps(report, indent=2) + "\n"
+    """JSON text of a report, or of a list of input tables: two-space indent, final newline.
+
+    The bytes of ``json.dumps(report, indent=2, allow_nan=False) + "\\n"``
+    for any tree of dicts with string keys, lists, tuples, strings, ints,
+    floats, booleans and None; raises ValueError on NaN or an infinity and
+    TypeError on anything else.
+    """
+    return _encode(report, 0) + "\n"
+
+
+def _encode(obj, depth: int) -> str:
+    """JSON text of ``obj`` whose closing bracket sits ``depth`` indents deep."""
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        if not math.isfinite(obj):
+            raise ValueError(f"Out of range float values are not JSON compliant: {obj!r}")
+        return float.__repr__(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if type(obj) is list and (text := _float_nest(obj, depth)) is not None:
+            return text
+        inner = "\n" + "  " * (depth + 1)
+        body = ("," + inner).join([_encode(x, depth + 1) for x in obj])
+        return "[" + inner + body + "\n" + "  " * depth + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = []
+        for key, value in obj.items():
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            items.append(encode_basestring_ascii(key) + ": " + _encode(value, depth + 1))
+        inner = "\n" + "  " * (depth + 1)
+        return "{" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def _float_nest(a: list, depth: int) -> str | None:
+    """JSON text of a nonempty regular nest of lists of finite floats, else None.
+
+    The shape is probed along the first elements; every level must then
+    hold lists of exactly that length, and every leaf must be a float
+    (``float.__repr__`` raises TypeError on anything else).
+    """
+    shape = [len(a)]
+    x = a[0]
+    while type(x) is list and x:
+        shape.append(len(x))
+        x = x[0]
+    level = a
+    for n in shape[1:]:
+        if {*map(type, level)} != {list} or {*map(len, level)} != {n}:
+            return None
+        level = list(chain.from_iterable(level))
+    try:
+        reprs = list(map(float.__repr__, level))
+    except TypeError:
+        return None
+    parts = [None] * (2 * len(reprs) + 1)
+    parts[::2] = _skeleton(tuple(shape), depth)
+    parts[1::2] = reprs
+    text = "".join(parts)
+    # only 'nan', 'inf' and '-inf' put a letter n into the text; the
+    # generic walk then raises on the offending leaf
+    return None if "n" in text else text
+
+
+@functools.lru_cache(maxsize=64)
+def _skeleton(shape: tuple, depth: int) -> tuple:
+    """The prod(shape) + 1 pieces of text between and around the leaves of a regular nest.
+
+    Bounded so that a process dumping many shapes keeps at most 64; a
+    report has about 15.
+    """
+    inner = "\n" + "  " * (depth + 1)
+    close = "\n" + "  " * depth + "]"
+    if len(shape) == 1:
+        return ("[" + inner,) + ("," + inner,) * (shape[0] - 1) + (close,)
+    first, *mid, last = _skeleton(shape[1:], depth + 1)
+    mid = tuple(mid)
+    return (
+        ("[" + inner + first,)
+        + (mid + (last + "," + inner + first,)) * (shape[0] - 1)
+        + mid
+        + (last + close,)
+    )
 
 
 def validate_report(report: dict) -> None:

@@ -9,7 +9,7 @@ product of the flattened table with a constant built on first use
 (:func:`_block_map` per block, :func:`_bell_vectors` per d).
 Classification solves one block per orbit of m -> m+2 (B_0 alone for odd
 d), the witness is built from its result, and the dense d^2 x d^2 state of
-:func:`build_state` is not needed. Everything here works for d >= 2.
+:func:`build_state` is not needed. Everything here works for 2 <= d <= MAX_D.
 """
 
 import functools
@@ -40,6 +40,12 @@ DEGENERACY_RTOL = 1e-9
 #: entries within this relative distance of the largest modulus tie for the pivot
 PIVOT_RTOL = 1e-12
 
+#: largest dimension a coefficient table may have. Each block map of
+#: :func:`_block_map` is a dense d^2 x d^2 complex matrix and classify
+#: builds at most two of them, so at d = 32 that is two maps of 16.8 MB each;
+#: the maps grow as d^4, and d = 100 would need 1.6 GB per map
+MAX_D = 32
+
 #: the bit generator behind all sampling in this package
 GENERATOR_NAME = "PCG64"
 
@@ -56,16 +62,19 @@ class SamplingExhaustedError(RuntimeError):
 class SimplexCoefficients:
     """Probability table of a Bell-diagonal state.
 
-    Entries must be nonnegative and sum to one within COEFF_SUM_TOL.
+    Entries must be nonnegative and sum to one within COEFF_SUM_TOL, and
+    2 <= d <= MAX_D.
     """
 
     d: int
     c: np.ndarray
 
     def __post_init__(self):
-        c = np.asarray(self.c, dtype=float)
         if self.d < 2:
             raise InvalidCoefficientsError(f"dimension must be >= 2, got {self.d}")
+        if self.d > MAX_D:
+            raise InvalidCoefficientsError(f"dimension must be <= {MAX_D}, got {self.d}")
+        c = np.asarray(self.c, dtype=float)
         if c.shape != (self.d, self.d):
             raise InvalidCoefficientsError(
                 f"coefficient table shape {c.shape} does not match d={self.d}"

@@ -19,10 +19,14 @@ same quantity another way, so that the tests can compare the two:
   two dense quantities that the verify battery computes inline;
 - ``complex_to_json``, ``vector_to_json``, ``matrix_to_json`` and
   ``real_vector_to_json`` convert entry by entry, the serialisation the
-  report writer's array conversion must match byte for byte.
+  report writer's array conversion must match byte for byte;
+- ``dump_json`` is the standard library's encoder, whose bytes
+  ``dump_report`` must reproduce and whose refusals it must share.
 
 Each is built from package pieces other than the route it checks.
 """
+
+import json
 
 import numpy as np
 
@@ -174,3 +178,7 @@ def matrix_to_json(m) -> list:
 
 def real_vector_to_json(v) -> list:
     return [float(x) for x in np.asarray(v).ravel()]
+
+
+def dump_json(obj) -> str:
+    return json.dumps(obj, indent=2, allow_nan=False) + "\n"

@@ -11,12 +11,13 @@ from belldistill import simplex
 from belldistill.cli import main
 from belldistill.filtering import filter_report
 from belldistill.linalg import partial_transpose
-from belldistill.report import validate_report
+from belldistill.report import parse_coefficients, validate_report
 from belldistill.simplex import (
     BOUNDARY_TOL,
     NPT,
     PPT,
     SCREEN_MARGIN,
+    InvalidCoefficientsError,
     SamplingExhaustedError,
     SimplexCoefficients,
     build_state,
@@ -135,6 +136,36 @@ def test_classify_builds_only_the_blocks_it_reads(tmp_path):
     out = tmp_path / "report.json"
     assert main(["analyze", str(inp), "--output", str(out)]) == 2
     validate_report(json.loads(out.read_text(encoding="utf-8")))
+
+
+def test_dimension_above_max_d_is_refused_before_any_map(tmp_path, capsys):
+    # the maps grow as d^4: a 100 x 100 table would ask for 1.6 GB per block
+    d = simplex.MAX_D + 1
+    table = {"d": d, "c": np.full((d, d), 1.0 / d**2).tolist()}
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidCoefficientsError, match=f"<= {simplex.MAX_D}"):
+            parse_coefficients(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+    inp = tmp_path / "in.json"
+    inp.write_text(json.dumps(table), encoding="utf-8")
+    for command in ("analyze", "sweep"):
+        out = tmp_path / f"{command}.out"
+        assert main([command, str(inp), "--output", str(out)]) == 1
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: bad input: dimension must be <= 32")
+
+
+def test_max_d_still_classifies():
+    # two maps of 16.8 MB each, dropped again so that later tests do not carry them
+    try:
+        assert classify(uniform_table(simplex.MAX_D)).classification == PPT
+    finally:
+        simplex._block_map.cache_clear()
 
 
 def test_pt_block_rejects_bad_index():

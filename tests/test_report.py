@@ -2,7 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
+from belldistill.cli import main
 from belldistill.filtering import filter_report
 from belldistill.linalg import partial_transpose
 from belldistill.report import (
@@ -25,7 +29,13 @@ from belldistill.simplex import (
 from belldistill.witness import construct_witness_vector, witness_operator
 
 from conftest import pure_bell_table, random_table, sparse_table, uniform_table
-from reference import complex_to_json, matrix_to_json, real_vector_to_json, vector_to_json
+from reference import (
+    complex_to_json,
+    dump_json,
+    matrix_to_json,
+    real_vector_to_json,
+    vector_to_json,
+)
 
 
 def pure_input():
@@ -190,7 +200,9 @@ def test_equal_weight_supports_match_dense_oracle():
         c = np.array([(mask >> i) & 1 for i in range(9)], dtype=float)
         coeffs = SimplexCoefficients(d=3, c=(c / c.sum()).reshape(3, 3))
         report = analysis_report(coeffs)
-        validate_report(json.loads(dump_report(report)))
+        text = dump_report(report)
+        assert text == dump_json(report), f"support mask {mask:09b}"
+        validate_report(json.loads(text))
         assert_sections_match_oracle(coeffs, report)
         verdict = report["classification"]["classification"]
         counts[verdict] += 1
@@ -267,5 +279,120 @@ def test_seeded_tables_match_serialisation_oracle(family):
         coeffs = make(seed)
         report = analysis_report(coeffs)
         assert_sections_match_oracle(coeffs, report)
+        assert dump_report(report) == dump_json(report), seed
         verdicts.add(report["classification"]["classification"])
     assert NPT in verdicts and PPT in verdicts
+
+
+# ------------------------------------------------------ the report writer
+
+@pytest.mark.parametrize("d", [2, 4, 5])
+def test_reports_across_dims_match_writer_oracle(d):
+    # NPT tables with d != 3 are refused, so these are the non-NPT reports of
+    # flat and sparse tables mixed with white noise at weights 0 to 1
+    written = 0
+    for seed in range(40):
+        table = (random_table if seed % 2 else sparse_table)(seed, d)
+        t = (seed % 5) / 4
+        coeffs = SimplexCoefficients(d=d, c=(1 - t) * table.c + t / d**2)
+        if classify(coeffs).classification == NPT:
+            continue
+        report = analysis_report(coeffs)
+        assert dump_report(report) == dump_json(report), seed
+        written += 1
+    assert written >= 10
+
+
+@pytest.mark.parametrize("npt_only", [False, True])
+def test_sample_lists_match_writer_oracle(tmp_path, npt_only):
+    out = tmp_path / "tables.json"
+    argv = ["sample", "--count", "200", "--seed", "2", "--output", str(out)]
+    assert main(argv + ["--npt-only"] * npt_only) == 0
+    text = out.read_text(encoding="utf-8")
+    # floats round-trip through repr, so the decoded list re-encodes to the same bytes
+    assert text == dump_json(json.loads(text))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("place", [
+    lambda x: x,
+    lambda x: [[0.5, 0.25], [x, 0.0]],
+    lambda x: [0.5, x, 0.25],
+    lambda x: {"a": [1, 2], "b": x},
+    lambda x: {"a": [[[0.0, np.float64(x)]]]},
+], ids=["top_level", "in_matrix", "in_vector", "dict_value", "numpy_leaf"])
+def test_non_finite_numbers_are_refused(bad, place):
+    # RFC 8259 has no NaN or Infinity; the writer refuses them as allow_nan=False does
+    obj = place(bad)
+    with pytest.raises(ValueError):
+        dump_json(obj)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dump_report(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    [[1.0, 2.0], [3.0]],
+    [[1.0], [2.0, 3.0]],
+    [[1.0, 2.0], [3.0], [4.0, 5.0, 6.0]],
+    [[1.0, 2.0], "ab"],
+    [[1.0, 2.0], (3.0, 4.0)],
+    ([1.0, 2.0], [3.0, 4.0]),
+    [[1.0, 2.0], {"a": 1.0, "b": 2.0}],
+    [[1.0, [2.0]], [3.0, 4.0]],
+    [[], []],
+    [[[]]],
+    [1.0, 2, 3.0],
+    [1.0, True],
+    [0.5, None],
+    [np.float64(0.5), 1.0, -0.0, 5e-324, 1e16, 1e-5],
+    {"é\n\"": ["\u2603", "\x00\t"], "": {}},
+], ids=repr)
+def test_near_regular_nests_match_writer_oracle(obj):
+    # every case but the last two probes one way out of the regular-float-nest step
+    assert dump_report(obj) == dump_json(obj)
+
+
+@pytest.mark.parametrize("obj", [
+    [1.0, np.int64(1)],
+    [[1.0, 2.0], np.array([3.0, 4.0])],
+    np.zeros(2),
+    {"a": {1.0, 2.0}},
+    [[np.bool_(True)]],
+])
+def test_non_json_objects_are_refused(obj):
+    with pytest.raises(TypeError):
+        dump_json(obj)
+    with pytest.raises(TypeError):
+        dump_report(obj)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+LEAVES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**200), max_value=2**200),
+    FINITE,
+    FINITE.map(np.float64),
+    st.sampled_from([-0.0, 5e-324, 1e16, 1e-5, 2.0**63, -(2**64), 1e308]),
+    st.text(),
+)
+#: regular nests of floats, as report arrays are, including zero-length sides
+FLOAT_NESTS = arrays(
+    np.float64, array_shapes(min_dims=1, max_dims=4, min_side=0, max_side=4), elements=FINITE
+).map(np.ndarray.tolist)
+#: lists of float lists of varying length: ragged, or regular by chance
+RAGGED = st.lists(st.lists(FINITE, min_size=1, max_size=3), min_size=1, max_size=4)
+TREES = st.recursive(
+    LEAVES | FLOAT_NESTS | RAGGED,
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(children, max_size=3).map(tuple)
+    | st.dictionaries(st.text(), children, max_size=5),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(TREES)
+def test_writer_matches_oracle_on_json_trees(obj):
+    assert dump_report(obj) == dump_json(obj)
