@@ -29,7 +29,7 @@ print("alpha^(0) = F^dag u_0          :", np.round(wc.alpha[0], 4))
 # which certifies Schmidt rank exactly 2.
 print(f"\n|det C| = {abs(wc.det_C):.2e}")
 print("principal minors:", np.round(np.abs(wc.minors), 4))
-print("Schmidt coefficients:", np.round(wc.schmidt.coefficients, 10))
+print("Schmidt coefficients:", np.round(wc.schmidt_coefficients, 10))
 
 # phi really is a ground eigenvector of the full 9x9 partial transpose.
 rho_pt = partial_transpose(build_state(coeffs), 3, 3)

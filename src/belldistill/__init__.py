@@ -8,14 +8,14 @@ white-noise robustness thresholds for both the original qutrit pair and
 the filtered qubit pair.
 
 The names exported here are that pipeline. Helpers it is built from, such
-as ``kron``, ``bell_vector`` or ``filter_state``, are imported from their
+as ``kron``, ``bell_vector`` or ``pivot_index``, are imported from their
 own modules.
 """
 
 __version__ = "0.1.0"
 
 from .filtering import FilterReport, add_white_noise, filter_report, p_rho_max, p_sigma_max
-from .linalg import SchmidtDecomposition, partial_transpose, schmidt_decompose
+from .linalg import partial_transpose
 from .simplex import (
     BOUNDARY,
     NPT,
@@ -43,7 +43,6 @@ __all__ = [
     "NPT",
     "PPT",
     "PTSpectrumReport",
-    "SchmidtDecomposition",
     "SimplexCoefficients",
     "WitnessConstruction",
     "WitnessOperator",
@@ -59,7 +58,6 @@ __all__ = [
     "pt_block",
     "sample_npt",
     "sample_simplex",
-    "schmidt_decompose",
     "weyl",
     "witness_operator",
 ]

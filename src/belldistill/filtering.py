@@ -1,10 +1,13 @@
 """Local filtering to an entangled two-qubit state and white-noise thresholds.
 
-The Schmidt vectors of the rank-2 witness vector define local rank-2
-projectors. Sandwiching the qutrit state between them and renormalizing
-yields a 4 x 4 state sigma on the filtered qubit pair, with success
-probability q. Because the witness vector is a ground eigenvector of the
-partial transpose, sigma's partial transpose has smallest eigenvalue
+The witness construction's local frame {a_0, a_1} (x) {b_0^*, b_1^*}
+spans the ranges of the rank-2 projectors P_A and P_B. With E the 9 x 4
+matrix of the frame's product vectors, E E^dag = P_A (x) P_B, so
+compressing the qutrit state to the frame, sigma = E^dag rho E / q with
+q = trace(E^dag rho E), is the filtered state
+(P_A (x) P_B) rho (P_A (x) P_B) / q of the qubit pair, reached with
+success probability q. Because the witness vector is a ground eigenvector
+of the partial transpose, sigma's partial transpose has smallest eigenvalue
 exactly lambda_min / q, which fixes closed-form white-noise thresholds for
 both the original state and the filtered pair.
 """
@@ -13,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dag, kron, partial_transpose
+from .linalg import dag, partial_transpose
 from .witness import WitnessConstruction
 
 #: thresholds closer than this count as a tie in the robustness comparison
@@ -31,8 +34,9 @@ class FilterAnnihilationError(ValueError):
 class FilterReport:
     """Filtering outcome plus the noise-threshold comparison.
 
-    sigma is expressed in the ordered product basis (a0,b0*), (a0,b1*),
-    (a1,b0*), (a1,b1*) built from the witness Schmidt vectors.
+    P_A and P_B are the witness construction's projectors, and sigma is
+    expressed in the ordered product basis (a0,b0*), (a0,b1*), (a1,b0*),
+    (a1,b1*) of its frame.
     qubit_more_robust records p_sigma_max > p_rho_max, which coincides
     with q < 4/9; robustness_tie is set when the two thresholds agree
     within TIE_TOL, which happens exactly at q = 4/9.
@@ -47,46 +51,6 @@ class FilterReport:
     p_sigma_max: float
     qubit_more_robust: bool
     robustness_tie: bool
-
-
-def filters_from_witness(wc: WitnessConstruction) -> tuple[np.ndarray, np.ndarray]:
-    """Local rank-2 projectors spanned by the witness Schmidt vectors.
-
-    P_A projects onto span{a0, a1}; P_B onto span{b0*, b1*}. The pair
-    satisfies (P_A (x) P_B^T) phi = phi.
-    """
-    if wc.schmidt.schmidt_rank != 2:
-        raise ValueError(f"need Schmidt rank 2, got {wc.schmidt.schmidt_rank}")
-    a = wc.schmidt.left_vectors
-    b_star = wc.schmidt.right_vectors.conj()
-    p_a = np.outer(a[:, 0], a[:, 0].conj()) + np.outer(a[:, 1], a[:, 1].conj())
-    p_b = np.outer(b_star[:, 0], b_star[:, 0].conj()) + np.outer(b_star[:, 1], b_star[:, 1].conj())
-    return p_a, p_b
-
-
-def filter_state(
-    rho: np.ndarray,
-    p_a: np.ndarray,
-    p_b: np.ndarray,
-    schmidt,
-) -> tuple[np.ndarray, float]:
-    """Filtered two-qubit state sigma and the success probability q.
-
-    sigma = (P_A (x) P_B) rho (P_A (x) P_B) / q compressed to the 4 x 4
-    representation in the basis {a0, a1} (x) {b0*, b1*} taken from the
-    Schmidt data. Raises FilterAnnihilationError when q falls below MIN_Q.
-    """
-    joint = kron(p_a, p_b)
-    q = float(np.trace(joint @ rho).real)
-    if q <= MIN_Q:
-        raise FilterAnnihilationError(f"filter success probability {q!r} vanishes")
-    sigma9 = joint @ rho @ joint / q
-    a = schmidt.left_vectors
-    b_star = schmidt.right_vectors.conj()
-    # column 2i+j is a_i (x) b*_j
-    embed = (a[:, None, :2, None] * b_star[None, :, None, :2]).reshape(9, 4)
-    sigma = dag(embed) @ sigma9 @ embed
-    return sigma, q
 
 
 def p_rho_max(expectation_value: float, d: int) -> float:
@@ -133,19 +97,28 @@ def add_white_noise(state: np.ndarray, p) -> np.ndarray:
 
 
 def filter_report(rho: np.ndarray, wc: WitnessConstruction) -> FilterReport:
-    """Run the whole filtering stage for a state and its witness construction."""
-    p_a, p_b = filters_from_witness(wc)
-    sigma, q = filter_state(rho, p_a, p_b, wc.schmidt)
+    """Run the whole filtering stage for a state and its witness construction.
+
+    Raises FilterAnnihilationError when q falls below MIN_Q.
+    """
+    b_star = wc.schmidt_right.conj()
+    # column 2i + j is a_i (x) b*_j
+    embed = (wc.schmidt_left.T[:, None, :, None] * b_star.T[None, :, None, :]).reshape(9, 4)
+    compressed = dag(embed) @ rho @ embed
+    q = float(np.trace(compressed).real)
+    if q <= MIN_Q:
+        raise FilterAnnihilationError(f"filter success probability {q!r} vanishes")
+    sigma = compressed / q
     # eigh, not eigvalsh: the report writes these bytes and eigvalsh moves their last digits
     spectrum = np.linalg.eigh(partial_transpose(sigma, 2, 2)).eigenvalues
     rho_threshold = p_rho_max(wc.lambda_min, 3)
     sigma_threshold = p_sigma_max(wc.lambda_min, q)
     tie = abs(sigma_threshold - rho_threshold) <= TIE_TOL
-    for arr in (p_a, p_b, sigma, spectrum):
+    for arr in (sigma, spectrum):
         arr.setflags(write=False)
     return FilterReport(
-        P_A=p_a,
-        P_B=p_b,
+        P_A=wc.P_A,
+        P_B=wc.P_B,
         q=q,
         sigma=sigma,
         sigma_pt_spectrum=spectrum,

@@ -10,12 +10,7 @@ are deterministic and a stacked call gives the same bits as a loop of
 single calls.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
-
-#: a singular / Schmidt value counts as nonzero iff > RANK_RTOL * largest
-RANK_RTOL = 1e-9
 
 
 def dag(m: np.ndarray) -> np.ndarray:
@@ -61,52 +56,3 @@ def expectation(m: np.ndarray, v: np.ndarray) -> complex:
     if m.shape != (v.size, v.size):
         raise ValueError(f"matrix shape {m.shape} does not match vector dim {v.size}")
     return complex(v.conj() @ m @ v)
-
-
-@dataclass(frozen=True)
-class SchmidtDecomposition:
-    """Schmidt data of a bipartite vector.
-
-    coefficients are strictly positive and descending; left_vectors[:, i]
-    and right_vectors[:, i] are the matching orthonormal local vectors, so
-    the input equals sum_i coefficients[i] * kron(left[:, i], right[:, i]).
-    schmidt_rank counts coefficients above RANK_RTOL times the largest.
-    """
-
-    coefficients: np.ndarray
-    left_vectors: np.ndarray
-    right_vectors: np.ndarray
-    schmidt_rank: int
-
-
-def schmidt_decompose(v: np.ndarray, d_a: int, d_b: int) -> SchmidtDecomposition:
-    """Schmidt decomposition of a bipartite vector via SVD of its coefficient matrix.
-
-    Works for any nonzero vector; for a unit vector the squared coefficients
-    sum to one. Raises ValueError on a zero vector or a dimension mismatch.
-    """
-    v = np.asarray(v, dtype=complex)
-    if v.size != d_a * d_b:
-        raise ValueError(f"vector dim {v.size} does not match dims ({d_a},{d_b})")
-    norm = np.linalg.norm(v)
-    if norm == 0.0:
-        raise ValueError("cannot Schmidt-decompose the zero vector")
-    coeff_matrix = v.reshape(d_a, d_b)
-    u, s, vh = np.linalg.svd(coeff_matrix, full_matrices=False)
-    keep = s > 0.0
-    s = s[keep]
-    left = u[:, keep].copy()
-    right = vh[keep, :].T.copy()
-    # phase freedom sits in the pair (a_i, b_i); rotate it into the convention
-    for i in range(s.size):
-        j = int(np.argmax(np.abs(left[:, i])))
-        pivot = left[j, i]
-        ph = abs(pivot) / pivot
-        left[:, i] *= ph
-        right[:, i] /= ph
-    rank = int(np.sum(s > RANK_RTOL * s[0]))
-    for arr in (s, left, right):
-        arr.setflags(write=False)
-    return SchmidtDecomposition(
-        coefficients=s, left_vectors=left, right_vectors=right, schmidt_rank=rank
-    )

@@ -6,13 +6,16 @@ row-major with c[k][l] the weight of the Bell projector with Weyl index
 at up to 17 significant digits) and complex entries as [re, im] pairs, so
 a report reloads losslessly.
 
-Three fields depend on a choice of basis rather than on the state alone:
-``witness.schmidt_left``, ``witness.schmidt_right`` and ``filter.sigma``.
-The witness vector has equal Schmidt coefficients, mu0 = mu1 = 1/sqrt 2,
-so the SVD may return any orthonormal basis of that degenerate singular
-subspace, and rounding differences of 1e-16 in the input can move these
-fields by O(1). The projectors ``P_A`` and ``P_B``, ``q``, the thresholds
-and every spectrum do not depend on that choice.
+The witness section carries the local frame of the witness vector phi
+(see :mod:`belldistill.witness`): ``schmidt_left`` lists a_0 and a_1 and
+``schmidt_right`` lists b_0 and b_1, so that phi = (a_0 (x) b_0 + a_1 (x)
+b_1) / sqrt 2, and ``filter.sigma`` is written in the product basis of
+that frame. The frame is fixed by pivots of P_A rather than by an SVD, so
+these fields move continuously with the input table. ``schmidt_coefficients``
+is [mu0, mu1, mu2], where mu0 and mu1 equal 1/sqrt 2 up to rounding
+and mu2, the weight of phi outside the frame, is of rounding size;
+``mu0`` and ``mu1`` repeat its first two entries and ``schmidt_rank`` is
+always 2, since the construction refuses any other rank.
 
 :func:`dump_report` writes exactly the bytes of
 ``json.dumps(obj, indent=2, allow_nan=False)`` plus a final newline, but
@@ -105,8 +108,8 @@ def classification_to_json(rep: PTSpectrumReport) -> dict:
 def witness_to_json(wc: WitnessConstruction) -> dict:
     return {
         "lambda_min": wc.lambda_min,
-        "mu0": float(wc.schmidt.coefficients[0]),
-        "mu1": float(wc.schmidt.coefficients[1]),
+        "mu0": float(wc.schmidt_coefficients[0]),
+        "mu1": float(wc.schmidt_coefficients[1]),
         "u": _json(wc.u),
         "alpha": _json(wc.alpha),
         "psi": _json(wc.psi),
@@ -115,10 +118,10 @@ def witness_to_json(wc: WitnessConstruction) -> dict:
         "det_C": _json(wc.det_C),
         "phi_tilde": _json(wc.phi_tilde),
         "phi": _json(wc.phi),
-        "schmidt_coefficients": _json(wc.schmidt.coefficients),
-        "schmidt_left": _json(wc.schmidt.left_vectors.T),
-        "schmidt_right": _json(wc.schmidt.right_vectors.T),
-        "schmidt_rank": wc.schmidt.schmidt_rank,
+        "schmidt_coefficients": _json(wc.schmidt_coefficients),
+        "schmidt_left": _json(wc.schmidt_left),
+        "schmidt_right": _json(wc.schmidt_right),
+        "schmidt_rank": 2,
     }
 
 
@@ -136,20 +139,17 @@ def filter_to_json(rep: FilterReport) -> dict:
     }
 
 
-def analysis_report(
-    coeffs: SimplexCoefficients,
-    renormalized: bool = False,
-    seed_used=None,
-) -> dict:
+def analysis_report(coeffs: SimplexCoefficients, renormalized: bool = False) -> dict:
     """Full pipeline report for one coefficient table.
 
     When the state is NPT the witness and filter sections are populated;
-    otherwise they are null and ``reason`` says why.
+    otherwise they are null and ``reason`` says why. ``seed_used`` is
+    always null: a report describes a given table, not a sampling run.
     """
     rep = classify(coeffs)
     out = {
         "tool_version": __version__,
-        "seed_used": seed_used,
+        "seed_used": None,
         "input": coefficients_to_json(coeffs),
         "renormalized": bool(renormalized),
         "classification": classification_to_json(rep),

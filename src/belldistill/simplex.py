@@ -103,16 +103,21 @@ class PTSpectrumReport:
     u0: np.ndarray
 
 
-def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate a vector's global phase so its pivot entry is real positive.
+def pivot_index(weights: np.ndarray) -> int:
+    """Index of the first of nonnegative ``weights`` within PIVOT_RTOL of the largest.
 
-    The pivot is the first entry whose modulus is at least (1 - PIVOT_RTOL)
-    times the largest, so entries of equal modulus up to rounding (such as
-    (0, 1, 1)/sqrt 2) give the same pivot whichever of them rounds larger.
+    Weights equal up to rounding (such as the moduli of (0, 1, 1)/sqrt 2)
+    give the same pivot whichever of them rounds larger. The phase
+    convention of :func:`_fix_phase` and the filter frame of
+    :func:`~belldistill.witness.construct_witness_vector` both pick their
+    pivots here.
     """
-    mod = np.abs(v)
-    j = int(np.argmax(mod >= (1.0 - PIVOT_RTOL) * mod.max()))
-    pivot = v[j]
+    return int(np.argmax(weights >= (1.0 - PIVOT_RTOL) * weights.max()))
+
+
+def _fix_phase(v: np.ndarray) -> np.ndarray:
+    """Rotate a vector's global phase so its pivot entry (see pivot_index) is real positive."""
+    pivot = v[pivot_index(np.abs(v))]
     if pivot == 0:
         return v
     return v * (abs(pivot) / pivot)

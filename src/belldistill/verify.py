@@ -2,11 +2,13 @@
 
 Each trial samples an NPT coefficient table from its own seed, runs the
 complete pipeline and checks every identity the construction promises:
-ground-eigenvector property, Schmidt rank 2, the rank certificate of the
-coefficient matrix, the three-fold degeneracy of the negative eigenvalue,
-the witness spectrum, the filtered state's spectrum and the white-noise
-threshold semantics on a p-grid. Trials are pure functions of their seed,
-so campaigns parallelize and aggregate order-independently.
+ground-eigenvector property, Schmidt rank 2 with mu0 = mu1 = 1/sqrt 2, an
+orthonormal local frame that rebuilds the witness vector, the rank
+certificate of the coefficient matrix, the three-fold degeneracy of the
+negative eigenvalue, the witness spectrum, the filtered state's spectrum
+and the white-noise threshold semantics on a p-grid. Trials are pure
+functions of their seed, so campaigns parallelize and aggregate
+order-independently.
 """
 
 import os
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filtering import FilterAnnihilationError, add_white_noise, filter_report
-from .linalg import RANK_RTOL, expectation, kron, partial_transpose
+from .linalg import expectation, kron, partial_transpose
 from .simplex import (
     BOUNDARY_TOL,
     GENERATOR_NAME,
@@ -28,6 +30,7 @@ from .simplex import (
 from .witness import (
     DET_TOL,
     MINOR_TOL,
+    RANK_RTOL,
     W10,
     NotNPTError,
     RankCertificationError,
@@ -41,6 +44,10 @@ NOISE_GRID = tuple(np.linspace(0.0, 1.0, 21).tolist())
 
 #: grid points this close to a threshold are excluded from the comparison
 THRESHOLD_BAND = 1e-6
+
+#: ascending spectrum of W at mu0 = mu1 = 1/sqrt 2: -1/2, 0 five times, 1/2 three times
+W_SPECTRUM = np.array([-0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5])
+W_SPECTRUM.setflags(write=False)
 
 #: residual names in fixed reporting order
 RESIDUAL_KEYS = (
@@ -162,14 +169,18 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
         lambda: f"max minor {np.abs(wc.minors).max():.3e}",
     )
 
-    mu = wc.schmidt.coefficients
-    third = float(mu[2] / mu[0]) if mu.size > 2 else 0.0
+    mu = wc.schmidt_coefficients
+    third = float(mu[2] / mu[0])
     res["schmidt_third_relative"] = third
-    check(
-        "schmidt_rank_2",
-        wc.schmidt.schmidt_rank == 2 and mu[1] > 1e-9 and third < RANK_RTOL,
-        lambda: f"coefficients {mu}",
-    )
+    check("schmidt_rank_2", mu[1] > 1e-9 and third < RANK_RTOL, lambda: f"coefficients {mu}")
+    # the closed forms P_A = 2 M M^dag and P_B = 2 M^dag M assume mu0 = mu1 = 1/sqrt 2
+    mu_dev = float(np.abs(mu[:2] - np.sqrt(0.5)).max())
+    check("schmidt_equal_coefficients", mu_dev <= 1e-9, lambda: f"coefficients {mu}")
+    left, right = wc.schmidt_left, wc.schmidt_right
+    gram_dev = max(float(np.abs(f.conj() @ f.T - np.eye(2)).max()) for f in (left, right))
+    check("frame_orthonormal", gram_dev <= 1e-12, lambda: f"deviation {gram_dev:.3e}")
+    rebuild_dev = float(np.abs((left.T @ right).ravel() / np.sqrt(2.0) - wc.phi).max())
+    check("frame_rebuilds_phi", rebuild_dev <= 1e-12, lambda: f"deviation {rebuild_dev:.3e}")
 
     wop = witness_operator(wc)
     w_eigs = np.linalg.eigvalsh(wop.W)
@@ -179,6 +190,8 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
     spec_dev = float(np.abs(w_eigs - expected).max())
     res["witness_spectrum_dev"] = spec_dev
     check("witness_spectrum", spec_dev <= 1e-9, lambda: f"deviation {spec_dev:.3e}")
+    closed_dev = float(np.abs(w_eigs - W_SPECTRUM).max())
+    check("witness_spectrum_closed_form", closed_dev <= 1e-9, lambda: f"spectrum {w_eigs}")
 
     value = detect(wop, rho)
     trace_dev = abs(value - lam)

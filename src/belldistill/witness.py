@@ -8,14 +8,24 @@ Fourier transform turns the triple into coefficient vectors, and a fixed
 two-term superposition followed by the Bell-frame swap yields the vector.
 Its partially transposed projector is an entanglement witness whose
 negative expectation certifies one-copy distillability.
+
+The vector phi has two equal Schmidt coefficients, mu0 = mu1 = 1/sqrt 2,
+so its Schmidt bases are not unique and an SVD would pick one of them
+arbitrarily. The construction fixes them instead from M, phi reshaped to
+3 x 3: P_A = 2 M M^dag and P_B = 2 M^dag M are the local projectors, a_0
+and a_1 are the Gram-Schmidt pivot columns of P_A, and b_i = sqrt 2 M^T
+a_i^*, so that phi = (a_0 (x) b_0 + a_1 (x) b_1) / sqrt 2. Every pivot is
+chosen by :func:`~belldistill.simplex.pivot_index`, so the frame moves
+continuously with the input table except where a pivot weight crosses its
+tie threshold.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SchmidtDecomposition, dag, partial_transpose, schmidt_decompose
-from .simplex import NPT, PTSpectrumReport
+from .linalg import dag, partial_transpose
+from .simplex import NPT, PTSpectrumReport, pivot_index
 from .weyl import fourier, swap_conjugation, weyl
 
 #: |det C| above this fails rank certification; measured |det C| stays
@@ -28,6 +38,9 @@ MINOR_TOL = 1e-9
 
 #: imaginary parts above this in a witness expectation signal a Hermiticity bug
 IMAG_TOL = 1e-11
+
+#: a Schmidt coefficient counts as nonzero iff above RANK_RTOL times the largest
+RANK_RTOL = 1e-9
 
 #: the d = 3 unitaries of the construction, built once and shared read-only:
 #: the diagonal Weyl operator W_{1,0}, the Fourier matrix F and the
@@ -58,8 +71,13 @@ class WitnessConstruction:
     u[m] is the ground eigenvector of block B_m (row m of a 3 x 3 array),
     alpha[m] its Fourier transform, psi the fixed mixing amplitudes, C the
     3 x 3 coefficient matrix of the pre-swap vector phi_tilde, minors its
-    principal 2 x 2 minors, and phi the normalized rank-2 eigenvector with
-    its Schmidt data.
+    principal 2 x 2 minors, and phi the normalized rank-2 eigenvector.
+
+    P_A and P_B are the local rank-2 projectors of phi. schmidt_left holds
+    the frame vectors a_0, a_1 as rows and schmidt_right b_0, b_1, so that
+    phi = sum_i a_i (x) b_i / sqrt 2. schmidt_coefficients is
+    [mu0, mu1, mu2] with mu_i = |a_i^dag M| and a_2 = (a_0 x a_1)^*; mu2
+    measures the part of phi outside the frame.
     """
 
     lambda_min: float
@@ -71,7 +89,11 @@ class WitnessConstruction:
     det_C: complex
     phi_tilde: np.ndarray
     phi: np.ndarray
-    schmidt: SchmidtDecomposition
+    P_A: np.ndarray
+    P_B: np.ndarray
+    schmidt_coefficients: np.ndarray
+    schmidt_left: np.ndarray
+    schmidt_right: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -133,13 +155,26 @@ def construct_witness_vector(spectrum: PTSpectrumReport) -> WitnessConstruction:
         )
 
     phi = SWAP3 @ phi_tilde
-    schmidt = schmidt_decompose(phi, 3, 3)
-    if schmidt.schmidt_rank != 2:
+    m = phi.reshape(3, 3)
+    p_a = 2.0 * (m @ dag(m))
+    p_b = 2.0 * (dag(m) @ m)
+    a0 = _pivot_column(p_a)
+    a1 = _pivot_column(p_a - np.outer(a0, a0.conj()))
+    # a_2 = (a_0 x a_1)^*, the cross product on Python complex entries like the cofactors
+    (p, q, r), (s, t, w) = a0.tolist(), a1.tolist()
+    a2 = np.array([q * w - r * t, r * s - p * w, p * t - q * s]).conj()
+    # row i is a_i^dag M: rows 0 and 1 are b_0^T and b_1^T over sqrt 2, row 2 is
+    # the part of phi outside the frame
+    rows = np.array([a0, a1, a2]).conj() @ m
+    mu = np.linalg.norm(rows, axis=1)
+    if not mu[2] <= RANK_RTOL * mu.max() < mu[1]:
         raise RankCertificationError(
-            f"Schmidt rank {schmidt.schmidt_rank} != 2 despite minor certificate"
+            f"Schmidt coefficients {mu} are not of rank 2 despite minor certificate"
         )
+    left = np.array([a0, a1])
+    right = np.sqrt(2.0) * rows[:2]
 
-    for arr in (u, alpha, psi, c_matrix, minors, phi_tilde, phi):
+    for arr in (u, alpha, psi, c_matrix, minors, phi_tilde, phi, p_a, p_b, mu, left, right):
         arr.setflags(write=False)
     return WitnessConstruction(
         lambda_min=lambda_min,
@@ -151,16 +186,26 @@ def construct_witness_vector(spectrum: PTSpectrumReport) -> WitnessConstruction:
         det_C=det_c,
         phi_tilde=phi_tilde,
         phi=phi,
-        schmidt=schmidt,
+        P_A=p_a,
+        P_B=p_b,
+        schmidt_coefficients=mu,
+        schmidt_left=left,
+        schmidt_right=right,
     )
+
+
+def _pivot_column(p: np.ndarray) -> np.ndarray:
+    """Unit column of the projector ``p`` at its pivot_index diagonal entry."""
+    column = p[:, pivot_index(p.diagonal().real)]
+    return column / np.linalg.norm(column)
 
 
 def witness_operator(wc: WitnessConstruction) -> WitnessOperator:
     """Witness W = (|phi><phi|)^Gamma and its mirrored companion."""
     projector = np.outer(wc.phi, wc.phi.conj())
     w = partial_transpose(projector, 3, 3)
-    mu0 = float(wc.schmidt.coefficients[0])
-    mu1 = float(wc.schmidt.coefficients[1])
+    mu0 = float(wc.schmidt_coefficients[0])
+    mu1 = float(wc.schmidt_coefficients[1])
     mirror = mu0 ** 2 * np.eye(9) - w
     w.setflags(write=False)
     mirror.setflags(write=False)

@@ -13,7 +13,12 @@ same quantity another way, so that the tests can compare the two:
   U = (F (x) 1) C_s of the Bell unitary;
 - ``product_vector_positivity_check`` samples the witness on random
   product vectors;
-- ``schmidt_reconstruct`` rebuilds a vector from its Schmidt decomposition;
+- ``schmidt_decompose`` is the SVD route to the Schmidt data that the
+  witness construction reads off its pivot frame; ``schmidt_reconstruct``
+  rebuilds a vector from that decomposition;
+- ``filters_from_witness`` and ``filter_state`` project and compress the
+  state with 9 x 9 products in the SVD frame, where ``filter_report``
+  compresses it with the construction's 9 x 4 frame matrix;
 - ``sample_npt_sequential`` draws and fully classifies one table at a time;
 - ``eigenvector_residual`` and ``witness_expectation_from_state`` are the
   two dense quantities that the verify battery computes inline;
@@ -27,14 +32,16 @@ Each is built from package pieces other than the route it checks.
 """
 
 import json
+from dataclasses import dataclass
 
 import numpy as np
 
 from belldistill import simplex
+from belldistill.filtering import MIN_Q, FilterAnnihilationError
 from belldistill.linalg import dag, expectation, kron, partial_transpose
 from belldistill.simplex import SamplingExhaustedError, SimplexCoefficients, pt_block
 from belldistill.weyl import _check_dim, bell_unitary, bell_vector, phase_table, weyl
-from belldistill.witness import WitnessOperator
+from belldistill.witness import RANK_RTOL, WitnessOperator
 
 
 def pt_block_loop(coeffs: SimplexCoefficients, m: int) -> np.ndarray:
@@ -123,6 +130,79 @@ def product_vector_positivity_check(wop: WitnessOperator, trials: int, seed) -> 
     products = np.einsum("ni,nj->nij", a, b).reshape(trials, 9)
     values = np.einsum("ni,ij,nj->n", products.conj(), wop.W, products).real
     return float(values.min())
+
+
+@dataclass(frozen=True)
+class SchmidtDecomposition:
+    """Schmidt data of a bipartite vector.
+
+    coefficients are strictly positive and descending; left_vectors[:, i]
+    and right_vectors[:, i] are the matching orthonormal local vectors, so
+    the input equals sum_i coefficients[i] * kron(left[:, i], right[:, i]).
+    schmidt_rank counts coefficients above RANK_RTOL times the largest.
+    """
+
+    coefficients: np.ndarray
+    left_vectors: np.ndarray
+    right_vectors: np.ndarray
+    schmidt_rank: int
+
+
+def schmidt_decompose(v: np.ndarray, d_a: int, d_b: int) -> SchmidtDecomposition:
+    """Schmidt decomposition of a bipartite vector via SVD of its coefficient matrix.
+
+    Works for any nonzero vector; for a unit vector the squared coefficients
+    sum to one. Raises ValueError on a zero vector or a dimension mismatch.
+    """
+    v = np.asarray(v, dtype=complex)
+    if v.size != d_a * d_b:
+        raise ValueError(f"vector dim {v.size} does not match dims ({d_a},{d_b})")
+    if np.linalg.norm(v) == 0.0:
+        raise ValueError("cannot Schmidt-decompose the zero vector")
+    u, s, vh = np.linalg.svd(v.reshape(d_a, d_b), full_matrices=False)
+    keep = s > 0.0
+    s = s[keep]
+    left = u[:, keep].copy()
+    right = vh[keep, :].T.copy()
+    # phase freedom sits in the pair (a_i, b_i); rotate it into the convention
+    for i in range(s.size):
+        pivot = left[int(np.argmax(np.abs(left[:, i]))), i]
+        ph = abs(pivot) / pivot
+        left[:, i] *= ph
+        right[:, i] /= ph
+    rank = int(np.sum(s > RANK_RTOL * s[0]))
+    return SchmidtDecomposition(
+        coefficients=s, left_vectors=left, right_vectors=right, schmidt_rank=rank
+    )
+
+
+def filters_from_witness(wc) -> tuple[np.ndarray, np.ndarray]:
+    """Projectors onto span{a0, a1} and span{b0*, b1*} of the SVD Schmidt vectors of phi."""
+    dec = schmidt_decompose(wc.phi, 3, 3)
+    if dec.schmidt_rank != 2:
+        raise ValueError(f"need Schmidt rank 2, got {dec.schmidt_rank}")
+    a = dec.left_vectors[:, :2]
+    b_star = dec.right_vectors[:, :2].conj()
+    return a @ dag(a), b_star @ dag(b_star)
+
+
+def filter_state(rho: np.ndarray, p_a: np.ndarray, p_b: np.ndarray, schmidt):
+    """Filtered two-qubit state sigma and the success probability q.
+
+    sigma = (P_A (x) P_B) rho (P_A (x) P_B) / q compressed to the 4 x 4
+    representation in the basis {a0, a1} (x) {b0*, b1*} taken from the
+    Schmidt data. Raises FilterAnnihilationError when q falls below MIN_Q.
+    """
+    joint = kron(p_a, p_b)
+    q = float(np.trace(joint @ rho).real)
+    if q <= MIN_Q:
+        raise FilterAnnihilationError(f"filter success probability {q!r} vanishes")
+    sigma9 = joint @ rho @ joint / q
+    a = schmidt.left_vectors
+    b_star = schmidt.right_vectors.conj()
+    # column 2i+j is a_i (x) b*_j
+    embed = (a[:, None, :2, None] * b_star[None, :, None, :2]).reshape(9, 4)
+    return dag(embed) @ sigma9 @ embed, q
 
 
 def schmidt_reconstruct(dec) -> np.ndarray:

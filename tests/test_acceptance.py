@@ -123,8 +123,8 @@ def test_criterion_3_rank2_eigenvector_campaign():
         lam = wc.lambda_min
         resid = np.abs(rho_pt @ wc.phi - lam * wc.phi).max()
         expect_dev = abs(expectation(rho_pt, wc.phi).real - lam)
-        mu = wc.schmidt.coefficients
-        rank_ok = wc.schmidt.schmidt_rank == 2 and mu[1] > 1e-9 and mu[2] < 1e-9 * mu[0]
+        mu = wc.schmidt_coefficients
+        rank_ok = mu[1] > 1e-9 and mu[2] < 1e-9 * mu[0]
         cert_ok = abs(wc.det_C) <= 1e-10 and np.abs(wc.minors).max() > 1e-9
         mult = lambda_min_multiplicity(np.linalg.eigvalsh(rho_pt))
         ok = resid <= 1e-10 and rank_ok and expect_dev <= 1e-10 and cert_ok and mult == 3
@@ -159,8 +159,8 @@ def test_criterion_4_witness_operator_suite():
         value = detect(wop, rho)
         minimum = product_vector_positivity_check(wop, 10_000, seed=s["seed"])
         worst_product = min(worst_product, minimum)
-        a0 = wc.schmidt.left_vectors[:, 0]
-        b1_star = wc.schmidt.right_vectors[:, 1].conj()
+        a0 = wc.schmidt_left[0]
+        b1_star = wc.schmidt_right[1].conj()
         zero_val = abs(expectation(wop.W, np.kron(a0, b1_star)))
         mirror_floor = np.linalg.eigvalsh(wop.mirror)[0]
         ok = (
@@ -210,8 +210,8 @@ def test_criterion_6_closed_form_spot_checks():
     rep = filter_report(build_state(coeffs), wc)
     checks = {
         "lambda_min": (wc.lambda_min, -1 / 3),
-        "mu0": (wc.schmidt.coefficients[0], 1 / np.sqrt(2)),
-        "mu1": (wc.schmidt.coefficients[1], 1 / np.sqrt(2)),
+        "mu0": (wc.schmidt_coefficients[0], 1 / np.sqrt(2)),
+        "mu1": (wc.schmidt_coefficients[1], 1 / np.sqrt(2)),
         "q": (rep.q, 2 / 3),
         "lambda_min_sigma": (rep.sigma_pt_spectrum[0], -1 / 2),
         "p_rho_max": (rep.p_rho_max, 3 / 4),

@@ -2,6 +2,7 @@
 
 import dataclasses
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -9,16 +10,16 @@ import pytest
 import belldistill
 from belldistill import linalg
 from belldistill.filtering import filter_report
-from belldistill.linalg import SchmidtDecomposition
 from belldistill.simplex import PTSpectrumReport, build_state, classify
 from belldistill.witness import construct_witness_vector
 
 from conftest import random_table
+from reference import SchmidtDecomposition
 
 PIPELINE = {
     # types
     "SimplexCoefficients", "PTSpectrumReport", "WitnessConstruction", "WitnessOperator",
-    "FilterReport", "SchmidtDecomposition",
+    "FilterReport",
     # labels
     "NPT", "PPT", "BOUNDARY",
     # states and classification
@@ -28,15 +29,16 @@ PIPELINE = {
     # filtering and noise
     "filter_report", "add_white_noise", "p_rho_max", "p_sigma_max",
     # building blocks the pipeline is stated in
-    "partial_transpose", "schmidt_decompose", "weyl",
+    "partial_transpose", "weyl",
 }
 
 MOVED = ("apply_weyl_channel", "assemble_pt_from_blocks", "controlled_sum",
-         "product_vector_positivity_check")
+         "product_vector_positivity_check", "SchmidtDecomposition", "schmidt_decompose",
+         "filters_from_witness", "filter_state")
 
 
 def test_all_is_the_pipeline():
-    assert len(belldistill.__all__) == len(PIPELINE) == 24
+    assert len(belldistill.__all__) == len(PIPELINE) == 22
     assert set(belldistill.__all__) == PIPELINE
     for name in belldistill.__all__:
         assert getattr(belldistill, name) is not None
@@ -52,6 +54,13 @@ def test_cross_check_routes_are_not_in_the_package():
         for name in MOVED:
             assert not hasattr(module, name), f"{module.__name__}.{name}"
     assert not hasattr(SchmidtDecomposition, "reconstruct")
+
+
+def test_package_makes_no_svd_call():
+    # the Schmidt frame comes from pivots of P_A; the SVD route is the test oracle's
+    for info in pkgutil.iter_modules(belldistill.__path__):
+        module = importlib.import_module(f"belldistill.{info.name}")
+        assert "svd" not in inspect.getsource(module), module.__name__
 
 
 def test_spectra_come_straight_from_eigh():

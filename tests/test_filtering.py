@@ -8,16 +8,15 @@ from belldistill.filtering import (
     FilterAnnihilationError,
     add_white_noise,
     filter_report,
-    filter_state,
-    filters_from_witness,
     p_rho_max,
     p_sigma_max,
 )
 from belldistill.linalg import kron, partial_transpose
-from belldistill.simplex import build_state, classify
+from belldistill.simplex import build_state, classify, sample_npt
 from belldistill.witness import construct_witness_vector, detect, witness_operator
 
 from conftest import pure_bell_table, random_table
+from reference import filter_state, filters_from_witness, schmidt_decompose
 
 NPT_SEEDS = [s for s in range(120) if classify(random_table(s)).classification == "NPT"][:60]
 
@@ -32,7 +31,7 @@ def npt_construction(seed):
 
 def test_filters_pure_bell_traces():
     wc = construct_witness_vector(classify(pure_bell_table()))
-    p_a, p_b = filters_from_witness(wc)
+    p_a, p_b = wc.P_A, wc.P_B
     assert abs(np.trace(p_a).real - 2.0) <= 1e-11
     assert abs(np.trace(p_b).real - 2.0) <= 1e-11
     assert np.abs(p_a @ p_a - p_a).max() <= 1e-11
@@ -41,17 +40,46 @@ def test_filters_pure_bell_traces():
 
 def test_filter_projects_own_range():
     wc = construct_witness_vector(classify(pure_bell_table()))
-    p_a, _ = filters_from_witness(wc)
-    a0 = wc.schmidt.left_vectors[:, 0]
-    assert np.abs(p_a @ a0 - a0).max() <= 1e-12
+    for a in wc.schmidt_left:
+        assert np.abs(wc.P_A @ a - a).max() <= 1e-12
+    for b in wc.schmidt_right:
+        assert np.abs(wc.P_B @ b.conj() - b.conj()).max() <= 1e-12
 
 
 @pytest.mark.parametrize("seed", NPT_SEEDS[:30])
 def test_filters_fix_the_witness_vector(seed):
     _, wc = npt_construction(seed)
-    p_a, p_b = filters_from_witness(wc)
-    fixed = kron(p_a, p_b.T) @ wc.phi
+    fixed = kron(wc.P_A, wc.P_B.T) @ wc.phi
     assert np.abs(fixed - wc.phi).max() <= 1e-10
+
+
+def test_pivot_frame_matches_svd_oracle():
+    # P_A = 2 M M^dag, P_B = 2 M^dag M and the compression to the pivot frame
+    # against the SVD frame and 9 x 9 products of tests/reference.py
+    worst = dict.fromkeys(["P_A", "P_B", "q", "sigma_pt_spectrum", "mu", "frame"], 0.0)
+    for seed in range(2000):
+        coeffs, spectrum = sample_npt(seed)
+        wc = construct_witness_vector(spectrum)
+        rho = build_state(coeffs)
+        rep = filter_report(rho, wc)
+        dec = schmidt_decompose(wc.phi, 3, 3)
+        p_a, p_b = filters_from_witness(wc)
+        sigma, q = filter_state(rho, p_a, p_b, dec)
+        spectrum_svd = np.linalg.eigh(partial_transpose(sigma, 2, 2)).eigenvalues
+        left, right = wc.schmidt_left, wc.schmidt_right
+        rebuilt = (left.T @ right).ravel() / np.sqrt(2)
+        for key, dev in [
+            ("P_A", np.abs(rep.P_A - p_a).max()),
+            ("P_B", np.abs(rep.P_B - p_b).max()),
+            ("q", abs(rep.q - q)),
+            ("sigma_pt_spectrum", np.abs(rep.sigma_pt_spectrum - spectrum_svd).max()),
+            ("mu", np.abs(wc.schmidt_coefficients[:2] - dec.coefficients[:2]).max()),
+            ("frame", max(np.abs(left.conj() @ left.T - np.eye(2)).max(),
+                          np.abs(right.conj() @ right.T - np.eye(2)).max(),
+                          np.abs(rebuilt - wc.phi).max())),
+        ]:
+            worst[key] = max(worst[key], float(dev))
+    assert max(worst.values()) <= 1e-14, worst
 
 
 # ----------------------------------------------------------- filtering
@@ -59,13 +87,15 @@ def test_filters_fix_the_witness_vector(seed):
 def test_filter_state_pure_bell():
     coeffs = pure_bell_table()
     wc = construct_witness_vector(classify(coeffs))
+    rep = filter_report(build_state(coeffs), wc)
     p_a, p_b = filters_from_witness(wc)
-    sigma, q = filter_state(build_state(coeffs), p_a, p_b, wc.schmidt)
-    assert abs(q - 2 / 3) <= 1e-10
-    assert abs(np.trace(sigma).real - 1.0) <= 1e-12
-    # the filtered pair is pure and maximally entangled
-    spectrum = np.linalg.eigvalsh(partial_transpose(sigma, 2, 2))
-    assert np.abs(spectrum - np.array([-0.5, 0.5, 0.5, 0.5])).max() <= 1e-10
+    svd_route = filter_state(build_state(coeffs), p_a, p_b, schmidt_decompose(wc.phi, 3, 3))
+    for sigma, q in [(rep.sigma, rep.q), svd_route]:
+        assert abs(q - 2 / 3) <= 1e-10
+        assert abs(np.trace(sigma).real - 1.0) <= 1e-12
+        # the filtered pair is pure and maximally entangled
+        spectrum = np.linalg.eigvalsh(partial_transpose(sigma, 2, 2))
+        assert np.abs(spectrum - np.array([-0.5, 0.5, 0.5, 0.5])).max() <= 1e-10
 
 
 @pytest.mark.parametrize("seed", NPT_SEEDS[:30])
@@ -85,11 +115,13 @@ def test_filter_annihilation():
     wc = construct_witness_vector(classify(coeffs))
     p_a, p_b = filters_from_witness(wc)
     # a product state built entirely outside the projector ranges
-    n_a = np.linalg.eigh(p_a)[1][:, 0]
-    n_b = np.linalg.eigh(p_b)[1][:, 0]
+    n_a = np.linalg.eigh(wc.P_A)[1][:, 0]
+    n_b = np.linalg.eigh(wc.P_B)[1][:, 0]
     rho_perp = np.outer(np.kron(n_a, n_b), np.kron(n_a, n_b).conj())
     with pytest.raises(FilterAnnihilationError):
-        filter_state(rho_perp, p_a, p_b, wc.schmidt)
+        filter_report(rho_perp, wc)
+    with pytest.raises(FilterAnnihilationError):
+        filter_state(rho_perp, p_a, p_b, schmidt_decompose(wc.phi, 3, 3))
 
 
 # ----------------------------------------------------------- thresholds

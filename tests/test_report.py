@@ -20,11 +20,13 @@ from belldistill.simplex import (
     BOUNDARY,
     BOUNDARY_TOL,
     NPT,
+    PIVOT_RTOL,
     PPT,
     InvalidCoefficientsError,
     SimplexCoefficients,
     build_state,
     classify,
+    sample_npt,
 )
 from belldistill.witness import construct_witness_vector, witness_operator
 
@@ -121,8 +123,15 @@ def test_report_round_trip_is_lossless():
 
 
 def test_report_seed_recorded():
-    report = analysis_report(pure_bell_table(), seed_used=77)
-    assert report["seed_used"] == 77
+    # a report describes a given table, so it records seed_used as null
+    report = analysis_report(pure_bell_table())
+    assert "seed_used" in report and report["seed_used"] is None
+    assert '"seed_used": null' in dump_report(report)
+    with pytest.raises(TypeError):
+        analysis_report(pure_bell_table(), seed_used=77)
+    del report["seed_used"]
+    with pytest.raises(ValueError, match="seed_used"):
+        validate_report(report)
 
 
 def test_validate_rejects_missing_keys():
@@ -213,6 +222,64 @@ def test_equal_weight_supports_match_dense_oracle():
     assert counts == {NPT: 315, PPT: 172, BOUNDARY: 24}
 
 
+# -------------------------------------------- stability under one-ulp input changes
+
+def _numbers(tree, path=""):
+    """(path, value) for every number of a decoded report; list indices are kept."""
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield from _numbers(value, f"{path}.{key}")
+    elif isinstance(tree, list):
+        for i, value in enumerate(tree):
+            yield from _numbers(value, f"{path}[{i}]")
+    elif isinstance(tree, (int, float)) and not isinstance(tree, bool):
+        yield path, tree
+
+
+def _pivot_margin(wc) -> float:
+    """Distance of the nearest weight from the PIVOT_RTOL tie threshold, over all pivots.
+
+    The pivots are u_0's phase pivot and the two frame pivots; relative to
+    each step's largest weight.
+    """
+    a0 = wc.schmidt_left[0]
+    margins = []
+    for weights in (np.abs(wc.u[0]), wc.P_A.diagonal().real,
+                    (wc.P_A - np.outer(a0, a0.conj())).diagonal().real):
+        top = weights.max()
+        margins.append(np.abs(weights - (1.0 - PIVOT_RTOL) * top).min() / top)
+    return float(min(margins))
+
+
+def test_reports_are_stable_under_one_ulp_input_changes():
+    # Two entries of each table move by one ulp, one up and one down. Only a
+    # table with a pivot weight within tie_band of its tie threshold may
+    # change pivot, and so move its frame by O(1); such tables are counted
+    # and left out
+    tie_band = 1e-13
+    in_band, worst = 0, {}
+    for seed in range(2000):
+        coeffs, spectrum = sample_npt(seed)
+        if _pivot_margin(construct_witness_vector(spectrum)) < tie_band:
+            in_band += 1
+            continue
+        flat = coeffs.c.ravel().copy()
+        up, down = np.random.default_rng(seed).choice(9, size=2, replace=False)
+        flat[up] = np.nextafter(flat[up], np.inf)
+        flat[down] = np.nextafter(flat[down], -np.inf)
+        nudged = SimplexCoefficients(d=3, c=flat.reshape(3, 3))
+        before = list(_numbers(analysis_report(coeffs)))
+        after = list(_numbers(analysis_report(nudged)))
+        assert [p for p, _ in before] == [p for p, _ in after], seed
+        for (path, x), (_, y) in zip(before, after):
+            field = path.split("[")[0]
+            worst[field] = max(worst.get(field, 0.0), abs(x - y))
+    print(f"one-ulp probe: {in_band} of 2000 tables inside the pivot tie band")
+    assert in_band <= 20
+    assert max(worst.values()) <= 1e-12, {k: v for k, v in worst.items() if v > 1e-12}
+    assert worst[".witness.schmidt_left"] > 0.0 and worst[".filter.sigma"] > 0.0
+
+
 # ------------------------------------------------- serialisation oracle
 
 def oracle_sections(coeffs: SimplexCoefficients) -> dict:
@@ -236,8 +303,8 @@ def oracle_sections(coeffs: SimplexCoefficients) -> dict:
     fr = filter_report(build_state(coeffs), wc)
     out["witness"] = {
         "lambda_min": wc.lambda_min,
-        "mu0": float(wc.schmidt.coefficients[0]),
-        "mu1": float(wc.schmidt.coefficients[1]),
+        "mu0": float(wc.schmidt_coefficients[0]),
+        "mu1": float(wc.schmidt_coefficients[1]),
         "u": [vector_to_json(wc.u[m]) for m in range(3)],
         "alpha": [vector_to_json(wc.alpha[m]) for m in range(3)],
         "psi": vector_to_json(wc.psi),
@@ -246,10 +313,10 @@ def oracle_sections(coeffs: SimplexCoefficients) -> dict:
         "det_C": complex_to_json(wc.det_C),
         "phi_tilde": vector_to_json(wc.phi_tilde),
         "phi": vector_to_json(wc.phi),
-        "schmidt_coefficients": real_vector_to_json(wc.schmidt.coefficients),
-        "schmidt_left": matrix_to_json(wc.schmidt.left_vectors.T),
-        "schmidt_right": matrix_to_json(wc.schmidt.right_vectors.T),
-        "schmidt_rank": wc.schmidt.schmidt_rank,
+        "schmidt_coefficients": real_vector_to_json(wc.schmidt_coefficients),
+        "schmidt_left": matrix_to_json(wc.schmidt_left),
+        "schmidt_right": matrix_to_json(wc.schmidt_right),
+        "schmidt_rank": 2,
     }
     out["witness_spectrum"] = real_vector_to_json(np.linalg.eigvalsh(witness_operator(wc).W))
     out["filter"] = {

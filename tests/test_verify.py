@@ -118,3 +118,34 @@ def test_verify_reuses_the_read_only_weyl_operator():
     assert verify.W10 is witness.W10
     with pytest.raises(ValueError):
         verify.W10[1, 1] = 1.0
+
+
+def test_frame_and_closed_form_checks_fire_only_when_broken(monkeypatch):
+    # P_A = 2 M M^dag and the frame rest on mu0 = mu1 = 1/sqrt 2 and on W's
+    # spectrum {-1/2, 0 x5, 1/2 x3}; the battery names each broken fact and
+    # stays silent while they hold
+    seed = verify.trial_seeds(0, 1)[0]
+    assert verify.run_trial(seed).ok
+    construct, operator = verify.construct_witness_vector, verify.witness_operator
+
+    def scaled_frame(spectrum):
+        wc = construct(spectrum)
+        return dataclasses.replace(
+            wc,
+            schmidt_coefficients=1.01 * wc.schmidt_coefficients,
+            schmidt_left=1.01 * wc.schmidt_left,
+        )
+
+    def scaled_witness(wc):
+        wop = operator(wc)
+        return dataclasses.replace(wop, W=0.99 * wop.W)
+
+    monkeypatch.setattr(verify, "construct_witness_vector", scaled_frame)
+    monkeypatch.setattr(verify, "witness_operator", scaled_witness)
+    names = {line.split(":")[0] for line in verify.run_trial(seed).failures}
+    assert {
+        "schmidt_equal_coefficients",
+        "frame_orthonormal",
+        "frame_rebuilds_phi",
+        "witness_spectrum_closed_form",
+    } <= names

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from belldistill.linalg import expectation, partial_transpose
-from belldistill.simplex import build_state, classify, pt_block
+from belldistill.simplex import PIVOT_RTOL, SimplexCoefficients, build_state, classify, pt_block
 from belldistill.weyl import bell_unitary, flip, weyl
 from belldistill.witness import (
     NotNPTError,
@@ -49,8 +49,9 @@ def test_pure_bell_alpha_and_coefficient_matrix():
 
 def test_pure_bell_schmidt_data():
     wc = construct_witness_vector(classify(pure_bell_table()))
-    assert wc.schmidt.schmidt_rank == 2
-    assert np.abs(wc.schmidt.coefficients[:2] - 1 / np.sqrt(2)).max() < 1e-12
+    mu = wc.schmidt_coefficients
+    assert mu[1] > 1e-9 and mu[2] < 1e-9 * mu[0]
+    assert np.abs(mu[:2] - 1 / np.sqrt(2)).max() < 1e-12
     # the eigenvector of flip/3 at -1/3 is antisymmetric
     assert np.abs(flip(3) @ wc.phi + wc.phi).max() < 1e-12
     assert abs(witness_expectation_from_state(pure_bell_table(), wc) - (-1 / 3)) < 1e-10
@@ -115,8 +116,7 @@ def test_construction_invariants(seed):
     # rank-2 certificate
     assert abs(wc.det_C) <= 1e-10
     assert np.abs(wc.minors).max() > 1e-9
-    assert wc.schmidt.schmidt_rank == 2
-    mu = wc.schmidt.coefficients
+    mu = wc.schmidt_coefficients
     assert mu[1] > 1e-9
     assert mu[2] < 1e-9 * mu[0]
 
@@ -141,7 +141,7 @@ def test_phi_equals_direct_bell_frame_route(seed):
 def test_coefficient_matrix_singular_values_match_schmidt(seed):
     wc = construct_witness_vector(classify(npt_table(seed)))
     singular = np.linalg.svd(wc.C, compute_uv=False)
-    assert np.abs(singular[:2] - wc.schmidt.coefficients[:2]).max() <= 1e-10
+    assert np.abs(singular[:2] - wc.schmidt_coefficients[:2]).max() <= 1e-10
     assert singular[2] <= 1e-10
 
 
@@ -151,6 +151,39 @@ def test_construction_deterministic():
     assert np.array_equal(first.phi, second.phi)
     assert np.array_equal(first.u, second.u)
     assert first.lambda_min == second.lambda_min
+
+
+# ----------------------------------------------------------- local frame
+
+def test_frame_pivots_break_ties_at_the_lowest_index():
+    # Equal weight on the Bell projectors (0,0), (0,2) and (1,1), support mask
+    # 000010101 among the 511 equal-weight supports. Exactly, P_A has diagonal
+    # (2/3, 2/3, 2/3), and P_A - a_0 a_0^dag has diagonal (0, 1/2, 1/2); in
+    # floating point the later entries round larger, so a plain argmax would
+    # pick index 2 at both steps
+    c = np.zeros((3, 3))
+    c[0, 0] = c[0, 2] = c[1, 1] = 1 / 3
+    wc = construct_witness_vector(classify(SimplexCoefficients(d=3, c=c)))
+    p_a = wc.P_A
+    a0 = wc.schmidt_left[0]
+    rest = p_a - np.outer(a0, a0.conj())
+    for weights, tied in [(p_a.diagonal().real, [0, 1, 2]), (rest.diagonal().real, [1, 2])]:
+        top = weights.max()
+        assert np.flatnonzero(weights >= (1 - PIVOT_RTOL) * top).tolist() == tied
+        assert np.ptp(weights[tied]) > 0.0
+    assert np.array_equal(a0, p_a[:, 0] / np.linalg.norm(p_a[:, 0]))
+    assert np.array_equal(wc.schmidt_left[1], rest[:, 1] / np.linalg.norm(rest[:, 1]))
+    rebuilt = (wc.schmidt_left.T @ wc.schmidt_right).ravel() / np.sqrt(2)
+    assert np.abs(rebuilt - wc.phi).max() <= 1e-14
+
+
+def test_frame_rank_guard(monkeypatch):
+    # mu2 is of rounding size; a zero tolerance must refuse it
+    import belldistill.witness as witness_mod
+
+    monkeypatch.setattr(witness_mod, "RANK_RTOL", 0.0)
+    with pytest.raises(witness_mod.RankCertificationError, match="rank 2"):
+        construct_witness_vector(classify(npt_table(NPT_SEEDS[0])))
 
 
 # ------------------------------------------------------ witness operator
@@ -274,8 +307,8 @@ def test_weak_optimality_vector(seed):
     # the product vector |a_0, b_1*> lies in the witness kernel
     wc = construct_witness_vector(classify(npt_table(seed)))
     wop = witness_operator(wc)
-    a0 = wc.schmidt.left_vectors[:, 0]
-    b1_star = wc.schmidt.right_vectors[:, 1].conj()
+    a0 = wc.schmidt_left[0]
+    b1_star = wc.schmidt_right[1].conj()
     v = np.kron(a0, b1_star)
     assert abs(expectation(wop.W, v)) <= 1e-10
 
