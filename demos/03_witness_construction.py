@@ -38,14 +38,14 @@ print(f"eigenvector residual: {residual:.2e}")
 
 # Its partially transposed projector is the distillability witness:
 # negative on the generating state, nonnegative on every product vector.
-wop = witness_operator(wc)
-print(f"\nwitness spectrum: {np.round(np.linalg.eigvalsh(wop.W), 6)}")
-print(f"trace(W rho) = {detect(wop, build_state(coeffs)):.6f}  (= lambda_min)")
+w = witness_operator(wc)
+print(f"\nwitness spectrum: {np.round(np.linalg.eigvalsh(w), 6)}")
+print(f"trace(W rho) = {detect(w, build_state(coeffs)):.6f}  (= lambda_min)")
 rng = np.random.default_rng(1)
 a = rng.standard_normal((20_000, 3)) + 1j * rng.standard_normal((20_000, 3))
 b = rng.standard_normal((20_000, 3)) + 1j * rng.standard_normal((20_000, 3))
 a /= np.linalg.norm(a, axis=1, keepdims=True)
 b /= np.linalg.norm(b, axis=1, keepdims=True)
 products = np.einsum("ni,nj->nij", a, b).reshape(20_000, 9)
-minimum = np.einsum("ni,ij,nj->n", products.conj(), wop.W, products).real.min()
+minimum = np.einsum("ni,ij,nj->n", products.conj(), w, products).real.min()
 print(f"min over 2x10^4 product vectors: {minimum:.2e}")

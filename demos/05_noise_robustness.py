@@ -18,7 +18,7 @@ from belldistill import (
 coeffs, spectrum = sample_npt(seed=2718)
 wc = construct_witness_vector(spectrum)
 rho = build_state(coeffs)
-wop = witness_operator(wc)
+w = witness_operator(wc)
 rep = filter_report(rho, wc)
 
 print(f"lambda_min = {wc.lambda_min:.6f},  q = {rep.q:.6f}")
@@ -29,7 +29,7 @@ print(f"filtered pair more robust: {verdict}  (q < 4/9 is {rep.q < 4/9})\n")
 
 print("  p     trace(W rho_noisy)   detected   sigma_noisy NPT")
 for p in np.linspace(0, 1, 11):
-    value = detect(wop, add_white_noise(rho, p))
+    value = detect(w, add_white_noise(rho, p))
     noisy_sigma = add_white_noise(rep.sigma, float(p))
     sigma_npt = np.linalg.eigvalsh(partial_transpose(noisy_sigma, 2, 2))[0] < 0
     print(f"  {p:.2f}  {value:+.6f}            {str(value < 0):5s}      {sigma_npt}")

@@ -31,7 +31,6 @@ from .simplex import (
 from .weyl import weyl
 from .witness import (
     WitnessConstruction,
-    WitnessOperator,
     construct_witness_vector,
     detect,
     witness_operator,
@@ -45,7 +44,6 @@ __all__ = [
     "PTSpectrumReport",
     "SimplexCoefficients",
     "WitnessConstruction",
-    "WitnessOperator",
     "add_white_noise",
     "build_state",
     "classify",

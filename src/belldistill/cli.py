@@ -101,7 +101,7 @@ def cmd_sweep(args) -> int:
         # unreadable or invalid tables, tables that are not NPT, and d != 3
         return _fail(f"bad input: {exc}")
     rho = build_state(coeffs)
-    wop = witness_operator(wc)
+    w = witness_operator(wc)
     rep = filter_report(rho, wc)
     lines = [
         f"# p_rho_max = {rep.p_rho_max!r}",
@@ -109,7 +109,7 @@ def cmd_sweep(args) -> int:
         "p,witness_value,detected,sigma_npt",
     ]
     ps = np.linspace(args.p_min, args.p_max, args.steps)
-    values = detect(wop, add_white_noise(rho, ps))
+    values = detect(w, add_white_noise(rho, ps))
     noisy_sigma_pt = partial_transpose(add_white_noise(rep.sigma, ps), 2, 2)
     sigma_npt = np.linalg.eigvalsh(noisy_sigma_pt)[:, 0] < 0.0
     for p, value, npt in zip(ps.tolist(), values.tolist(), sigma_npt.tolist()):

@@ -162,9 +162,8 @@ def analysis_report(coeffs: SimplexCoefficients, renormalized: bool = False) -> 
         out["reason"] = REASON_PPT if rep.classification == PPT else REASON_BOUNDARY
         return out
     wc = construct_witness_vector(rep)
-    wop = witness_operator(wc)
     out["witness"] = witness_to_json(wc)
-    out["witness_spectrum"] = _json(np.linalg.eigvalsh(wop.W))
+    out["witness_spectrum"] = _json(np.linalg.eigvalsh(witness_operator(wc)))
     out["filter"] = filter_to_json(filter_report(build_state(coeffs), wc))
     return out
 
@@ -268,8 +267,24 @@ def _skeleton(shape: tuple, depth: int) -> tuple:
     )
 
 
+#: keys that validate_report reads from each section; a section that is not
+#: null must be an object carrying them, and only witness and filter may be null
+SECTION_KEYS = {
+    "classification": ("eigenvalues", "lambda_min", "classification"),
+    "witness": ("lambda_min",),
+    "filter": (),
+}
+
+
 def validate_report(report: dict) -> None:
-    """Re-validate a decoded report; raises ValueError on any inconsistency."""
+    """Re-validate a decoded report; raises ValueError on any inconsistency.
+
+    The report's type, and each section's type and required keys, are
+    checked before they are read, so a malformed report raises ValueError
+    too, not KeyError or TypeError.
+    """
+    if not isinstance(report, dict):
+        raise ValueError(f"report must be an object, got {type(report).__name__}")
     required = {
         "tool_version",
         "seed_used",
@@ -284,9 +299,20 @@ def validate_report(report: dict) -> None:
     missing = required - set(report)
     if missing:
         raise ValueError(f"report is missing keys {sorted(missing)}")
+    for name, keys in SECTION_KEYS.items():
+        section = report[name]
+        if section is None and name != "classification":
+            continue
+        if not isinstance(section, dict):
+            raise ValueError(f"{name} section must be an object, got {type(section).__name__}")
+        missing = set(keys) - set(section)
+        if missing:
+            raise ValueError(f"{name} section is missing keys {sorted(missing)}")
     coeffs, _ = parse_coefficients(report["input"])
     cls = report["classification"]
     eigs = cls["eigenvalues"]
+    if not isinstance(eigs, list) or not all(type(x) in (int, float) for x in eigs):
+        raise ValueError("classification eigenvalues must be a list of numbers")
     if len(eigs) != coeffs.d**2:
         raise ValueError(f"classification lists {len(eigs)} eigenvalues for d={coeffs.d}")
     if eigs != sorted(eigs):

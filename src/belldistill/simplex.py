@@ -9,7 +9,12 @@ product of the flattened table with a constant built on first use
 (:func:`_block_map` per block, :func:`_bell_vectors` per d).
 Classification solves one block per orbit of m -> m+2 (B_0 alone for odd
 d), the witness is built from its result, and the dense d^2 x d^2 state of
-:func:`build_state` is not needed. Everything here works for 2 <= d <= MAX_D.
+:func:`build_state` is not needed. Blocks are built and solved for a stack
+of tables in one ``eigh`` call (:func:`_solve`), and one builder
+(:func:`_spectrum_report`) turns a solved row into its report, so
+:func:`classify`, a stack of one, and :func:`sample_npt`, a batch of draws,
+give each table the same bits and no table is solved twice. Everything
+here works for 2 <= d <= MAX_D.
 """
 
 import functools
@@ -178,40 +183,64 @@ def pt_block(coeffs: SimplexCoefficients, m: int) -> np.ndarray:
     d = coeffs.d
     if not 0 <= m < d:
         raise ValueError(f"block index {m} out of range for d={d}")
-    return (_block_map(d, m) @ coeffs.c.ravel()).reshape(d, d)
+    return _blocks(coeffs.c.reshape(1, -1), d, m)[0]
+
+
+def _blocks(flat: np.ndarray, d: int, m: int) -> np.ndarray:
+    """B_m of each row of an (n, d^2) stack of flattened tables, shape (n, d, d).
+
+    ``np.matmul(T_m, c[..., None])`` gives every row the bits it gets in a
+    stack of one, so a table's blocks do not depend on its batch.
+    """
+    return np.matmul(_block_map(d, m), flat[..., None]).reshape(-1, d, d)
+
+
+def _solve(flat: np.ndarray, d: int):
+    """One ``np.linalg.eigh`` of B_0, and of B_1 for even d, for each row of ``flat``.
+
+    Returns eigenvalues of shape (n, b, d) and eigenvectors of shape
+    (n, b, d, d), b = 2 - d % 2 solved blocks per table, B_0 first.
+    """
+    blocks = [_blocks(flat, d, m)[:, None] for m in range(2 - d % 2)]
+    return np.linalg.eigh(np.concatenate(blocks, axis=1))
+
+
+def _spectrum_report(values: np.ndarray, vectors: np.ndarray) -> PTSpectrumReport:
+    """Report of one table from the (b, d) eigenvalues and (b, d, d) eigenvectors of its blocks.
+
+    Each solved spectrum is repeated over its orbit of m -> m+2, which
+    covers all d blocks. The verdict is NPT below -BOUNDARY_TOL, PPT above
+    +BOUNDARY_TOL and BOUNDARY in the band between, which is reported
+    rather than rounded: the witness construction has no meaning there.
+    """
+    b, d = values.shape
+    eigenvalues = np.sort(np.repeat(values, d // b, axis=0).ravel())
+    eigenvalues.setflags(write=False)
+    lambda_min = float(eigenvalues[0])
+    verdict = NPT if lambda_min < -BOUNDARY_TOL else PPT if lambda_min > BOUNDARY_TOL else BOUNDARY
+    u0 = _fix_phase(vectors[0][:, 0])
+    u0.setflags(write=False)
+    return PTSpectrumReport(
+        eigenvalues=eigenvalues,
+        lambda_min=lambda_min,
+        negative_count=int(np.count_nonzero(eigenvalues < -BOUNDARY_TOL)),
+        classification=verdict,
+        u0=u0,
+    )
 
 
 def classify(coeffs: SimplexCoefficients) -> PTSpectrumReport:
     """Full ascending spectrum of the partial transpose, its verdict and B_0's ground vector.
 
-    Solves one block per orbit of B_{m+2} = W_{1,0} B_m W_{1,0}^dag with
-    ``np.linalg.eigh``, B_0 for odd d and B_0, B_1 for even d, and repeats
-    each spectrum over its orbit. The blocks are Hermitian to rounding for
-    every table SimplexCoefficients admits. The verdict is NPT below
-    -BOUNDARY_TOL, PPT above +BOUNDARY_TOL and BOUNDARY in the band
-    between, which is reported rather than rounded: the witness
-    construction has no meaning there.
+    Solves one block per orbit of B_{m+2} = W_{1,0} B_m W_{1,0}^dag, B_0
+    for odd d and B_0, B_1 for even d, as a stack of one table in one
+    ``np.linalg.eigh`` call, the same solve :func:`sample_npt` makes for a
+    batch. The blocks are Hermitian to rounding for every table
+    SimplexCoefficients admits. See :func:`_spectrum_report` for the
+    verdict rule.
     """
-    solves = [np.linalg.eigh(pt_block(coeffs, m)) for m in range(2 - coeffs.d % 2)]
-    orbit = coeffs.d // len(solves)
-    eigenvalues = np.sort(np.concatenate([np.tile(s.eigenvalues, orbit) for s in solves]))
-    eigenvalues.setflags(write=False)
-    lambda_min = float(eigenvalues[0])
-    if lambda_min < -BOUNDARY_TOL:
-        classification = NPT
-    elif lambda_min > BOUNDARY_TOL:
-        classification = PPT
-    else:
-        classification = BOUNDARY
-    u0 = _fix_phase(solves[0].eigenvectors[:, 0])
-    u0.setflags(write=False)
-    return PTSpectrumReport(
-        eigenvalues=eigenvalues,
-        lambda_min=lambda_min,
-        negative_count=int(np.sum(eigenvalues < -BOUNDARY_TOL)),
-        classification=classification,
-        u0=u0,
-    )
+    values, vectors = _solve(coeffs.c.reshape(1, -1), coeffs.d)
+    return _spectrum_report(values[0], vectors[0])
 
 
 def lambda_min_multiplicity(eigenvalues: np.ndarray) -> int:
@@ -238,24 +267,8 @@ def sample_simplex(seed) -> SimplexCoefficients:
     return SimplexCoefficients(d=3, c=(c / c.sum()).reshape(3, 3))
 
 
-#: a draw goes on to :func:`classify` when its screened lambda_min is below
-#: -BOUNDARY_TOL + SCREEN_MARGIN; the margin is far above the largest gap
-#: between the screen and classify (a few 1e-16), so no NPT draw is dropped
-SCREEN_MARGIN = 1e-14
-
 #: Dirichlet draws per batch of :func:`sample_npt`
-SCREEN_BATCH = 8
-
-
-def _screen_lambda_min(cs: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of B_0 for each row of a stack of raw d = 3 draws.
-
-    One stacked ``eigvalsh`` of the blocks T_0 c; for d = 3 B_0 carries
-    the whole partial-transpose spectrum, so this is classify's lambda_min
-    up to rounding.
-    """
-    blocks = cs @ _block_map(3, 0).T
-    return np.linalg.eigvalsh(blocks.reshape(-1, 3, 3))[:, 0]
+SAMPLE_BATCH = 8
 
 
 def sample_npt(seed, max_tries: int = 1000) -> tuple[SimplexCoefficients, PTSpectrumReport]:
@@ -266,26 +279,22 @@ def sample_npt(seed, max_tries: int = 1000) -> tuple[SimplexCoefficients, PTSpec
     Deterministic per seed. Raises SamplingExhaustedError if no NPT table
     shows up within ``max_tries`` draws.
 
-    Draws come in batches of up to SCREEN_BATCH from one
+    Draws come in batches of up to SAMPLE_BATCH from one
     ``rng.dirichlet(..., size=k)`` call, which yields the same numbers as k
-    single draws. A batch is screened by :func:`_screen_lambda_min`, and
-    only rows below -BOUNDARY_TOL + SCREEN_MARGIN are normalized and
-    classified, in draw order. Since the screen agrees with classify to far
-    better than SCREEN_MARGIN, every draw classify would call NPT passes the
-    screen: the accepted table, its report and the draw count at which
-    sampling gives up are those of classifying every draw one by one.
+    single draws. Each batch is normalized row by row and solved in one
+    stacked ``eigh`` (:func:`_solve`), and the first row in draw order whose
+    report says NPT is returned. Every row gets the bits it would get alone,
+    so the accepted table, its report and the draw count at which sampling
+    gives up are those of classifying every draw one by one.
     """
     if max_tries < 1:
         raise ValueError(f"max_tries must be >= 1, got {max_tries}")
     rng = np.random.default_rng(seed)
-    left = max_tries
-    while left:
-        k = min(SCREEN_BATCH, left)
-        left -= k
-        cs = rng.dirichlet(np.ones(9), size=k)
-        for c in cs[_screen_lambda_min(cs) < -BOUNDARY_TOL + SCREEN_MARGIN]:
-            coeffs = SimplexCoefficients(d=3, c=(c / c.sum()).reshape(3, 3))
-            spectrum = classify(coeffs)
+    for start in range(0, max_tries, SAMPLE_BATCH):
+        cs = rng.dirichlet(np.ones(9), size=min(SAMPLE_BATCH, max_tries - start))
+        cs = cs / cs.sum(axis=1, keepdims=True)
+        for c, values, vectors in zip(cs, *_solve(cs, 3)):
+            spectrum = _spectrum_report(values, vectors)
             if spectrum.classification == NPT:
-                return coeffs, spectrum
+                return SimplexCoefficients(d=3, c=c.reshape(3, 3)), spectrum
     raise SamplingExhaustedError(f"no NPT sample within {max_tries} tries")

@@ -182,25 +182,24 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
     rebuild_dev = float(np.abs((left.T @ right).ravel() / np.sqrt(2.0) - wc.phi).max())
     check("frame_rebuilds_phi", rebuild_dev <= 1e-12, lambda: f"deviation {rebuild_dev:.3e}")
 
-    wop = witness_operator(wc)
-    w_eigs = np.linalg.eigvalsh(wop.W)
-    expected = np.sort(
-        [wop.mu0**2, wop.mu1**2, wop.mu0 * wop.mu1, -wop.mu0 * wop.mu1, 0, 0, 0, 0, 0]
-    )
+    w = witness_operator(wc)
+    w_eigs = np.linalg.eigvalsh(w)
+    mu0, mu1 = float(mu[0]), float(mu[1])
+    expected = np.sort([mu0**2, mu1**2, mu0 * mu1, -mu0 * mu1, 0, 0, 0, 0, 0])
     spec_dev = float(np.abs(w_eigs - expected).max())
     res["witness_spectrum_dev"] = spec_dev
     check("witness_spectrum", spec_dev <= 1e-9, lambda: f"deviation {spec_dev:.3e}")
     closed_dev = float(np.abs(w_eigs - W_SPECTRUM).max())
     check("witness_spectrum_closed_form", closed_dev <= 1e-9, lambda: f"spectrum {w_eigs}")
 
-    value = detect(wop, rho)
+    value = detect(w, rho)
     trace_dev = abs(value - lam)
     res["witness_trace_identity"] = trace_dev
     check(
         "witness_detects", value < 0 and trace_dev <= 1e-10, lambda: f"trace(W rho) {value!r}"
     )
 
-    mirror_floor = float(np.linalg.eigvalsh(wop.mirror)[0])
+    mirror_floor = float(np.linalg.eigvalsh(mu0**2 * np.eye(9) - w)[0])
     res["mirror_negative_part"] = max(0.0, -mirror_floor)
     check("mirror_psd", mirror_floor >= -1e-10, lambda: f"floor {mirror_floor:.3e}")
 
@@ -246,7 +245,7 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
     on_rho = np.abs(points - rep.p_rho_max) >= THRESHOLD_BAND - 1e-15
     on_sigma = np.abs(points - rep.p_sigma_max) >= THRESHOLD_BAND - 1e-15
     detected = np.zeros(points.size, dtype=bool)
-    detected[on_rho] = detect(wop, add_white_noise(rho, points[on_rho])) < 0.0
+    detected[on_rho] = detect(w, add_white_noise(rho, points[on_rho])) < 0.0
     noisy_sigma_pt = partial_transpose(add_white_noise(rep.sigma, points[on_sigma]), 2, 2)
     npt = np.zeros(points.size, dtype=bool)
     npt[on_sigma] = np.linalg.eigvalsh(noisy_sigma_pt)[:, 0] < 0.0

@@ -6,8 +6,10 @@ assembled from the ground eigenvector of block B_0, which classification
 already solved: Weyl conjugation propagates it through the other blocks, a
 Fourier transform turns the triple into coefficient vectors, and a fixed
 two-term superposition followed by the Bell-frame swap yields the vector.
-Its partially transposed projector is an entanglement witness whose
-negative expectation certifies one-copy distillability.
+Its partially transposed projector W is an entanglement witness whose
+negative expectation certifies one-copy distillability. W is a plain
+read-only 9 x 9 array: its spectrum and mirror mu0^2 * 1 - W follow from
+the construction's Schmidt coefficients, so nothing else is stored with it.
 
 The vector phi has two equal Schmidt coefficients, mu0 = mu1 = 1/sqrt 2,
 so its Schmidt bases are not unique and an SVD would pick one of them
@@ -94,20 +96,6 @@ class WitnessConstruction:
     schmidt_coefficients: np.ndarray
     schmidt_left: np.ndarray
     schmidt_right: np.ndarray
-
-
-@dataclass(frozen=True)
-class WitnessOperator:
-    """Partially transposed projector of the witness vector, with its mirror.
-
-    W is (|phi><phi|)^Gamma, spectrum {mu0^2, mu1^2, mu0 mu1, -mu0 mu1, 0 x5}.
-    mirror = mu0^2 * 1 - W is positive semidefinite.
-    """
-
-    W: np.ndarray
-    mirror: np.ndarray
-    mu0: float
-    mu1: float
 
 
 def construct_witness_vector(spectrum: PTSpectrumReport) -> WitnessConstruction:
@@ -200,20 +188,20 @@ def _pivot_column(p: np.ndarray) -> np.ndarray:
     return column / np.linalg.norm(column)
 
 
-def witness_operator(wc: WitnessConstruction) -> WitnessOperator:
-    """Witness W = (|phi><phi|)^Gamma and its mirrored companion."""
-    projector = np.outer(wc.phi, wc.phi.conj())
-    w = partial_transpose(projector, 3, 3)
-    mu0 = float(wc.schmidt_coefficients[0])
-    mu1 = float(wc.schmidt_coefficients[1])
-    mirror = mu0 ** 2 * np.eye(9) - w
+def witness_operator(wc: WitnessConstruction) -> np.ndarray:
+    """Read-only 9 x 9 witness W = (|phi><phi|)^Gamma.
+
+    Its spectrum is {mu0^2, mu1^2, mu0 mu1, -mu0 mu1, 0 x5} with mu0, mu1
+    the first two of ``wc.schmidt_coefficients``, so mu0^2 * 1 - W is
+    positive semidefinite.
+    """
+    w = partial_transpose(np.outer(wc.phi, wc.phi.conj()), 3, 3)
     w.setflags(write=False)
-    mirror.setflags(write=False)
-    return WitnessOperator(W=w, mirror=mirror, mu0=mu0, mu1=mu1)
+    return w
 
 
-def detect(wop: WitnessOperator, test_state: np.ndarray) -> float | np.ndarray:
-    """Witness expectation trace(W rho) as a real number.
+def detect(w: np.ndarray, test_state: np.ndarray) -> float | np.ndarray:
+    """Witness expectation trace(W rho) as a real number, for the witness array ``w``.
 
     Negative values certify one-copy distillability of ``test_state``. A
     single 9 x 9 state gives a float; a stack of shape (..., 9, 9) gives the
@@ -222,11 +210,9 @@ def detect(wop: WitnessOperator, test_state: np.ndarray) -> float | np.ndarray:
     non-Hermitian input early.
     """
     test_state = np.asarray(test_state)
-    if test_state.shape[-2:] != wop.W.shape:
-        raise ValueError(
-            f"state shape {test_state.shape} does not match witness {wop.W.shape}"
-        )
-    values = np.trace(wop.W @ test_state, axis1=-2, axis2=-1)
+    if test_state.shape[-2:] != w.shape:
+        raise ValueError(f"state shape {test_state.shape} does not match witness {w.shape}")
+    values = np.trace(w @ test_state, axis1=-2, axis2=-1)
     imag = np.abs(values.imag)
     if not np.all(imag <= IMAG_TOL):  # NaN parts fail too
         worst = values.imag.flat[np.argmax(imag)]

@@ -41,7 +41,7 @@ from belldistill.filtering import MIN_Q, FilterAnnihilationError
 from belldistill.linalg import dag, expectation, kron, partial_transpose
 from belldistill.simplex import SamplingExhaustedError, SimplexCoefficients, pt_block
 from belldistill.weyl import _check_dim, bell_unitary, bell_vector, phase_table, weyl
-from belldistill.witness import RANK_RTOL, WitnessOperator
+from belldistill.witness import RANK_RTOL
 
 
 def pt_block_loop(coeffs: SimplexCoefficients, m: int) -> np.ndarray:
@@ -113,8 +113,8 @@ def controlled_sum(d: int) -> np.ndarray:
     return cs
 
 
-def product_vector_positivity_check(wop: WitnessOperator, trials: int, seed) -> float:
-    """Minimum of <a,b|W|a,b> over random product vectors.
+def product_vector_positivity_check(w: np.ndarray, trials: int, seed) -> float:
+    """Minimum of <a,b|W|a,b> over random product vectors, for the 9 x 9 witness ``w``.
 
     Samples ``trials`` isotropically random product vectors and returns the
     smallest expectation, which for a valid witness never drops below zero
@@ -128,7 +128,7 @@ def product_vector_positivity_check(wop: WitnessOperator, trials: int, seed) -> 
     a /= np.linalg.norm(a, axis=1, keepdims=True)
     b /= np.linalg.norm(b, axis=1, keepdims=True)
     products = np.einsum("ni,nj->nij", a, b).reshape(trials, 9)
-    values = np.einsum("ni,ij,nj->n", products.conj(), wop.W, products).real
+    values = np.einsum("ni,ij,nj->n", products.conj(), w, products).real
     return float(values.min())
 
 
@@ -216,8 +216,10 @@ def schmidt_reconstruct(dec) -> np.ndarray:
 def sample_npt_sequential(seed, max_tries: int = 1000):
     """Rejection sampler drawing and fully classifying one table at a time.
 
-    Calls ``simplex.classify`` through the module, so a test that patches it
-    patches this sampler and the package's alike.
+    Calls ``simplex.classify`` through the module. Its verdict comes from
+    ``simplex._spectrum_report``, the builder that ``sample_npt`` calls on
+    each batch row, so a test that patches the builder patches this
+    sampler and the package's alike.
     """
     if max_tries < 1:
         raise ValueError(f"max_tries must be >= 1, got {max_tries}")

@@ -149,20 +149,19 @@ def test_criterion_4_witness_operator_suite():
     worst_product = 0.0
     for s in campaign_states():
         wc, rho = s["wc"], s["rho"]
-        wop = witness_operator(wc)
-        eigs = np.linalg.eigvalsh(wop.W)
-        expected = np.sort([
-            wop.mu0**2, wop.mu1**2, wop.mu0 * wop.mu1, -wop.mu0 * wop.mu1, 0, 0, 0, 0, 0,
-        ])
+        w = witness_operator(wc)
+        eigs = np.linalg.eigvalsh(w)
+        mu0, mu1 = wc.schmidt_coefficients[:2]
+        expected = np.sort([mu0**2, mu1**2, mu0 * mu1, -mu0 * mu1, 0, 0, 0, 0, 0])
         spec_dev = np.abs(eigs - expected).max()
         worst_spec = max(worst_spec, spec_dev)
-        value = detect(wop, rho)
-        minimum = product_vector_positivity_check(wop, 10_000, seed=s["seed"])
+        value = detect(w, rho)
+        minimum = product_vector_positivity_check(w, 10_000, seed=s["seed"])
         worst_product = min(worst_product, minimum)
         a0 = wc.schmidt_left[0]
         b1_star = wc.schmidt_right[1].conj()
-        zero_val = abs(expectation(wop.W, np.kron(a0, b1_star)))
-        mirror_floor = np.linalg.eigvalsh(wop.mirror)[0]
+        zero_val = abs(expectation(w, np.kron(a0, b1_star)))
+        mirror_floor = np.linalg.eigvalsh(mu0**2 * np.eye(9) - w)[0]
         ok = (
             spec_dev <= 1e-9
             and value < 0
@@ -246,12 +245,12 @@ def test_criterion_7_noise_threshold_semantics():
     grid = np.linspace(0.0, 1.0, 21)
     for s in campaign_states()[:100]:
         wc, rho = s["wc"], s["rho"]
-        wop = witness_operator(wc)
+        w = witness_operator(wc)
         rep = filter_report(rho, wc)
         for p in grid:
             p = float(p)
             if abs(p - rep.p_rho_max) > 1e-6:
-                detected = detect(wop, add_white_noise(rho, p)) < 0.0
+                detected = detect(w, add_white_noise(rho, p)) < 0.0
                 if detected != (p < rep.p_rho_max):
                     contradictions += 1
             if abs(p - rep.p_sigma_max) > 1e-6:

@@ -1,4 +1,4 @@
-"""The closed-form Bell-frame kernel and the screened sampler against their loop forms."""
+"""The closed-form Bell-frame kernel and the batch sampler against their loop forms."""
 
 import dataclasses
 import json
@@ -13,13 +13,10 @@ from belldistill.filtering import filter_report
 from belldistill.linalg import partial_transpose
 from belldistill.report import parse_coefficients, validate_report
 from belldistill.simplex import (
-    BOUNDARY_TOL,
     NPT,
     PPT,
-    SCREEN_MARGIN,
     InvalidCoefficientsError,
     SamplingExhaustedError,
-    SimplexCoefficients,
     build_state,
     classify,
     pt_block,
@@ -213,36 +210,68 @@ def test_batched_sampler_equals_sequential_across_the_batch_edge():
     assert exhausted > 0
 
 
+def _never_npt(calls):
+    """A report builder that records each row and reads every verdict as PPT."""
+    build = simplex._spectrum_report
+
+    def never_npt(values, vectors):
+        calls.append(values)
+        return dataclasses.replace(build(values, vectors), classification=PPT)
+
+    return never_npt
+
+
 def test_forced_exhaustion_matches_sequential(monkeypatch):
-    # every classification reads PPT, so both samplers use up all their tries
+    # every report reads PPT, so both samplers use up all their tries; the
+    # builder is shared, so the patch reaches sample_npt and, through
+    # classify, the sequential oracle alike
     calls = []
-
-    def never_npt(coeffs):
-        calls.append(coeffs)
-        return dataclasses.replace(classify(coeffs), classification=PPT)
-
-    monkeypatch.setattr(simplex, "classify", never_npt)
+    monkeypatch.setattr(simplex, "_spectrum_report", _never_npt(calls))
     for max_tries in range(1, 18):
         del calls[:]
         with pytest.raises(SamplingExhaustedError, match=f"within {max_tries} tries"):
             sample_npt(5, max_tries=max_tries)
-        screened = len(calls)
+        batched = len(calls)
         with pytest.raises(SamplingExhaustedError, match=f"within {max_tries} tries"):
             sample_npt_sequential(5, max_tries=max_tries)
-        assert screened <= len(calls) - screened == max_tries
+        assert batched == len(calls) - batched == max_tries
 
 
-def test_screen_agrees_with_classify():
-    # raw draws, unnormalized as the sampler screens them; the gap must stay
-    # far inside SCREEN_MARGIN for the screen to drop no NPT draw
-    cs = np.random.default_rng(2024).dirichlet(np.ones(9), size=10_000)
-    screened = simplex._screen_lambda_min(cs)
-    tables = (SimplexCoefficients(d=3, c=(c / c.sum()).reshape(3, 3)) for c in cs)
-    exact = np.array([classify(t).lambda_min for t in tables])
-    gap = np.abs(screened - exact).max()
-    assert gap <= 1e-15
-    assert gap <= SCREEN_MARGIN / 10
-    assert np.sum(exact < -BOUNDARY_TOL) > 5000
+def _count_eigensolves(monkeypatch) -> list:
+    """Patch np.linalg.eigh and eigvalsh to log their names; return the log."""
+    log = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(*args, _solve=getattr(np.linalg, name), _name=name, **kwargs):
+            log.append(_name)
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return log
+
+
+def test_sampler_solves_each_batch_once(monkeypatch):
+    # one stacked eigh per batch drawn, and no second solve of the accepted row
+    draws = []
+    monkeypatch.setattr(simplex, "classify", lambda coeffs: draws.append(coeffs) or classify(coeffs))
+    expected = []
+    for seed in range(300):
+        del draws[:]
+        sample_npt_sequential(seed)
+        expected.append(-(-len(draws) // simplex.SAMPLE_BATCH))
+    monkeypatch.undo()
+
+    log = _count_eigensolves(monkeypatch)
+    for seed, batches in enumerate(expected):
+        del log[:]
+        sample_npt(seed)
+        assert log == ["eigh"] * batches, seed
+
+    monkeypatch.setattr(simplex, "_spectrum_report", _never_npt([]))
+    for max_tries in range(1, 18):
+        del log[:]
+        with pytest.raises(SamplingExhaustedError):
+            sample_npt(5, max_tries=max_tries)
+        assert log == ["eigh"] * -(-max_tries // simplex.SAMPLE_BATCH)
 
 
 # ------------------------------------------- structural invariants (d = 3)
@@ -274,7 +303,9 @@ def test_witness_vector_is_maximally_entangled_on_its_qubit(family):
     tables = _npt_family(family, 170)
     assert len(tables) == 170
     for coeffs, rep in tables:
-        wop = witness_operator(construct_witness_vector(rep))
-        assert abs(wop.mu0 - 2**-0.5) <= 1e-14 and abs(wop.mu1 - 2**-0.5) <= 1e-14
-        assert np.abs(np.linalg.eigvalsh(wop.W) - expected).max() <= 1e-14
-        assert np.abs(wop.mirror - (0.5 * np.eye(9) - wop.W)).max() <= 1e-14
+        wc = construct_witness_vector(rep)
+        w = witness_operator(wc)
+        mu0, mu1 = wc.schmidt_coefficients[:2]
+        assert abs(mu0 - 2**-0.5) <= 1e-14 and abs(mu1 - 2**-0.5) <= 1e-14
+        assert np.abs(np.linalg.eigvalsh(w) - expected).max() <= 1e-14
+        assert np.abs((mu0**2 * np.eye(9) - w) - (0.5 * np.eye(9) - w)).max() <= 1e-14

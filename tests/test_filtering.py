@@ -194,7 +194,7 @@ def test_stacked_noise_grid_equals_single_points():
     for seed in NPT_SEEDS[:50]:
         coeffs, wc = npt_construction(seed)
         rho = build_state(coeffs)
-        wop = witness_operator(wc)
+        w = witness_operator(wc)
         sigma = filter_report(rho, wc).sigma
         rho_stack = add_white_noise(rho, grid)
         sigma_stack = add_white_noise(sigma, grid)
@@ -202,7 +202,7 @@ def test_stacked_noise_grid_equals_single_points():
         sigma_single = [add_white_noise(sigma, float(p)) for p in grid]
         assert np.array_equal(rho_stack, rho_single)
         assert np.array_equal(sigma_stack, sigma_single)
-        assert np.array_equal(detect(wop, rho_stack), [detect(wop, m) for m in rho_single])
+        assert np.array_equal(detect(w, rho_stack), [detect(w, m) for m in rho_single])
         assert np.array_equal(
             partial_transpose(rho_stack, 3, 3), [partial_transpose(m, 3, 3) for m in rho_single]
         )
@@ -264,7 +264,7 @@ def test_robustness_matches_q_criterion(seed):
 def test_threshold_semantics_on_grid(seed):
     coeffs, wc = npt_construction(seed)
     rho = build_state(coeffs)
-    wop = witness_operator(wc)
+    w = witness_operator(wc)
     rep = filter_report(rho, wc)
     grid = list(np.linspace(0.0, 1.0, 21))
     grid += [rep.p_rho_max - 1e-6, rep.p_rho_max + 1e-6,
@@ -273,7 +273,7 @@ def test_threshold_semantics_on_grid(seed):
         if not 0.0 <= p <= 1.0:
             continue
         if abs(p - rep.p_rho_max) >= 1e-6 - 1e-15:
-            detected = detect(wop, add_white_noise(rho, p)) < 0.0
+            detected = detect(w, add_white_noise(rho, p)) < 0.0
             assert detected == (p < rep.p_rho_max), f"p={p}"
         if abs(p - rep.p_sigma_max) >= 1e-6 - 1e-15:
             noisy = add_white_noise(rep.sigma, p)

@@ -163,6 +163,44 @@ def test_validate_rejects_second_lambda_min():
         validate_report(report)
 
 
+def _drop_eigenvalues(report):
+    del report["classification"]["eigenvalues"]
+    return report
+
+
+def _null_classification(report):
+    report["classification"] = None
+    return report
+
+
+def _list_witness(report):
+    report["witness"] = []
+    return report
+
+
+def _eigenvalues_not_numbers(report):
+    report["classification"]["eigenvalues"] = [None] * 9
+    return report
+
+
+@pytest.mark.parametrize(
+    "malform, match",
+    [
+        (_drop_eigenvalues, "missing keys \\['eigenvalues'\\]"),
+        (_null_classification, "classification section must be an object, got NoneType"),
+        (_list_witness, "witness section must be an object, got list"),
+        (lambda report: [report], "report must be an object, got list"),
+        (_eigenvalues_not_numbers, "list of numbers"),
+    ],
+)
+def test_validate_raises_value_error_on_malformed_reports(malform, match):
+    # each malformed part is caught before it is read, so none of these
+    # surfaces as KeyError or TypeError
+    report = json.loads(dump_report(analysis_report(pure_bell_table())))
+    with pytest.raises(ValueError, match=match):
+        validate_report(malform(report))
+
+
 # ------------------------------------------- walks toward the PPT boundary
 
 BOUNDARY_PATH_SEEDS = [s for s in range(120) if classify(random_table(s)).classification == NPT][:60]
@@ -318,7 +356,7 @@ def oracle_sections(coeffs: SimplexCoefficients) -> dict:
         "schmidt_right": matrix_to_json(wc.schmidt_right),
         "schmidt_rank": 2,
     }
-    out["witness_spectrum"] = real_vector_to_json(np.linalg.eigvalsh(witness_operator(wc).W))
+    out["witness_spectrum"] = real_vector_to_json(np.linalg.eigvalsh(witness_operator(wc)))
     out["filter"] = {
         "P_A": matrix_to_json(fr.P_A),
         "P_B": matrix_to_json(fr.P_B),

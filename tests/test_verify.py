@@ -33,7 +33,7 @@ def test_threshold_failures_are_reported_point_by_point(monkeypatch):
 
     coeffs = SimplexCoefficients(d=3, c=result.coefficients)
     wc = construct_witness_vector(classify(coeffs))
-    wop = witness_operator(wc)
+    w = witness_operator(wc)
     rho = build_state(coeffs)
     rep = halved(rho, wc)
     points = np.linspace(0.0, 1.0, 21).tolist()
@@ -45,7 +45,7 @@ def test_threshold_failures_are_reported_point_by_point(monkeypatch):
         if not 0.0 <= p <= 1.0:
             continue
         if abs(p - rep.p_rho_max) >= band:
-            detected = detect(wop, add_white_noise(rho, p)) < 0.0
+            detected = detect(w, add_white_noise(rho, p)) < 0.0
             if detected != (p < rep.p_rho_max):
                 expected.append(
                     f"rho_threshold_semantics: p={p!r} detected={detected} "
@@ -137,8 +137,7 @@ def test_frame_and_closed_form_checks_fire_only_when_broken(monkeypatch):
         )
 
     def scaled_witness(wc):
-        wop = operator(wc)
-        return dataclasses.replace(wop, W=0.99 * wop.W)
+        return 0.99 * operator(wc)
 
     monkeypatch.setattr(verify, "construct_witness_vector", scaled_frame)
     monkeypatch.setattr(verify, "witness_operator", scaled_witness)

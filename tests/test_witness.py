@@ -190,8 +190,8 @@ def test_frame_rank_guard(monkeypatch):
 
 def test_witness_spectrum_pure_bell():
     wc = construct_witness_vector(classify(pure_bell_table()))
-    wop = witness_operator(wc)
-    eigs = np.linalg.eigvalsh(wop.W)
+    w = witness_operator(wc)
+    eigs = np.linalg.eigvalsh(w)
     expected = np.array([-0.5, 0, 0, 0, 0, 0, 0.5, 0.5, 0.5])
     assert np.abs(eigs - expected).max() < 1e-12
 
@@ -200,20 +200,20 @@ def test_witness_spectrum_pure_bell():
 def test_witness_operator_invariants(seed):
     coeffs = npt_table(seed)
     wc = construct_witness_vector(classify(coeffs))
-    wop = witness_operator(wc)
-    eigs = np.linalg.eigvalsh(wop.W)
-    expected = np.sort(
-        [wop.mu0**2, wop.mu1**2, wop.mu0 * wop.mu1, -wop.mu0 * wop.mu1, 0, 0, 0, 0, 0]
-    )
+    w = witness_operator(wc)
+    assert w.shape == (9, 9) and not w.flags.writeable
+    eigs = np.linalg.eigvalsh(w)
+    mu0, mu1 = wc.schmidt_coefficients[:2]
+    expected = np.sort([mu0**2, mu1**2, mu0 * mu1, -mu0 * mu1, 0, 0, 0, 0, 0])
     assert np.abs(eigs - expected).max() <= 1e-9
-    assert abs(np.trace(wop.W).real - 1.0) <= 1e-11
+    assert abs(np.trace(w).real - 1.0) <= 1e-11
     # trace identity against the quadratic form on the partial transpose
     rho = build_state(coeffs)
-    lhs = np.trace(wop.W @ rho).real
+    lhs = np.trace(w @ rho).real
     rhs = expectation(partial_transpose(rho, 3, 3), wc.phi).real
     assert abs(lhs - rhs) <= 1e-11
     # mirrored operator is positive semidefinite
-    assert np.linalg.eigvalsh(wop.mirror)[0] >= -1e-10
+    assert np.linalg.eigvalsh(mu0**2 * np.eye(9) - w)[0] >= -1e-10
 
 
 # ---------------------------------------------------------------- detect
@@ -221,14 +221,14 @@ def test_witness_operator_invariants(seed):
 def test_detect_on_generating_state():
     coeffs = pure_bell_table()
     wc = construct_witness_vector(classify(coeffs))
-    wop = witness_operator(wc)
-    assert abs(detect(wop, build_state(coeffs)) - wc.lambda_min) <= 1e-10
+    w = witness_operator(wc)
+    assert abs(detect(w, build_state(coeffs)) - wc.lambda_min) <= 1e-10
 
 
 def test_detect_on_maximally_mixed():
     wc = construct_witness_vector(classify(pure_bell_table()))
-    wop = witness_operator(wc)
-    assert abs(detect(wop, np.eye(9) / 9) - 1 / 9) <= 1e-12
+    w = witness_operator(wc)
+    assert abs(detect(w, np.eye(9) / 9) - 1 / 9) <= 1e-12
 
 
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.75])
@@ -236,84 +236,84 @@ def test_detect_affine_in_noise(p):
     # (1-p) <phi|rho^G|phi> + p / 9 for the white-noise admixture
     coeffs = npt_table(NPT_SEEDS[1])
     wc = construct_witness_vector(classify(coeffs))
-    wop = witness_operator(wc)
+    w = witness_operator(wc)
     rho = build_state(coeffs)
     noisy = (1 - p) * rho + p / 9 * np.eye(9)
     expected = (1 - p) * wc.lambda_min + p / 9
-    assert abs(detect(wop, noisy) - expected) <= 1e-11
+    assert abs(detect(w, noisy) - expected) <= 1e-11
 
 
 def test_detect_dimension_mismatch():
-    wop = witness_operator(construct_witness_vector(classify(pure_bell_table())))
+    w = witness_operator(construct_witness_vector(classify(pure_bell_table())))
     with pytest.raises(ValueError, match="shape"):
-        detect(wop, np.eye(4))
+        detect(w, np.eye(4))
 
 
 def test_detect_rejects_large_imaginary_part():
     wc = construct_witness_vector(classify(npt_table(NPT_SEEDS[2])))
-    wop = witness_operator(wc)
+    w = witness_operator(wc)
     # pick the entry with the largest imaginary part and feed the matching
     # non-Hermitian basis unit; trace(W E_jk) = W[k, j]
-    k, j = np.unravel_index(np.argmax(np.abs(wop.W.imag)), wop.W.shape)
-    assert abs(wop.W[k, j].imag) > 1e-3
+    k, j = np.unravel_index(np.argmax(np.abs(w.imag)), w.shape)
+    assert abs(w[k, j].imag) > 1e-3
     state = np.zeros((9, 9), dtype=complex)
     state[j, k] = 1.0
     with pytest.raises(ValueError, match="imaginary"):
-        detect(wop, state)
+        detect(w, state)
 
 
 def test_detect_on_a_stack():
     # a single state gives a float, a stack an array; one non-Hermitian
     # state anywhere in a stack raises
     wc = construct_witness_vector(classify(npt_table(NPT_SEEDS[2])))
-    wop = witness_operator(wc)
+    w = witness_operator(wc)
     stack = np.array([np.eye(9) / 9] * 5, dtype=complex)
-    assert isinstance(detect(wop, stack[0]), float)
-    values = detect(wop, stack)
+    assert isinstance(detect(w, stack[0]), float)
+    values = detect(w, stack)
     assert values.shape == (5,)
     assert np.abs(values - 1 / 9).max() <= 1e-12
-    k, j = np.unravel_index(np.argmax(np.abs(wop.W.imag)), wop.W.shape)
+    k, j = np.unravel_index(np.argmax(np.abs(w.imag)), w.shape)
     stack[3, j, k] = 1.0
     with pytest.raises(ValueError, match="imaginary"):
-        detect(wop, stack)
+        detect(w, stack)
     with pytest.raises(ValueError, match="shape"):
-        detect(wop, np.zeros((5, 4, 4)))
+        detect(w, np.zeros((5, 4, 4)))
 
 
 def test_detect_rejects_nan():
-    wop = witness_operator(construct_witness_vector(classify(npt_table(NPT_SEEDS[2]))))
+    w = witness_operator(construct_witness_vector(classify(npt_table(NPT_SEEDS[2]))))
     with pytest.raises(ValueError, match="imaginary"):
-        detect(wop, np.full((9, 9), complex(0, np.nan)))
+        detect(w, np.full((9, 9), complex(0, np.nan)))
     with pytest.raises(ValueError, match="imaginary"):
-        detect(wop, np.array([np.eye(9) / 9, np.full((9, 9), np.nan)]))
-    assert abs(detect(wop, np.eye(9, dtype=complex) / 9) - 1 / 9) <= 1e-12
+        detect(w, np.array([np.eye(9) / 9, np.full((9, 9), np.nan)]))
+    assert abs(detect(w, np.eye(9, dtype=complex) / 9) - 1 / 9) <= 1e-12
 
 
 # ------------------------------------------- product-vector positivity
 
 def test_product_positivity_pure_bell():
-    wop = witness_operator(construct_witness_vector(classify(pure_bell_table())))
-    assert product_vector_positivity_check(wop, 10_000, seed=5) >= -1e-10
+    w = witness_operator(construct_witness_vector(classify(pure_bell_table())))
+    assert product_vector_positivity_check(w, 10_000, seed=5) >= -1e-10
 
 
 @pytest.mark.parametrize("seed", NPT_SEEDS[:5])
 def test_product_positivity_random_states(seed):
-    wop = witness_operator(construct_witness_vector(classify(npt_table(seed))))
-    assert product_vector_positivity_check(wop, 2_000, seed=seed) >= -1e-10
+    w = witness_operator(construct_witness_vector(classify(npt_table(seed))))
+    assert product_vector_positivity_check(w, 2_000, seed=seed) >= -1e-10
 
 
 @pytest.mark.parametrize("seed", NPT_SEEDS[:10])
 def test_weak_optimality_vector(seed):
     # the product vector |a_0, b_1*> lies in the witness kernel
     wc = construct_witness_vector(classify(npt_table(seed)))
-    wop = witness_operator(wc)
+    w = witness_operator(wc)
     a0 = wc.schmidt_left[0]
     b1_star = wc.schmidt_right[1].conj()
     v = np.kron(a0, b1_star)
-    assert abs(expectation(wop.W, v)) <= 1e-10
+    assert abs(expectation(w, v)) <= 1e-10
 
 
 def test_product_positivity_rejects_bad_trials():
-    wop = witness_operator(construct_witness_vector(classify(pure_bell_table())))
+    w = witness_operator(construct_witness_vector(classify(pure_bell_table())))
     with pytest.raises(ValueError):
-        product_vector_positivity_check(wop, 0, seed=1)
+        product_vector_positivity_check(w, 0, seed=1)
