@@ -13,8 +13,7 @@ import sys
 
 import numpy as np
 
-from .filtering import add_white_noise, filter_report
-from .linalg import partial_transpose
+from .filtering import filter_report, noise_scan
 from .report import (
     analysis_report,
     coefficients_to_json,
@@ -30,7 +29,7 @@ from .simplex import (
     sample_simplex,
 )
 from .verify import run_campaign, summary_text, trial_seeds
-from .witness import construct_witness_vector, detect, witness_operator
+from .witness import construct_witness_vector, witness_operator
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -51,9 +50,20 @@ def _fail(message: str) -> int:
     return EXIT_FAIL
 
 
+def _under_minimum(args, **minimum) -> str | None:
+    """The usage error of the first integer option below its minimum, or None."""
+    for name, low in minimum.items():
+        if getattr(args, name) < low:
+            return f"--{name} must be >= {low}, got {getattr(args, name)}"
+    return None
+
+
 def _read_input(path: str):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except RecursionError as exc:
+            raise ValueError(f"JSON nested too deeply ({exc})") from None
 
 
 def _write_text(path: str, text: str) -> None:
@@ -80,10 +90,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.count < 1:
-        return _fail(f"--count must be >= 1, got {args.count}")
-    if args.jobs < 1:
-        return _fail(f"--jobs must be >= 1, got {args.jobs}")
+    if error := _under_minimum(args, count=1, jobs=1, seed=0):
+        return _fail(error)
     campaign = run_campaign(args.count, args.seed, jobs=args.jobs)
     sys.stdout.write(summary_text(campaign))
     return EXIT_OK if campaign.ok else EXIT_FAIL
@@ -92,8 +100,8 @@ def cmd_verify(args) -> int:
 def cmd_sweep(args) -> int:
     if not (0.0 <= args.p_min < args.p_max <= 1.0):
         return _fail(f"need 0 <= p-min < p-max <= 1, got {args.p_min} .. {args.p_max}")
-    if args.steps < 2:
-        return _fail(f"--steps must be >= 2, got {args.steps}")
+    if error := _under_minimum(args, steps=2):
+        return _fail(error)
     try:
         coeffs, _ = parse_coefficients(_read_input(args.input))
         wc = construct_witness_vector(classify(coeffs))
@@ -109,13 +117,11 @@ def cmd_sweep(args) -> int:
         "p,witness_value,detected,sigma_npt",
     ]
     ps = np.linspace(args.p_min, args.p_max, args.steps)
-    values = detect(w, add_white_noise(rho, ps))
-    noisy_sigma_pt = partial_transpose(add_white_noise(rep.sigma, ps), 2, 2)
-    sigma_npt = np.linalg.eigvalsh(noisy_sigma_pt)[:, 0] < 0.0
-    for p, value, npt in zip(ps.tolist(), values.tolist(), sigma_npt.tolist()):
+    values, sigma_minima = noise_scan(w, rho, rep.sigma, ps)
+    for p, value, low in zip(ps.tolist(), values.tolist(), sigma_minima.tolist()):
         lines.append(
             f"{p!r},{value!r},{'true' if value < 0 else 'false'},"
-            f"{'true' if npt else 'false'}"
+            f"{'true' if low < 0 else 'false'}"
         )
     try:
         _write_text(args.output, "\n".join(lines) + "\n")
@@ -126,8 +132,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_sample(args) -> int:
-    if args.count < 1:
-        return _fail(f"--count must be >= 1, got {args.count}")
+    if error := _under_minimum(args, count=1, seed=0):
+        return _fail(error)
     tables = []
     try:
         for seed in trial_seeds(args.seed, args.count):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import dag, partial_transpose
-from .witness import WitnessConstruction
+from .witness import WitnessConstruction, detect
 
 #: thresholds closer than this count as a tie in the robustness comparison
 TIE_TOL = 1e-10
@@ -53,16 +53,16 @@ class FilterReport:
     robustness_tie: bool
 
 
-def p_rho_max(expectation_value: float, d: int) -> float:
+def p_rho_max(expectation_value: float) -> float:
     """Largest white-noise weight at which the witness still fires.
 
-    For trace(W rho) = e < 0 the noisy state (1-p) rho + p/d^2 stays
-    detected while p < -d^2 e / (1 - d^2 e). Strictly increasing as e
-    decreases; e must lie in [-1/2, 0).
+    The witness is qutrit-only, so d = 3 is fixed: for trace(W rho) = e < 0
+    the noisy state (1-p) rho + p/9 stays detected while p < -9e / (1 - 9e).
+    Strictly increasing as e decreases; e must lie in [-1/2, 0).
     """
     if not -0.5 - 1e-12 <= expectation_value < 0.0:
         raise ValueError(f"expectation {expectation_value!r} outside [-1/2, 0)")
-    scaled = d * d * expectation_value
+    scaled = 9 * expectation_value
     return -scaled / (1.0 - scaled)
 
 
@@ -96,6 +96,19 @@ def add_white_noise(state: np.ndarray, p) -> np.ndarray:
     return (1.0 - p) * state + (p / n) * np.eye(n)
 
 
+def noise_scan(w: np.ndarray, rho: np.ndarray, sigma: np.ndarray, ps) -> tuple:
+    """The white-noise family of a state and its filtered pair over weights ``ps``.
+
+    Returns two arrays over ``ps``: trace(W rho_p), the witness value of
+    rho_p = (1-p) rho + p/9, and the smallest eigenvalue of sigma_p^Gamma,
+    the partial transpose of sigma_p = (1-p) sigma + p/4. Each comes from one
+    stacked call, and each entry is bit for bit the single-weight value.
+    """
+    values = detect(w, add_white_noise(rho, ps))
+    sigma_pt = partial_transpose(add_white_noise(sigma, ps), 2, 2)
+    return values, np.linalg.eigvalsh(sigma_pt)[..., 0]
+
+
 def filter_report(rho: np.ndarray, wc: WitnessConstruction) -> FilterReport:
     """Run the whole filtering stage for a state and its witness construction.
 
@@ -111,7 +124,7 @@ def filter_report(rho: np.ndarray, wc: WitnessConstruction) -> FilterReport:
     sigma = compressed / q
     # eigh, not eigvalsh: the report writes these bytes and eigvalsh moves their last digits
     spectrum = np.linalg.eigh(partial_transpose(sigma, 2, 2)).eigenvalues
-    rho_threshold = p_rho_max(wc.lambda_min, 3)
+    rho_threshold = p_rho_max(wc.lambda_min)
     sigma_threshold = p_sigma_max(wc.lambda_min, q)
     tie = abs(sigma_threshold - rho_threshold) <= TIE_TOL
     for arr in (sigma, spectrum):

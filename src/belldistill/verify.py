@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filtering import FilterAnnihilationError, add_white_noise, filter_report
+from .filtering import FilterAnnihilationError, filter_report, noise_scan
 from .linalg import expectation, kron, partial_transpose
 from .simplex import (
     BOUNDARY_TOL,
@@ -233,8 +233,9 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
             lambda: f"q {rep.q!r}, thresholds {rep.p_rho_max!r} / {rep.p_sigma_max!r}",
         )
 
-    # Every grid point is evaluated densely, all points of one state in one
-    # stacked call; failures are reported point by point, rho before sigma.
+    # Every grid point is evaluated, all of them in one noise_scan; the band
+    # around each threshold masks only that threshold's comparison. Failures
+    # are reported point by point, rho before sigma.
     grid = NOISE_GRID + (
         rep.p_rho_max - THRESHOLD_BAND,
         rep.p_rho_max + THRESHOLD_BAND,
@@ -244,11 +245,9 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
     points = np.array([p for p in grid if 0.0 <= p <= 1.0])
     on_rho = np.abs(points - rep.p_rho_max) >= THRESHOLD_BAND - 1e-15
     on_sigma = np.abs(points - rep.p_sigma_max) >= THRESHOLD_BAND - 1e-15
-    detected = np.zeros(points.size, dtype=bool)
-    detected[on_rho] = detect(w, add_white_noise(rho, points[on_rho])) < 0.0
-    noisy_sigma_pt = partial_transpose(add_white_noise(rep.sigma, points[on_sigma]), 2, 2)
-    npt = np.zeros(points.size, dtype=bool)
-    npt[on_sigma] = np.linalg.eigvalsh(noisy_sigma_pt)[:, 0] < 0.0
+    values, sigma_minima = noise_scan(w, rho, rep.sigma, points)
+    detected = values < 0.0
+    npt = sigma_minima < 0.0
     rho_wrong = on_rho & (detected != (points < rep.p_rho_max))
     sigma_wrong = on_sigma & (npt != (points < rep.p_sigma_max))
     for i in np.flatnonzero(rho_wrong | sigma_wrong):

@@ -8,7 +8,7 @@ import pkgutil
 import pytest
 
 import belldistill
-from belldistill import linalg
+from belldistill import filtering, linalg
 from belldistill.filtering import filter_report
 from belldistill.simplex import PTSpectrumReport, build_state, classify
 from belldistill.witness import construct_witness_vector
@@ -64,6 +64,17 @@ def test_package_makes_no_svd_call():
     for info in pkgutil.iter_modules(belldistill.__path__):
         module = importlib.import_module(f"belldistill.{info.name}")
         assert "svd" not in inspect.getsource(module), module.__name__
+
+
+def test_white_noise_family_has_one_route():
+    # verify and sweep reach rho_p and sigma_p only through noise_scan
+    for info in pkgutil.iter_modules(belldistill.__path__):
+        if info.name != "filtering":
+            module = importlib.import_module(f"belldistill.{info.name}")
+            assert "add_white_noise" not in inspect.getsource(module), module.__name__
+    # in filtering: the definition, and the two calls inside noise_scan
+    assert inspect.getsource(filtering).count("add_white_noise(") == 3
+    assert inspect.getsource(filtering.noise_scan).count("add_white_noise(") == 2
 
 
 def test_spectra_come_straight_from_eigh():

@@ -9,7 +9,7 @@ import pytest
 
 from belldistill.cli import main
 from belldistill.report import validate_report
-from belldistill.simplex import SimplexCoefficients, classify
+from belldistill.simplex import SimplexCoefficients, classify, pt_block
 
 
 def write_input(tmp_path, table, name="in.json"):
@@ -79,6 +79,47 @@ def test_analyze_boundary_edge_table_exits_2(tmp_path, capsys):
     assert report["witness"] is None
 
 
+def face_family(face, t):
+    # (1 - t) face + t (pure Bell), the face being the uniform one-row or one-column table
+    c = np.zeros((3, 3))
+    if face == "row":
+        c[0, :] = 1 / 3
+    else:
+        c[:, 0] = 1 / 3
+    c *= 1 - t
+    c[0, 0] += t
+    return {"d": 3, "c": c.tolist()}
+
+
+@pytest.mark.parametrize("face", ["row", "column"])
+@pytest.mark.parametrize("t", [1e-3, 1e-6, 1e-9, 1e-11, 3.1e-12])
+def test_face_families_keep_full_report(tmp_path, face, t):
+    # lambda_min = -t/3, so these tables stay NPT down to the BOUNDARY_TOL
+    # edge near t = 3e-12; B_0's relative gap is 2 along the whole family
+    table = face_family(face, t)
+    inp = write_input(tmp_path, table)
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(inp), "--output", str(out)]) == 0
+    report = json.loads(out.read_text())
+    validate_report(report)
+    assert report["classification"]["classification"] == "NPT"
+    assert abs(report["classification"]["lambda_min"] + t / 3) <= 1e-16
+    assert report["witness"] is not None and report["filter"] is not None
+    gap = np.linalg.eigvalsh(pt_block(SimplexCoefficients(3, np.array(table["c"])), 0))
+    assert abs((gap[1] - gap[0]) / abs(gap[0]) - 2.0) <= 1e-4
+
+
+@pytest.mark.parametrize("face", ["row", "column"])
+def test_face_families_reach_boundary(tmp_path, face):
+    inp = write_input(tmp_path, face_family(face, 3e-12))
+    out = tmp_path / "report.json"
+    assert main(["analyze", str(inp), "--output", str(out)]) == 2
+    report = json.loads(out.read_text())
+    validate_report(report)
+    assert report["classification"]["classification"] == "BOUNDARY"
+    assert report["witness"] is None and report["filter"] is None
+
+
 def test_analyze_renormalizes_near_one(tmp_path):
     table = {"d": 3, "c": [[0.9999999999, 0, 0], [0, 0, 0], [0, 0, 0]]}
     inp = write_input(tmp_path, table)
@@ -119,6 +160,18 @@ def test_analyze_malformed_json_exits_1(tmp_path):
     inp = tmp_path / "bad.json"
     inp.write_text("{not json", encoding="utf-8")
     assert main(["analyze", str(inp), "--output", str(tmp_path / "r.json")]) == 1
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_deeply_nested_json_exits_1(tmp_path, capsys, command):
+    # json.load raises RecursionError on deep nesting; it must read as bad input
+    inp = tmp_path / "deep.json"
+    inp.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, str(inp), "--output", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad input: ") and "nested too deeply" in err
 
 
 def test_analyze_missing_file_exits_1(tmp_path):
@@ -322,6 +375,17 @@ def test_sample_npt_only(tmp_path):
 
 def test_sample_count_zero_exits_1(tmp_path):
     assert main(["sample", "--count", "0", "--output", str(tmp_path / "t.json")]) == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "sample"])
+def test_negative_seed_exits_1(tmp_path, capsys, command):
+    out = tmp_path / "t.json"
+    argv = [command, "--seed", "-1", "--count", "1"]
+    if command == "sample":
+        argv += ["--output", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert not out.exists()
 
 
 def test_sample_exhaustion_exits_1(tmp_path, monkeypatch):

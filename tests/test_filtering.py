@@ -8,6 +8,7 @@ from belldistill.filtering import (
     FilterAnnihilationError,
     add_white_noise,
     filter_report,
+    noise_scan,
     p_rho_max,
     p_sigma_max,
 )
@@ -127,30 +128,30 @@ def test_filter_annihilation():
 # ----------------------------------------------------------- thresholds
 
 def test_p_rho_max_values():
-    assert abs(p_rho_max(-1 / 3, 3) - 3 / 4) < 1e-14
-    assert abs(p_rho_max(-1 / 9, 3) - 1 / 2) < 1e-14
-    assert p_rho_max(-1e-9, 3) < 1e-7
+    assert abs(p_rho_max(-1 / 3) - 3 / 4) < 1e-14
+    assert abs(p_rho_max(-1 / 9) - 1 / 2) < 1e-14
+    assert p_rho_max(-1e-9) < 1e-7
 
 
 def test_p_rho_max_domain():
     with pytest.raises(ValueError):
-        p_rho_max(0.0, 3)
+        p_rho_max(0.0)
     with pytest.raises(ValueError):
-        p_rho_max(0.2, 3)
+        p_rho_max(0.2)
     with pytest.raises(ValueError):
-        p_rho_max(-0.6, 3)
+        p_rho_max(-0.6)
 
 
 def test_p_rho_max_monotone():
     grid = np.linspace(-0.5, -1e-6, 200)
-    values = [p_rho_max(e, 3) for e in grid]
+    values = [p_rho_max(e) for e in grid]
     assert all(a > b for a, b in zip(values, values[1:]))
 
 
 def test_p_sigma_max_values():
     assert abs(p_sigma_max(-1 / 3, 2 / 3) - 2 / 3) < 1e-14
     # at q = 4/9 the two thresholds coincide
-    assert abs(p_sigma_max(-1 / 3, 4 / 9) - p_rho_max(-1 / 3, 3)) < 1e-14
+    assert abs(p_sigma_max(-1 / 3, 4 / 9) - p_rho_max(-1 / 3)) < 1e-14
     assert p_sigma_max(-1 / 3, 1e-9) > 1 - 1e-8
 
 
@@ -188,7 +189,8 @@ def test_white_noise_domain_of_weight_arrays(ps):
 
 def test_stacked_noise_grid_equals_single_points():
     # one call over a weight array gives, bit for bit, the values of one call
-    # per weight: the mixtures, the witness values and sigma's partial transpose
+    # per weight: the mixtures, the witness values, sigma's partial transpose
+    # and noise_scan's two arrays
     grid = np.linspace(0.0, 1.0, 101)
     assert len(NPT_SEEDS) >= 50
     for seed in NPT_SEEDS[:50]:
@@ -209,9 +211,11 @@ def test_stacked_noise_grid_equals_single_points():
         pt_stack = partial_transpose(sigma_stack, 2, 2)
         pt_single = [partial_transpose(m, 2, 2) for m in sigma_single]
         assert np.array_equal(pt_stack, pt_single)
-        assert np.array_equal(
-            np.linalg.eigvalsh(pt_stack)[:, 0], [np.linalg.eigvalsh(m)[0] for m in pt_single]
-        )
+        sigma_minima = [np.linalg.eigvalsh(m)[0] for m in pt_single]
+        assert np.array_equal(np.linalg.eigvalsh(pt_stack)[:, 0], sigma_minima)
+        values, scan_minima = noise_scan(w, rho, sigma, grid)
+        assert np.array_equal(values, [detect(w, m) for m in rho_single])
+        assert np.array_equal(scan_minima, sigma_minima)
 
 
 @settings(max_examples=30, deadline=None)
@@ -242,7 +246,7 @@ def test_robustness_tie(monkeypatch):
     # thresholds 5e-11 apart lie within TIE_TOL and count as a tie
     coeffs = pure_bell_table()
     wc = construct_witness_vector(classify(coeffs))
-    monkeypatch.setattr(filtering, "p_sigma_max", lambda lam, q: p_rho_max(lam, 3) + 5e-11)
+    monkeypatch.setattr(filtering, "p_sigma_max", lambda lam, q: p_rho_max(lam) + 5e-11)
     rep = filter_report(build_state(coeffs), wc)
     assert rep.p_sigma_max - rep.p_rho_max == pytest.approx(5e-11, abs=1e-15)
     assert rep.robustness_tie is True
