@@ -17,7 +17,7 @@ rho = build_state(coeffs)
 rep = filter_report(rho, wc)
 
 # The witness vector's Schmidt bases give local rank-2 projectors.
-print("trace P_A =", np.trace(rep.P_A).real, " trace P_B =", np.trace(rep.P_B).real)
+print("trace P_A =", np.trace(wc.P_A).real, " trace P_B =", np.trace(wc.P_B).real)
 print(f"success probability q = {rep.q:.6f}")
 
 # The filtered 4x4 state lives on the qubit pair spanned by those bases.

@@ -34,16 +34,14 @@ class FilterAnnihilationError(ValueError):
 class FilterReport:
     """Filtering outcome plus the noise-threshold comparison.
 
-    P_A and P_B are the witness construction's projectors, and sigma is
-    expressed in the ordered product basis (a0,b0*), (a0,b1*), (a1,b0*),
-    (a1,b1*) of its frame.
+    The filters P_A and P_B are held by the witness construction alone
+    (``WitnessConstruction.P_A`` and ``.P_B``); sigma is expressed in the
+    ordered product basis (a0,b0*), (a0,b1*), (a1,b0*), (a1,b1*) of its frame.
     qubit_more_robust records p_sigma_max > p_rho_max, which coincides
     with q < 4/9; robustness_tie is set when the two thresholds agree
     within TIE_TOL, which happens exactly at q = 4/9.
     """
 
-    P_A: np.ndarray
-    P_B: np.ndarray
     q: float
     sigma: np.ndarray
     sigma_pt_spectrum: np.ndarray
@@ -130,8 +128,6 @@ def filter_report(rho: np.ndarray, wc: WitnessConstruction) -> FilterReport:
     for arr in (sigma, spectrum):
         arr.setflags(write=False)
     return FilterReport(
-        P_A=wc.P_A,
-        P_B=wc.P_B,
         q=q,
         sigma=sigma,
         sigma_pt_spectrum=spectrum,

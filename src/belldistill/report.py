@@ -47,14 +47,24 @@ from .simplex import (
     SimplexCoefficients,
     build_state,
     classify,
+    verdict,
 )
-from .witness import WitnessConstruction, construct_witness_vector, witness_operator
+from .witness import PSI, WitnessConstruction, construct_witness_vector, witness_operator
 
 #: input tables whose sum deviates from one by at most this are renormalized
 RENORM_TOL = 1e-9
 
 REASON_PPT = "no negative partial-transpose eigenvalue"
 REASON_BOUNDARY = "partial transpose sits on the positivity boundary"
+
+#: the reason code each label carries; an NPT report has none
+REASONS = {NPT: None, PPT: REASON_PPT, BOUNDARY: REASON_BOUNDARY}
+
+#: a report's top-level keys, in the order they are written
+REPORT_KEYS = (
+    "tool_version", "seed_used", "input", "renormalized", "classification",
+    "witness", "witness_spectrum", "filter", "reason",
+)
 
 
 def _json(a) -> list:
@@ -112,7 +122,7 @@ def witness_to_json(wc: WitnessConstruction) -> dict:
         "mu1": float(wc.schmidt_coefficients[1]),
         "u": _json(wc.u),
         "alpha": _json(wc.alpha),
-        "psi": _json(wc.psi),
+        "psi": _json(PSI),
         "C": _json(wc.C),
         "minors": _json(wc.minors),
         "det_C": _json(wc.det_C),
@@ -125,10 +135,10 @@ def witness_to_json(wc: WitnessConstruction) -> dict:
     }
 
 
-def filter_to_json(rep: FilterReport) -> dict:
+def filter_to_json(rep: FilterReport, wc: WitnessConstruction) -> dict:
     return {
-        "P_A": _json(rep.P_A),
-        "P_B": _json(rep.P_B),
+        "P_A": _json(wc.P_A),
+        "P_B": _json(wc.P_B),
         "q": rep.q,
         "sigma": _json(rep.sigma),
         "sigma_pt_spectrum": _json(rep.sigma_pt_spectrum),
@@ -147,24 +157,18 @@ def analysis_report(coeffs: SimplexCoefficients, renormalized: bool = False) -> 
     always null: a report describes a given table, not a sampling run.
     """
     rep = classify(coeffs)
-    out = {
-        "tool_version": __version__,
-        "seed_used": None,
-        "input": coefficients_to_json(coeffs),
-        "renormalized": bool(renormalized),
-        "classification": classification_to_json(rep),
-        "witness": None,
-        "witness_spectrum": None,
-        "filter": None,
-        "reason": None,
-    }
+    out = dict.fromkeys(REPORT_KEYS)
+    out["tool_version"] = __version__
+    out["input"] = coefficients_to_json(coeffs)
+    out["renormalized"] = bool(renormalized)
+    out["classification"] = classification_to_json(rep)
+    out["reason"] = REASONS[rep.classification]
     if rep.classification != NPT:
-        out["reason"] = REASON_PPT if rep.classification == PPT else REASON_BOUNDARY
         return out
     wc = construct_witness_vector(rep)
     out["witness"] = witness_to_json(wc)
     out["witness_spectrum"] = _json(np.linalg.eigvalsh(witness_operator(wc)))
-    out["filter"] = filter_to_json(filter_report(build_state(coeffs), wc))
+    out["filter"] = filter_to_json(filter_report(build_state(coeffs), wc), wc)
     return out
 
 
@@ -270,7 +274,7 @@ def _skeleton(shape: tuple, depth: int) -> tuple:
 #: keys that validate_report reads from each section; a section that is not
 #: null must be an object carrying them, and only witness and filter may be null
 SECTION_KEYS = {
-    "classification": ("eigenvalues", "lambda_min", "classification"),
+    "classification": ("eigenvalues", "lambda_min", "negative_count", "classification"),
     "witness": ("lambda_min",),
     "filter": (),
 }
@@ -281,22 +285,15 @@ def validate_report(report: dict) -> None:
 
     The report's type, and each section's type and required keys, are
     checked before they are read, so a malformed report raises ValueError
-    too, not KeyError or TypeError.
+    too, not KeyError or TypeError. The label must be
+    :func:`~belldistill.simplex.verdict` of lambda_min, negative_count must
+    count the eigenvalues that rule calls negative, and the witness,
+    witness_spectrum, filter and reason fields must be set or null as the
+    label requires.
     """
     if not isinstance(report, dict):
         raise ValueError(f"report must be an object, got {type(report).__name__}")
-    required = {
-        "tool_version",
-        "seed_used",
-        "input",
-        "renormalized",
-        "classification",
-        "witness",
-        "witness_spectrum",
-        "filter",
-        "reason",
-    }
-    missing = required - set(report)
+    missing = set(REPORT_KEYS) - set(report)
     if missing:
         raise ValueError(f"report is missing keys {sorted(missing)}")
     for name, keys in SECTION_KEYS.items():
@@ -319,14 +316,21 @@ def validate_report(report: dict) -> None:
         raise ValueError("classification eigenvalues are not ascending")
     if cls["lambda_min"] != eigs[0]:
         raise ValueError("lambda_min does not equal the smallest eigenvalue")
-    if cls["classification"] not in (NPT, PPT, BOUNDARY):
-        raise ValueError(f"unknown classification {cls['classification']!r}")
-    is_npt = cls["classification"] == NPT
-    if is_npt and (report["witness"] is None or report["filter"] is None):
-        raise ValueError("NPT report lacks witness or filter section")
-    if not is_npt and report["reason"] is None:
-        raise ValueError("non-NPT report lacks a reason code")
-    if not is_npt and (report["witness"] is not None or report["filter"] is not None):
-        raise ValueError("non-NPT report carries witness or filter data")
+    label = cls["classification"]
+    if label != verdict(cls["lambda_min"]):
+        raise ValueError(f"classification {label} contradicts lambda_min {cls['lambda_min']!r}")
+    negatives = sum(verdict(x) == NPT for x in eigs)
+    if type(cls["negative_count"]) is not int or cls["negative_count"] != negatives:
+        raise ValueError(f"negative_count {cls['negative_count']!r}, not {negatives}")
+    if type(report["renormalized"]) is not bool:
+        raise ValueError(f"renormalized must be a boolean, got {report['renormalized']!r}")
+    is_npt = label == NPT
+    absent = [report[name] is None for name in ("witness", "witness_spectrum", "filter")]
+    if is_npt and any(absent):
+        raise ValueError("NPT report lacks a witness, witness_spectrum or filter section")
+    if not is_npt and not all(absent):
+        raise ValueError(f"{label} report carries witness, witness_spectrum or filter data")
+    if report["reason"] != REASONS[label]:
+        raise ValueError(f"reason {report['reason']!r} does not fit a {label} report")
     if is_npt and report["witness"]["lambda_min"] != cls["lambda_min"]:
         raise ValueError("witness lambda_min differs from the classification's lambda_min")

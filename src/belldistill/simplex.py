@@ -120,6 +120,17 @@ def pivot_index(weights: np.ndarray) -> int:
     return int(np.argmax(weights >= (1.0 - PIVOT_RTOL) * weights.max()))
 
 
+def verdict(lambda_min: float) -> str:
+    """Label of a partial transpose with smallest eigenvalue ``lambda_min``.
+
+    NPT below -BOUNDARY_TOL, PPT above +BOUNDARY_TOL and BOUNDARY in the
+    band between, which is reported rather than rounded: the witness
+    construction has no meaning there. Classification and the report
+    validator both label by this rule.
+    """
+    return NPT if lambda_min < -BOUNDARY_TOL else PPT if lambda_min > BOUNDARY_TOL else BOUNDARY
+
+
 def _fix_phase(v: np.ndarray) -> np.ndarray:
     """Rotate a vector's global phase so its pivot entry (see pivot_index) is real positive."""
     pivot = v[pivot_index(np.abs(v))]
@@ -209,22 +220,19 @@ def _spectrum_report(values: np.ndarray, vectors: np.ndarray) -> PTSpectrumRepor
     """Report of one table from the (b, d) eigenvalues and (b, d, d) eigenvectors of its blocks.
 
     Each solved spectrum is repeated over its orbit of m -> m+2, which
-    covers all d blocks. The verdict is NPT below -BOUNDARY_TOL, PPT above
-    +BOUNDARY_TOL and BOUNDARY in the band between, which is reported
-    rather than rounded: the witness construction has no meaning there.
+    covers all d blocks, and the label is :func:`verdict` of its minimum.
     """
     b, d = values.shape
     eigenvalues = np.sort(np.repeat(values, d // b, axis=0).ravel())
     eigenvalues.setflags(write=False)
     lambda_min = float(eigenvalues[0])
-    verdict = NPT if lambda_min < -BOUNDARY_TOL else PPT if lambda_min > BOUNDARY_TOL else BOUNDARY
     u0 = _fix_phase(vectors[0][:, 0])
     u0.setflags(write=False)
     return PTSpectrumReport(
         eigenvalues=eigenvalues,
         lambda_min=lambda_min,
         negative_count=int(np.count_nonzero(eigenvalues < -BOUNDARY_TOL)),
-        classification=verdict,
+        classification=verdict(lambda_min),
         u0=u0,
     )
 
@@ -236,8 +244,8 @@ def classify(coeffs: SimplexCoefficients) -> PTSpectrumReport:
     for odd d and B_0, B_1 for even d, as a stack of one table in one
     ``np.linalg.eigh`` call, the same solve :func:`sample_npt` makes for a
     batch. The blocks are Hermitian to rounding for every table
-    SimplexCoefficients admits. See :func:`_spectrum_report` for the
-    verdict rule.
+    SimplexCoefficients admits. The label is :func:`verdict` of the
+    smallest eigenvalue.
     """
     values, vectors = _solve(coeffs.c.reshape(1, -1), coeffs.d)
     return _spectrum_report(values[0], vectors[0])
@@ -254,6 +262,16 @@ def lambda_min_multiplicity(eigenvalues: np.ndarray) -> int:
     return int(np.sum(eigenvalues <= eigenvalues[0] + DEGENERACY_RTOL * width))
 
 
+def _flat_tables(rng, size: int) -> np.ndarray:
+    """``size`` flat-Dirichlet d = 3 tables from ``rng`` as rows of 9, each normalized to sum one.
+
+    One ``rng.dirichlet(..., size=size)`` call yields the numbers of ``size``
+    single draws, and a row's normalization does not depend on the others.
+    """
+    cs = rng.dirichlet(np.ones(9), size=size)
+    return cs / cs.sum(axis=1, keepdims=True)
+
+
 def sample_simplex(seed) -> SimplexCoefficients:
     """Uniform d = 3 sample from the probability simplex (flat Dirichlet), per seed.
 
@@ -262,9 +280,8 @@ def sample_simplex(seed) -> SimplexCoefficients:
     across platforms. Parallel callers should derive disjoint child seeds
     from one SeedSequence rather than share a seed.
     """
-    rng = np.random.default_rng(seed)
-    c = rng.dirichlet(np.ones(9))
-    return SimplexCoefficients(d=3, c=(c / c.sum()).reshape(3, 3))
+    c = _flat_tables(np.random.default_rng(seed), 1)[0]
+    return SimplexCoefficients(d=3, c=c.reshape(3, 3))
 
 
 #: Dirichlet draws per batch of :func:`sample_npt`
@@ -280,19 +297,18 @@ def sample_npt(seed, max_tries: int = 1000) -> tuple[SimplexCoefficients, PTSpec
     shows up within ``max_tries`` draws.
 
     Draws come in batches of up to SAMPLE_BATCH from one
-    ``rng.dirichlet(..., size=k)`` call, which yields the same numbers as k
-    single draws. Each batch is normalized row by row and solved in one
-    stacked ``eigh`` (:func:`_solve`), and the first row in draw order whose
-    report says NPT is returned. Every row gets the bits it would get alone,
-    so the accepted table, its report and the draw count at which sampling
-    gives up are those of classifying every draw one by one.
+    :func:`_flat_tables` call, the draw :func:`sample_simplex` makes for one
+    table. Each batch is solved in one stacked ``eigh`` (:func:`_solve`),
+    and the first row in draw order whose report says NPT is returned.
+    Every row gets the bits it would get alone, so the accepted table, its
+    report and the draw count at which sampling gives up are those of
+    classifying every draw one by one.
     """
     if max_tries < 1:
         raise ValueError(f"max_tries must be >= 1, got {max_tries}")
     rng = np.random.default_rng(seed)
     for start in range(0, max_tries, SAMPLE_BATCH):
-        cs = rng.dirichlet(np.ones(9), size=min(SAMPLE_BATCH, max_tries - start))
-        cs = cs / cs.sum(axis=1, keepdims=True)
+        cs = _flat_tables(rng, min(SAMPLE_BATCH, max_tries - start))
         for c, values, vectors in zip(cs, *_solve(cs, 3)):
             spectrum = _spectrum_report(values, vectors)
             if spectrum.classification == NPT:

@@ -204,9 +204,7 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
     check("mirror_psd", mirror_floor >= -1e-10, lambda: f"floor {mirror_floor:.3e}")
 
     rep = filter_report(rho, wc)
-    fix_res = float(
-        np.abs(kron(rep.P_A, rep.P_B.T) @ wc.phi - wc.phi).max()
-    )
+    fix_res = float(np.abs(kron(wc.P_A, wc.P_B.T) @ wc.phi - wc.phi).max())
     res["filter_fixpoint_residual"] = fix_res
     check("filter_fixpoint", fix_res <= 1e-10, lambda: f"residual {fix_res:.3e}")
 
@@ -265,30 +263,37 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
 
 
 def run_campaign(count: int, master_seed: int, jobs: int = 1) -> CampaignResult:
-    """Run ``count`` independent trials and aggregate order-independently."""
+    """Run ``count`` independent trials and aggregate order-independently.
+
+    Each trial is folded into the residual maxima and the failure list as it
+    arrives, in seed order, so only failed trials are kept.
+    """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     seeds = trial_seeds(master_seed, count)
+    residual_max = dict.fromkeys(RESIDUAL_KEYS, 0.0)
+    failed = []
+
+    def fold(results):
+        for r in results:
+            for key in RESIDUAL_KEYS:
+                if key in r.residuals:
+                    residual_max[key] = max(residual_max[key], r.residuals[key])
+            if not r.ok:
+                failed.append(r)
+
     # the pool forks all its workers at the first submit, so ask for no more than can work
     workers = min(jobs, count, os.cpu_count() or 1)
     if workers == 1:
-        results = [run_trial(s) for s in seeds]
+        fold(map(run_trial, seeds))
     else:
         # imported here so that one-job runs never load multiprocessing
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run_trial, seeds, chunksize=max(1, count // (4 * workers))))
-    residual_max = {key: 0.0 for key in RESIDUAL_KEYS}
-    failed = []
-    for r in results:
-        for key in RESIDUAL_KEYS:
-            if key in r.residuals:
-                residual_max[key] = max(residual_max[key], r.residuals[key])
-        if not r.ok:
-            failed.append(r)
+            fold(pool.map(run_trial, seeds, chunksize=max(1, count // (4 * workers))))
     return CampaignResult(
         count=count, master_seed=master_seed, residual_max=residual_max, failed_trials=failed
     )

@@ -44,14 +44,15 @@ IMAG_TOL = 1e-11
 #: a Schmidt coefficient counts as nonzero iff above RANK_RTOL times the largest
 RANK_RTOL = 1e-9
 
-#: the d = 3 unitaries of the construction, built once and shared read-only:
-#: the diagonal Weyl operator W_{1,0}, the Fourier matrix F and the
-#: Bell-frame swap (F^dag (x) F) flip
+#: the d = 3 constants of the construction, built once and shared read-only:
+#: the diagonal Weyl operator W_{1,0}, the Fourier matrix F, the Bell-frame
+#: swap (F^dag (x) F) flip and the fixed mixing amplitudes psi = (1, 0, -1)/sqrt 2
 W10 = weyl(3, 1, 0)
 F3 = fourier(3)
 SWAP3 = swap_conjugation(3)
-for _unitary in (W10, F3, SWAP3):
-    _unitary.setflags(write=False)
+PSI = np.array([1.0, 0.0, -1.0], dtype=complex) / np.sqrt(2.0)
+for _const in (W10, F3, SWAP3, PSI):
+    _const.setflags(write=False)
 
 
 class NotNPTError(ValueError):
@@ -71,11 +72,13 @@ class WitnessConstruction:
     """Full trace of the rank-2 eigenvector build.
 
     u[m] is the ground eigenvector of block B_m (row m of a 3 x 3 array),
-    alpha[m] its Fourier transform, psi the fixed mixing amplitudes, C the
-    3 x 3 coefficient matrix of the pre-swap vector phi_tilde, minors its
-    principal 2 x 2 minors, and phi the normalized rank-2 eigenvector.
+    alpha[m] its Fourier transform, C the 3 x 3 coefficient matrix of the
+    pre-swap vector phi_tilde that mixes the alpha[m] with the fixed
+    amplitudes PSI, minors its principal 2 x 2 minors, and phi the
+    normalized rank-2 eigenvector.
 
-    P_A and P_B are the local rank-2 projectors of phi. schmidt_left holds
+    P_A and P_B are the local rank-2 projectors of phi, the filters of
+    :func:`~belldistill.filtering.filter_report`. schmidt_left holds
     the frame vectors a_0, a_1 as rows and schmidt_right b_0, b_1, so that
     phi = sum_i a_i (x) b_i / sqrt 2. schmidt_coefficients is
     [mu0, mu1, mu2] with mu_i = |a_i^dag M| and a_2 = (a_0 x a_1)^*; mu2
@@ -85,7 +88,6 @@ class WitnessConstruction:
     lambda_min: float
     u: np.ndarray
     alpha: np.ndarray
-    psi: np.ndarray
     C: np.ndarray
     minors: np.ndarray
     det_C: complex
@@ -123,13 +125,12 @@ def construct_witness_vector(spectrum: PTSpectrumReport) -> WitnessConstruction:
 
     alpha = np.array([dag(F3) @ u[m] for m in range(3)])
 
-    psi = np.array([1.0, 0.0, -1.0], dtype=complex) / np.sqrt(2.0)
     phi_tilde = np.zeros(9, dtype=complex)
     for i in range(3):
-        if psi[i] == 0.0:
+        if PSI[i] == 0.0:
             continue
         for k in range(3):
-            phi_tilde[3 * k + (k + i) % 3] += psi[i] * alpha[i, k]
+            phi_tilde[3 * k + (k + i) % 3] += PSI[i] * alpha[i, k]
 
     c_matrix = phi_tilde.reshape(3, 3)
     # cofactor formulas on Python complex entries; minors[j] deletes row and column j
@@ -162,13 +163,12 @@ def construct_witness_vector(spectrum: PTSpectrumReport) -> WitnessConstruction:
     left = np.array([a0, a1])
     right = np.sqrt(2.0) * rows[:2]
 
-    for arr in (u, alpha, psi, c_matrix, minors, phi_tilde, phi, p_a, p_b, mu, left, right):
+    for arr in (u, alpha, c_matrix, minors, phi_tilde, phi, p_a, p_b, mu, left, right):
         arr.setflags(write=False)
     return WitnessConstruction(
         lambda_min=lambda_min,
         u=u,
         alpha=alpha,
-        psi=psi,
         C=c_matrix,
         minors=minors,
         det_C=det_c,

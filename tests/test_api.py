@@ -1,19 +1,21 @@
 """The top-level API is the pipeline; cross-check routes live in tests/reference.py."""
 
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
 
+import numpy as np
 import pytest
 
 import belldistill
-from belldistill import filtering, linalg
-from belldistill.filtering import filter_report
+from belldistill import filtering, linalg, report, witness
+from belldistill.filtering import FilterReport, filter_report
 from belldistill.simplex import PTSpectrumReport, build_state, classify
-from belldistill.witness import construct_witness_vector
+from belldistill.witness import WitnessConstruction, construct_witness_vector
 
-from conftest import random_table
+from conftest import pure_bell_table, random_table, uniform_table
 from reference import SchmidtDecomposition
 
 PIPELINE = {
@@ -93,3 +95,42 @@ def test_u0_and_sigma_pt_spectrum_are_read_only():
     for arr in (spectrum.u0, rep.sigma_pt_spectrum):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+# ------------------------------------------- one holder for each quantity
+
+def test_filter_report_does_not_copy_the_filters():
+    # P_A and P_B live on the witness construction alone
+    assert [f.name for f in dataclasses.fields(FilterReport)] == [
+        "q", "sigma", "sigma_pt_spectrum", "p_rho_max", "p_sigma_max",
+        "qubit_more_robust", "robustness_tie",
+    ]
+
+
+def test_psi_is_one_read_only_constant():
+    assert "psi" not in [f.name for f in dataclasses.fields(WitnessConstruction)]
+    assert np.array_equal(witness.PSI, np.array([1.0, 0.0, -1.0], dtype=complex) / np.sqrt(2.0))
+    with pytest.raises(ValueError):
+        witness.PSI[1] = 1.0
+
+
+def test_report_keys_are_one_tuple():
+    # the writer starts from the tuple and the validator checks against it
+    for table in (pure_bell_table(), uniform_table()):
+        assert tuple(report.analysis_report(table)) == report.REPORT_KEYS
+    for function in (report.analysis_report, report.validate_report):
+        assert "REPORT_KEYS" in inspect.getsource(function), function.__name__
+
+
+def test_one_dirichlet_draw():
+    calls = []
+    for info in pkgutil.iter_modules(belldistill.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"belldistill.{info.name}")))
+        calls += [
+            info.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "dirichlet"
+        ]
+    assert calls == ["simplex"]

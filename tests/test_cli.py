@@ -132,6 +132,7 @@ def test_analyze_renormalizes_near_one(tmp_path):
     {"d": 3, "c": [[0.9, 0, 0], [0, 0, 0], [0, 0, 0]]},
     {"d": 3, "c": [[1.1, -0.1, 0], [0, 0, 0], [0, 0, 0]]},
     {"d": 2, "c": [["0.5", "0"], ["0.5", "0"]]},
+    {"d": 1, "c": [[1.0]]},
 ])
 def test_analyze_invalid_table_exits_1(
     tmp_path, table
@@ -154,6 +155,22 @@ def test_non_finite_input_exits_1(tmp_path, capsys, command, literal):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("error: bad input: ") and "non-finite" in err
+
+
+@pytest.mark.parametrize("command, what", [
+    ("analyze", "report"),
+    ("sweep", "sweep"),
+    ("sample", "samples"),
+])
+def test_unwritable_output_exits_1(tmp_path, capsys, command, what):
+    # the output path lies inside a directory that does not exist
+    out = tmp_path / "missing" / "out"
+    argv = [command] + [str(write_input(tmp_path, PURE))] * (command != "sample")
+    assert main(argv + ["--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write {what}: ")
+    assert not out.parent.exists()
 
 
 def test_analyze_malformed_json_exits_1(tmp_path):
@@ -429,3 +446,18 @@ def test_cli_import_loads_no_process_pool():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_import_loads_no_numpy_random():
+    # numpy loads numpy.random on first attribute access, and that import
+    # (with secrets and hashlib) takes about 10 ms on a 2-vCPU host, a
+    # quarter of a fresh analyze process's set-up; analyze never draws, so
+    # only sampling may load it
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, belldistill.cli; print('numpy.random' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

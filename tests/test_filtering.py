@@ -70,8 +70,8 @@ def test_pivot_frame_matches_svd_oracle():
         left, right = wc.schmidt_left, wc.schmidt_right
         rebuilt = (left.T @ right).ravel() / np.sqrt(2)
         for key, dev in [
-            ("P_A", np.abs(rep.P_A - p_a).max()),
-            ("P_B", np.abs(rep.P_B - p_b).max()),
+            ("P_A", np.abs(wc.P_A - p_a).max()),
+            ("P_B", np.abs(wc.P_B - p_b).max()),
             ("q", abs(rep.q - q)),
             ("sigma_pt_spectrum", np.abs(rep.sigma_pt_spectrum - spectrum_svd).max()),
             ("mu", np.abs(wc.schmidt_coefficients[:2] - dec.coefficients[:2]).max()),

@@ -28,7 +28,7 @@ from belldistill.simplex import (
     classify,
     sample_npt,
 )
-from belldistill.witness import construct_witness_vector, witness_operator
+from belldistill.witness import PSI, construct_witness_vector, witness_operator
 
 from conftest import pure_bell_table, random_table, sparse_table, uniform_table
 from reference import (
@@ -183,6 +183,83 @@ def _eigenvalues_not_numbers(report):
     return report
 
 
+def _ppt_report():
+    # the uniform table: lambda_min = +1/9, after a JSON round trip
+    return json.loads(dump_report(analysis_report(uniform_table())))
+
+
+def _ppt_relabelled_npt(report):
+    # sections borrowed from the NPT report, its witness lambda_min matched
+    ppt = _ppt_report()
+    ppt["classification"]["classification"] = NPT
+    for key in ("witness", "witness_spectrum", "filter"):
+        ppt[key] = report[key]
+    ppt["witness"]["lambda_min"] = ppt["classification"]["lambda_min"]
+    ppt["reason"] = None
+    return ppt
+
+
+def _negative_count_7(report):
+    report["classification"]["negative_count"] = 7
+    return report
+
+
+def _npt_without_witness_spectrum(report):
+    report["witness_spectrum"] = None
+    return report
+
+
+def _ppt_with_witness_spectrum(report):
+    ppt = _ppt_report()
+    ppt["witness_spectrum"] = report["witness_spectrum"]
+    return ppt
+
+
+def _ppt_with_witness(report):
+    ppt = _ppt_report()
+    ppt["witness"] = report["witness"]
+    return ppt
+
+
+def _npt_with_reason(report):
+    report["reason"] = REASON_PPT
+    return report
+
+
+def _ppt_with_made_up_reason(report):
+    ppt = _ppt_report()
+    ppt["reason"] = "state looks fine"
+    return ppt
+
+
+def _ppt_without_reason(report):
+    ppt = _ppt_report()
+    ppt["reason"] = None
+    return ppt
+
+
+def _renormalized_yes(report):
+    report["renormalized"] = "yes"
+    return report
+
+
+def _eight_eigenvalues(report):
+    del report["classification"]["eigenvalues"][-1]
+    return report
+
+
+def _descending_eigenvalues(report):
+    eigs = report["classification"]["eigenvalues"]
+    eigs.reverse()
+    report["classification"]["lambda_min"] = eigs[0]
+    return report
+
+
+def _unknown_label(report):
+    report["classification"]["classification"] = "MAYBE"
+    return report
+
+
 @pytest.mark.parametrize(
     "malform, match",
     [
@@ -191,11 +268,25 @@ def _eigenvalues_not_numbers(report):
         (_list_witness, "witness section must be an object, got list"),
         (lambda report: [report], "report must be an object, got list"),
         (_eigenvalues_not_numbers, "list of numbers"),
+        # reports that are well formed but contradict themselves
+        (_ppt_relabelled_npt, "classification NPT contradicts lambda_min 0.111"),
+        (_negative_count_7, "negative_count 7, not 3"),
+        (_npt_without_witness_spectrum, "NPT report lacks"),
+        (_ppt_with_witness_spectrum, "PPT report carries"),
+        (_ppt_with_witness, "PPT report carries"),
+        (_npt_with_reason, "does not fit a NPT report"),
+        (_ppt_with_made_up_reason, "does not fit a PPT report"),
+        (_ppt_without_reason, "None does not fit a PPT report"),
+        (_renormalized_yes, "renormalized must be a boolean, got 'yes'"),
+        (_eight_eigenvalues, "lists 8 eigenvalues for d=3"),
+        (_descending_eigenvalues, "not ascending"),
+        (_unknown_label, "classification MAYBE contradicts lambda_min"),
     ],
 )
 def test_validate_raises_value_error_on_malformed_reports(malform, match):
     # each malformed part is caught before it is read, so none of these
-    # surfaces as KeyError or TypeError
+    # surfaces as KeyError or TypeError; every report starts from the pure
+    # Bell table's report after a JSON round trip
     report = json.loads(dump_report(analysis_report(pure_bell_table())))
     with pytest.raises(ValueError, match=match):
         validate_report(malform(report))
@@ -345,7 +436,7 @@ def oracle_sections(coeffs: SimplexCoefficients) -> dict:
         "mu1": float(wc.schmidt_coefficients[1]),
         "u": [vector_to_json(wc.u[m]) for m in range(3)],
         "alpha": [vector_to_json(wc.alpha[m]) for m in range(3)],
-        "psi": vector_to_json(wc.psi),
+        "psi": vector_to_json(PSI),
         "C": matrix_to_json(wc.C),
         "minors": vector_to_json(wc.minors),
         "det_C": complex_to_json(wc.det_C),
@@ -358,8 +449,8 @@ def oracle_sections(coeffs: SimplexCoefficients) -> dict:
     }
     out["witness_spectrum"] = real_vector_to_json(np.linalg.eigvalsh(witness_operator(wc)))
     out["filter"] = {
-        "P_A": matrix_to_json(fr.P_A),
-        "P_B": matrix_to_json(fr.P_B),
+        "P_A": matrix_to_json(wc.P_A),
+        "P_B": matrix_to_json(wc.P_B),
         "q": fr.q,
         "sigma": matrix_to_json(fr.sigma),
         "sigma_pt_spectrum": real_vector_to_json(fr.sigma_pt_spectrum),
@@ -387,6 +478,24 @@ def test_seeded_tables_match_serialisation_oracle(family):
         assert dump_report(report) == dump_json(report), seed
         verdicts.add(report["classification"]["classification"])
     assert NPT in verdicts and PPT in verdicts
+
+
+@pytest.mark.parametrize("d", [3, 2, 4, 5])
+def test_written_reports_validate(d):
+    # flat and sparse tables mixed with white noise at weights 0 to 1: the
+    # validator's consistency checks refuse no report the package writes
+    # (NPT tables with d != 3 get no report)
+    verdicts = []
+    for seed in range(200):
+        table = (random_table if seed % 2 else sparse_table)(seed, d)
+        t = (seed % 5) / 4
+        coeffs = SimplexCoefficients(d=d, c=(1 - t) * table.c + t / d**2)
+        if d != 3 and classify(coeffs).classification == NPT:
+            continue
+        report = analysis_report(coeffs)
+        validate_report(json.loads(dump_report(report)))
+        verdicts.append(report["classification"]["classification"])
+    assert PPT in verdicts and (d != 3 or NPT in verdicts)
 
 
 # ------------------------------------------------------ the report writer
@@ -463,6 +572,7 @@ def test_near_regular_nests_match_writer_oracle(obj):
     np.zeros(2),
     {"a": {1.0, 2.0}},
     [[np.bool_(True)]],
+    {(1, 2): 1.0},
 ])
 def test_non_json_objects_are_refused(obj):
     with pytest.raises(TypeError):

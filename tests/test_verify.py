@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -112,6 +113,52 @@ def test_campaign_never_asks_for_more_workers_than_it_can_use(monkeypatch, cpus,
     assert _SerialPool.asked == expected
     serial = verify.run_campaign(3, 0, jobs=1)
     assert verify.summary_text(campaign) == verify.summary_text(serial)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_campaign_keeps_no_passing_trial(monkeypatch, jobs):
+    # trials are folded in as they arrive, so the memory held when the last
+    # trial runs is that held at trial 100; a list of all results would add
+    # about 800 bytes per trial
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _SerialPool)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    count, calls, held = 4000, [0], {}
+
+    def stub(seed):
+        calls[0] += 1
+        if calls[0] in (100, count):
+            held[calls[0]] = tracemalloc.get_traced_memory()[0]
+        residuals = dict.fromkeys(verify.RESIDUAL_KEYS, 1e-16)
+        return verify.TrialResult(seed, np.full((3, 3), 1 / 9), residuals=residuals)
+
+    monkeypatch.setattr(verify, "run_trial", stub)
+    tracemalloc.start()
+    try:
+        campaign = verify.run_campaign(count, 0, jobs=jobs)
+    finally:
+        tracemalloc.stop()
+    assert campaign.ok
+    assert campaign.residual_max == dict.fromkeys(verify.RESIDUAL_KEYS, 1e-16)
+    assert held[count] - held[100] <= 4096
+
+
+@pytest.mark.parametrize("count, jobs, match", [
+    (0, 1, "count must be >= 1, got 0"),
+    (1, 0, "jobs must be >= 1, got 0"),
+])
+def test_campaign_refuses_empty_runs(count, jobs, match):
+    with pytest.raises(ValueError, match=match):
+        verify.run_campaign(count, 0, jobs=jobs)
+
+
+def test_passing_trial_records_every_residual_key():
+    # the summary prints a maximum for each RESIDUAL_KEYS entry, and a key
+    # the battery never records would print 0 forever
+    result = verify.run_trial(verify.trial_seeds(0, 1)[0])
+    assert result.ok
+    assert sorted(result.residuals) == sorted(verify.RESIDUAL_KEYS)
 
 
 def test_verify_reuses_the_read_only_weyl_operator():

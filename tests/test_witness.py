@@ -5,6 +5,7 @@ from belldistill.linalg import expectation, partial_transpose
 from belldistill.simplex import PIVOT_RTOL, SimplexCoefficients, build_state, classify, pt_block
 from belldistill.weyl import bell_unitary, flip, weyl
 from belldistill.witness import (
+    PSI,
     NotNPTError,
     construct_witness_vector,
     detect,
@@ -132,7 +133,7 @@ def test_phi_equals_direct_bell_frame_route(seed):
     wc = construct_witness_vector(classify(npt_table(seed)))
     psi_vec = np.zeros(9, dtype=complex)
     for i in range(3):
-        psi_vec[i * 3:(i + 1) * 3] = wc.psi[i] * wc.u[i]
+        psi_vec[i * 3:(i + 1) * 3] = PSI[i] * wc.u[i]
     direct = bell_unitary(3).conj().T @ psi_vec
     assert np.abs(wc.phi - direct).max() <= 1e-13
 
