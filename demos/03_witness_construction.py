@@ -4,14 +4,7 @@ Run:  python demos/03_witness_construction.py
 """
 import numpy as np
 
-from belldistill import (
-    build_state,
-    construct_witness_vector,
-    detect,
-    partial_transpose,
-    sample_npt,
-    witness_operator,
-)
+from belldistill import build_state, construct_witness_vector, detect, partial_transpose, sample_npt
 
 coeffs, rep = sample_npt(seed=12345)
 print("coefficient table:")
@@ -32,15 +25,16 @@ print("principal minors:", np.round(np.abs(wc.minors), 4))
 print("Schmidt coefficients:", np.round(wc.schmidt_coefficients, 10))
 
 # phi really is a ground eigenvector of the full 9x9 partial transpose.
-rho_pt = partial_transpose(build_state(coeffs), 3, 3)
+rho = build_state(coeffs)
+rho_pt = partial_transpose(rho, 3, 3)
 residual = np.abs(rho_pt @ wc.phi - wc.lambda_min * wc.phi).max()
 print(f"eigenvector residual: {residual:.2e}")
 
 # Its partially transposed projector is the distillability witness:
 # negative on the generating state, nonnegative on every product vector.
-w = witness_operator(wc)
+w = wc.W
 print(f"\nwitness spectrum: {np.round(np.linalg.eigvalsh(w), 6)}")
-print(f"trace(W rho) = {detect(w, build_state(coeffs)):.6f}  (= lambda_min)")
+print(f"trace(W rho) = {detect(w, rho):.6f}  (= lambda_min)")
 rng = np.random.default_rng(1)
 a = rng.standard_normal((20_000, 3)) + 1j * rng.standard_normal((20_000, 3))
 b = rng.standard_normal((20_000, 3)) + 1j * rng.standard_normal((20_000, 3))

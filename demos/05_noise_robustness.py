@@ -4,19 +4,12 @@ Run:  python demos/05_noise_robustness.py
 """
 import numpy as np
 
-from belldistill import (
-    build_state,
-    construct_witness_vector,
-    filter_report,
-    sample_npt,
-    witness_operator,
-)
+from belldistill import build_state, construct_witness_vector, filter_report, sample_npt
 from belldistill.filtering import noise_scan
 
 coeffs, spectrum = sample_npt(seed=2718)
 wc = construct_witness_vector(spectrum)
 rho = build_state(coeffs)
-w = witness_operator(wc)
 rep = filter_report(rho, wc)
 
 print(f"lambda_min = {wc.lambda_min:.6f},  q = {rep.q:.6f}")
@@ -27,7 +20,7 @@ print(f"filtered pair more robust: {verdict}  (q < 4/9 is {rep.q < 4/9})\n")
 
 print("  p     trace(W rho_noisy)   detected   sigma_noisy NPT")
 ps = np.linspace(0, 1, 11)
-values, sigma_minima = noise_scan(w, rho, rep.sigma, ps)  # one stacked call per state
+values, sigma_minima = noise_scan(wc.W, rho, rep.sigma, ps)  # one stacked call per state
 for p, value, low in zip(ps, values, sigma_minima):
     print(f"  {p:.2f}  {value:+.6f}            {str(value < 0):5s}      {low < 0}")
 

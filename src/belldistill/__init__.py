@@ -29,12 +29,7 @@ from .simplex import (
     sample_simplex,
 )
 from .weyl import weyl
-from .witness import (
-    WitnessConstruction,
-    construct_witness_vector,
-    detect,
-    witness_operator,
-)
+from .witness import WitnessConstruction, construct_witness_vector, detect
 
 __all__ = [
     "BOUNDARY",
@@ -57,5 +52,4 @@ __all__ = [
     "sample_npt",
     "sample_simplex",
     "weyl",
-    "witness_operator",
 ]

@@ -29,7 +29,7 @@ from .simplex import (
     sample_simplex,
 )
 from .verify import run_campaign, summary_text, trial_seeds
-from .witness import construct_witness_vector, witness_operator
+from .witness import RankCertificationError, construct_witness_vector
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -75,8 +75,9 @@ def cmd_analyze(args) -> int:
     try:
         coeffs, renormalized = parse_coefficients(_read_input(args.input))
         report = analysis_report(coeffs, renormalized=renormalized)
-    except (OSError, ValueError) as exc:
-        # unreadable or invalid tables, and NPT tables the construction refuses (d != 3)
+    except (OSError, ValueError, RankCertificationError) as exc:
+        # unreadable or invalid tables, NPT tables the construction refuses (d != 3),
+        # and tables whose construction fails its rank-2 certificate
         return _fail(f"bad input: {exc}")
     try:
         _write_text(args.output, dump_report(report))
@@ -105,11 +106,11 @@ def cmd_sweep(args) -> int:
     try:
         coeffs, _ = parse_coefficients(_read_input(args.input))
         wc = construct_witness_vector(classify(coeffs))
-    except (OSError, ValueError) as exc:
-        # unreadable or invalid tables, tables that are not NPT, and d != 3
+    except (OSError, ValueError, RankCertificationError) as exc:
+        # unreadable or invalid tables, tables that are not NPT, d != 3, and a
+        # construction that fails its rank-2 certificate
         return _fail(f"bad input: {exc}")
     rho = build_state(coeffs)
-    w = witness_operator(wc)
     rep = filter_report(rho, wc)
     lines = [
         f"# p_rho_max = {rep.p_rho_max!r}",
@@ -117,7 +118,7 @@ def cmd_sweep(args) -> int:
         "p,witness_value,detected,sigma_npt",
     ]
     ps = np.linspace(args.p_min, args.p_max, args.steps)
-    values, sigma_minima = noise_scan(w, rho, rep.sigma, ps)
+    values, sigma_minima = noise_scan(wc.W, rho, rep.sigma, ps)
     for p, value, low in zip(ps.tolist(), values.tolist(), sigma_minima.tolist()):
         lines.append(
             f"{p!r},{value!r},{'true' if value < 0 else 'false'},"

@@ -48,11 +48,3 @@ def partial_transpose(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:
     lead = m.shape[:-2]
     return m.reshape(lead + (d_a, d_b, d_a, d_b)).swapaxes(-3, -1).reshape(lead + (n, n))
 
-
-def expectation(m: np.ndarray, v: np.ndarray) -> complex:
-    """Quadratic form <v|M|v>."""
-    m = np.asarray(m)
-    v = np.asarray(v, dtype=complex)
-    if m.shape != (v.size, v.size):
-        raise ValueError(f"matrix shape {m.shape} does not match vector dim {v.size}")
-    return complex(v.conj() @ m @ v)

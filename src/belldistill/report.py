@@ -49,7 +49,7 @@ from .simplex import (
     classify,
     verdict,
 )
-from .witness import PSI, WitnessConstruction, construct_witness_vector, witness_operator
+from .witness import PSI, WitnessConstruction, construct_witness_vector
 
 #: input tables whose sum deviates from one by at most this are renormalized
 RENORM_TOL = 1e-9
@@ -123,7 +123,7 @@ def witness_to_json(wc: WitnessConstruction) -> dict:
         "u": _json(wc.u),
         "alpha": _json(wc.alpha),
         "psi": _json(PSI),
-        "C": _json(wc.C),
+        "C": _json(wc.phi_tilde.reshape(3, 3)),
         "minors": _json(wc.minors),
         "det_C": _json(wc.det_C),
         "phi_tilde": _json(wc.phi_tilde),
@@ -167,7 +167,7 @@ def analysis_report(coeffs: SimplexCoefficients, renormalized: bool = False) -> 
         return out
     wc = construct_witness_vector(rep)
     out["witness"] = witness_to_json(wc)
-    out["witness_spectrum"] = _json(np.linalg.eigvalsh(witness_operator(wc)))
+    out["witness_spectrum"] = _json(np.linalg.eigvalsh(wc.W))
     out["filter"] = filter_to_json(filter_report(build_state(coeffs), wc), wc)
     return out
 

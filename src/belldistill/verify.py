@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .filtering import FilterAnnihilationError, filter_report, noise_scan
-from .linalg import expectation, kron, partial_transpose
+from .linalg import kron, partial_transpose
 from .simplex import (
     BOUNDARY_TOL,
     GENERATOR_NAME,
@@ -36,7 +36,6 @@ from .witness import (
     RankCertificationError,
     construct_witness_vector,
     detect,
-    witness_operator,
 )
 
 #: white-noise grid for threshold-semantics checks, as plain floats
@@ -91,10 +90,14 @@ class CampaignResult:
         return not self.failed_trials
 
 
+def _seed_words(master_seed: int, count: int) -> np.ndarray:
+    """The ``count`` uint64 words behind :func:`trial_seeds`, 8 bytes per trial."""
+    return np.random.SeedSequence(master_seed).generate_state(count, dtype=np.uint64)
+
+
 def trial_seeds(master_seed: int, count: int) -> list:
     """Disjoint per-trial integer seeds derived from one master seed."""
-    words = np.random.SeedSequence(master_seed).generate_state(count, dtype=np.uint64)
-    return [int(w) for w in words]
+    return [int(w) for w in _seed_words(master_seed, count)]
 
 
 def run_trial(seed: int) -> TrialResult:
@@ -126,6 +129,11 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
         if not condition:
             result.failures.append(f"{name}: {detail()}")
 
+    def bounded(name, key, value, bound, word="residual"):
+        # record residual ``key`` and check it against ``bound``
+        res[key] = value
+        check(name, value <= bound, lambda: f"{word} {value:.3e}")
+
     wc = construct_witness_vector(spectrum)
     rho = build_state(coeffs)
     rho_pt = partial_transpose(rho, 3, 3)
@@ -140,8 +148,7 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
     block_res = max(
         float(np.abs(pt_block(coeffs, m) @ wc.u[m] - lam * wc.u[m]).max()) for m in range(3)
     )
-    res["block_eigen_residual"] = block_res
-    check("block_eigenvectors", block_res <= 1e-10, lambda: f"residual {block_res:.3e}")
+    bounded("block_eigenvectors", "block_eigen_residual", block_res, 1e-10)
     check(
         "u_shift_relation",
         all(np.array_equal(wc.u[(m + 2) % 3], W10 @ wc.u[m]) for m in (0, 2)),
@@ -150,19 +157,15 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
     alpha_res = max(
         float(np.abs(np.roll(wc.alpha[m], -1) - wc.alpha[(m + 2) % 3]).max()) for m in range(3)
     )
-    res["alpha_shift_residual"] = alpha_res
-    check("alpha_shift_relation", alpha_res <= 1e-12, lambda: f"residual {alpha_res:.3e}")
+    bounded("alpha_shift_relation", "alpha_shift_residual", alpha_res, 1e-12)
 
     eig_res = float(np.abs(rho_pt @ wc.phi - lam * wc.phi).max())
-    res["eigenvector_residual"] = eig_res
-    check("eigenvector_property", eig_res <= 1e-10, lambda: f"residual {eig_res:.3e}")
+    bounded("eigenvector_property", "eigenvector_residual", eig_res, 1e-10)
 
-    exp_dev = abs(expectation(rho_pt, wc.phi).real - lam)
-    res["expectation_minus_lambda"] = exp_dev
-    check("expectation_equals_lambda", exp_dev <= 1e-10, lambda: f"deviation {exp_dev:.3e}")
+    exp_dev = abs(complex(wc.phi.conj() @ rho_pt @ wc.phi).real - lam)
+    bounded("expectation_equals_lambda", "expectation_minus_lambda", exp_dev, 1e-10, "deviation")
 
-    res["abs_det_C"] = abs(wc.det_C)
-    check("det_C_vanishes", abs(wc.det_C) <= DET_TOL, lambda: f"|det C| {abs(wc.det_C):.3e}")
+    bounded("det_C_vanishes", "abs_det_C", abs(wc.det_C), DET_TOL, "|det C|")
     check(
         "minor_nonzero",
         float(np.abs(wc.minors).max()) > MINOR_TOL,
@@ -182,42 +185,37 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
     rebuild_dev = float(np.abs((left.T @ right).ravel() / np.sqrt(2.0) - wc.phi).max())
     check("frame_rebuilds_phi", rebuild_dev <= 1e-12, lambda: f"deviation {rebuild_dev:.3e}")
 
-    w = witness_operator(wc)
-    w_eigs = np.linalg.eigvalsh(w)
+    w_eigs = np.linalg.eigvalsh(wc.W)
     mu0, mu1 = float(mu[0]), float(mu[1])
     expected = np.sort([mu0**2, mu1**2, mu0 * mu1, -mu0 * mu1, 0, 0, 0, 0, 0])
     spec_dev = float(np.abs(w_eigs - expected).max())
-    res["witness_spectrum_dev"] = spec_dev
-    check("witness_spectrum", spec_dev <= 1e-9, lambda: f"deviation {spec_dev:.3e}")
+    bounded("witness_spectrum", "witness_spectrum_dev", spec_dev, 1e-9, "deviation")
     closed_dev = float(np.abs(w_eigs - W_SPECTRUM).max())
     check("witness_spectrum_closed_form", closed_dev <= 1e-9, lambda: f"spectrum {w_eigs}")
 
-    value = detect(w, rho)
+    value = detect(wc.W, rho)
     trace_dev = abs(value - lam)
     res["witness_trace_identity"] = trace_dev
     check(
         "witness_detects", value < 0 and trace_dev <= 1e-10, lambda: f"trace(W rho) {value!r}"
     )
 
-    mirror_floor = float(np.linalg.eigvalsh(mu0**2 * np.eye(9) - w)[0])
+    mirror_floor = float(np.linalg.eigvalsh(mu0**2 * np.eye(9) - wc.W)[0])
     res["mirror_negative_part"] = max(0.0, -mirror_floor)
     check("mirror_psd", mirror_floor >= -1e-10, lambda: f"floor {mirror_floor:.3e}")
 
     rep = filter_report(rho, wc)
     fix_res = float(np.abs(kron(wc.P_A, wc.P_B.T) @ wc.phi - wc.phi).max())
-    res["filter_fixpoint_residual"] = fix_res
-    check("filter_fixpoint", fix_res <= 1e-10, lambda: f"residual {fix_res:.3e}")
+    bounded("filter_fixpoint", "filter_fixpoint_residual", fix_res, 1e-10)
 
     sigma_eigs = np.linalg.eigvalsh(rep.sigma)
     res["sigma_negative_part"] = max(0.0, -float(sigma_eigs[0]))
     check("sigma_psd", sigma_eigs[0] >= -1e-10, lambda: f"floor {sigma_eigs[0]:.3e}")
     trace_dev = abs(float(np.trace(rep.sigma).real) - 1.0)
-    res["sigma_trace_dev"] = trace_dev
-    check("sigma_unit_trace", trace_dev <= 1e-12, lambda: f"deviation {trace_dev:.3e}")
+    bounded("sigma_unit_trace", "sigma_trace_dev", trace_dev, 1e-12, "deviation")
 
     ratio_dev = abs(float(rep.sigma_pt_spectrum[0]) - lam / rep.q)
-    res["sigma_lambda_ratio_dev"] = ratio_dev
-    check("sigma_pt_minimum", ratio_dev <= 1e-9, lambda: f"deviation {ratio_dev:.3e}")
+    bounded("sigma_pt_minimum", "sigma_lambda_ratio_dev", ratio_dev, 1e-9, "deviation")
     check(
         "sigma_single_negative",
         int(np.sum(rep.sigma_pt_spectrum < -BOUNDARY_TOL)) == 1,
@@ -243,7 +241,7 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
     points = np.array([p for p in grid if 0.0 <= p <= 1.0])
     on_rho = np.abs(points - rep.p_rho_max) >= THRESHOLD_BAND - 1e-15
     on_sigma = np.abs(points - rep.p_sigma_max) >= THRESHOLD_BAND - 1e-15
-    values, sigma_minima = noise_scan(w, rho, rep.sigma, points)
+    values, sigma_minima = noise_scan(wc.W, rho, rep.sigma, points)
     detected = values < 0.0
     npt = sigma_minima < 0.0
     rho_wrong = on_rho & (detected != (points < rep.p_rho_max))
@@ -266,13 +264,15 @@ def run_campaign(count: int, master_seed: int, jobs: int = 1) -> CampaignResult:
     """Run ``count`` independent trials and aggregate order-independently.
 
     Each trial is folded into the residual maxima and the failure list as it
-    arrives, in seed order, so only failed trials are kept.
+    arrives, in seed order, so only failed trials are kept. The seeds are
+    those of :func:`trial_seeds`, held as one array of uint64 words and
+    turned into ints one at a time as trials are dispatched.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    seeds = trial_seeds(master_seed, count)
+    seeds = map(int, _seed_words(master_seed, count))
     residual_max = dict.fromkeys(RESIDUAL_KEYS, 0.0)
     failed = []
 

@@ -7,9 +7,10 @@ already solved: Weyl conjugation propagates it through the other blocks, a
 Fourier transform turns the triple into coefficient vectors, and a fixed
 two-term superposition followed by the Bell-frame swap yields the vector.
 Its partially transposed projector W is an entanglement witness whose
-negative expectation certifies one-copy distillability. W is a plain
-read-only 9 x 9 array: its spectrum and mirror mu0^2 * 1 - W follow from
-the construction's Schmidt coefficients, so nothing else is stored with it.
+negative expectation certifies one-copy distillability. W is fixed once phi
+is, so the construction holds it as a plain read-only 9 x 9 array: its
+spectrum and mirror mu0^2 * 1 - W follow from the construction's Schmidt
+coefficients, so nothing else is stored with it.
 
 The vector phi has two equal Schmidt coefficients, mu0 = mu1 = 1/sqrt 2,
 so its Schmidt bases are not unique and an SVD would pick one of them
@@ -72,10 +73,15 @@ class WitnessConstruction:
     """Full trace of the rank-2 eigenvector build.
 
     u[m] is the ground eigenvector of block B_m (row m of a 3 x 3 array),
-    alpha[m] its Fourier transform, C the 3 x 3 coefficient matrix of the
-    pre-swap vector phi_tilde that mixes the alpha[m] with the fixed
-    amplitudes PSI, minors its principal 2 x 2 minors, and phi the
-    normalized rank-2 eigenvector.
+    alpha[m] its Fourier transform, phi_tilde the pre-swap vector that
+    mixes the alpha[m] with the fixed amplitudes PSI, and phi the
+    normalized rank-2 eigenvector. The coefficient matrix C is phi_tilde
+    reshaped to 3 x 3, so it is not held apart; minors are its principal
+    2 x 2 minors and det_C its determinant, the rank-2 certificate.
+
+    W = (|phi><phi|)^Gamma is the witness, a read-only 9 x 9 array. Its
+    spectrum is {mu0^2, mu1^2, mu0 mu1, -mu0 mu1, 0 x5}, so mu0^2 * 1 - W
+    is positive semidefinite.
 
     P_A and P_B are the local rank-2 projectors of phi, the filters of
     :func:`~belldistill.filtering.filter_report`. schmidt_left holds
@@ -88,11 +94,11 @@ class WitnessConstruction:
     lambda_min: float
     u: np.ndarray
     alpha: np.ndarray
-    C: np.ndarray
     minors: np.ndarray
     det_C: complex
     phi_tilde: np.ndarray
     phi: np.ndarray
+    W: np.ndarray
     P_A: np.ndarray
     P_B: np.ndarray
     schmidt_coefficients: np.ndarray
@@ -132,9 +138,9 @@ def construct_witness_vector(spectrum: PTSpectrumReport) -> WitnessConstruction:
         for k in range(3):
             phi_tilde[3 * k + (k + i) % 3] += PSI[i] * alpha[i, k]
 
-    c_matrix = phi_tilde.reshape(3, 3)
-    # cofactor formulas on Python complex entries; minors[j] deletes row and column j
-    (a, b, c), (d, e, f), (g, h, i) = c_matrix.tolist()
+    # cofactor formulas of C = phi_tilde as 3 x 3 on Python complex entries;
+    # minors[j] deletes row and column j
+    (a, b, c), (d, e, f), (g, h, i) = phi_tilde.reshape(3, 3).tolist()
     minor0, minor1, minor2 = e * i - f * h, a * i - c * g, a * e - b * d
     det_c = a * minor0 - b * (d * i - f * g) + c * (d * h - e * g)
     minors = np.array([minor0, minor1, minor2])
@@ -162,18 +168,19 @@ def construct_witness_vector(spectrum: PTSpectrumReport) -> WitnessConstruction:
         )
     left = np.array([a0, a1])
     right = np.sqrt(2.0) * rows[:2]
+    w = partial_transpose(np.outer(phi, phi.conj()), 3, 3)
 
-    for arr in (u, alpha, c_matrix, minors, phi_tilde, phi, p_a, p_b, mu, left, right):
+    for arr in (u, alpha, minors, phi_tilde, phi, w, p_a, p_b, mu, left, right):
         arr.setflags(write=False)
     return WitnessConstruction(
         lambda_min=lambda_min,
         u=u,
         alpha=alpha,
-        C=c_matrix,
         minors=minors,
         det_C=det_c,
         phi_tilde=phi_tilde,
         phi=phi,
+        W=w,
         P_A=p_a,
         P_B=p_b,
         schmidt_coefficients=mu,
@@ -186,18 +193,6 @@ def _pivot_column(p: np.ndarray) -> np.ndarray:
     """Unit column of the projector ``p`` at its pivot_index diagonal entry."""
     column = p[:, pivot_index(p.diagonal().real)]
     return column / np.linalg.norm(column)
-
-
-def witness_operator(wc: WitnessConstruction) -> np.ndarray:
-    """Read-only 9 x 9 witness W = (|phi><phi|)^Gamma.
-
-    Its spectrum is {mu0^2, mu1^2, mu0 mu1, -mu0 mu1, 0 x5} with mu0, mu1
-    the first two of ``wc.schmidt_coefficients``, so mu0^2 * 1 - W is
-    positive semidefinite.
-    """
-    w = partial_transpose(np.outer(wc.phi, wc.phi.conj()), 3, 3)
-    w.setflags(write=False)
-    return w
 
 
 def detect(w: np.ndarray, test_state: np.ndarray) -> float | np.ndarray:

@@ -20,7 +20,8 @@ same quantity another way, so that the tests can compare the two:
   state with 9 x 9 products in the SVD frame, where ``filter_report``
   compresses it with the construction's 9 x 4 frame matrix;
 - ``sample_npt_sequential`` draws and fully classifies one table at a time;
-- ``eigenvector_residual`` and ``witness_expectation_from_state`` are the
+- ``expectation`` is the checked quadratic form <v|M|v>;
+  ``eigenvector_residual`` and ``witness_expectation_from_state`` are the
   two dense quantities that the verify battery computes inline;
 - ``complex_to_json``, ``vector_to_json``, ``matrix_to_json`` and
   ``real_vector_to_json`` convert entry by entry, the serialisation the
@@ -38,7 +39,7 @@ import numpy as np
 
 from belldistill import simplex
 from belldistill.filtering import MIN_Q, FilterAnnihilationError
-from belldistill.linalg import dag, expectation, kron, partial_transpose
+from belldistill.linalg import dag, kron, partial_transpose
 from belldistill.simplex import SamplingExhaustedError, SimplexCoefficients, pt_block
 from belldistill.weyl import _check_dim, bell_unitary, bell_vector, phase_table, weyl
 from belldistill.witness import RANK_RTOL
@@ -231,6 +232,15 @@ def sample_npt_sequential(seed, max_tries: int = 1000):
         if spectrum.classification == simplex.NPT:
             return coeffs, spectrum
     raise SamplingExhaustedError(f"no NPT sample within {max_tries} tries")
+
+
+def expectation(m: np.ndarray, v: np.ndarray) -> complex:
+    """Quadratic form <v|M|v>, refusing a matrix whose shape does not match ``v``."""
+    m = np.asarray(m)
+    v = np.asarray(v, dtype=complex)
+    if m.shape != (v.size, v.size):
+        raise ValueError(f"matrix shape {m.shape} does not match vector dim {v.size}")
+    return complex(v.conj() @ m @ v)
 
 
 def eigenvector_residual(coeffs: SimplexCoefficients, wc) -> float:

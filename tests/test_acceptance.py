@@ -14,7 +14,7 @@ import pytest
 
 from belldistill.cli import main
 from belldistill.filtering import add_white_noise, filter_report
-from belldistill.linalg import dag, expectation, partial_transpose
+from belldistill.linalg import dag, partial_transpose
 from belldistill.simplex import (
     NPT,
     build_state,
@@ -26,14 +26,10 @@ from belldistill.simplex import (
 )
 from belldistill.verify import trial_seeds
 from belldistill.weyl import phase_table, weyl
-from belldistill.witness import (
-    construct_witness_vector,
-    detect,
-    witness_operator,
-)
+from belldistill.witness import construct_witness_vector, detect
 
 from conftest import isotropic_table, pure_bell_table
-from reference import assemble_pt_from_blocks, product_vector_positivity_check
+from reference import assemble_pt_from_blocks, expectation, product_vector_positivity_check
 
 CAMPAIGN_SEED = 20240901
 CAMPAIGN_SIZE = 1000
@@ -149,7 +145,7 @@ def test_criterion_4_witness_operator_suite():
     worst_product = 0.0
     for s in campaign_states():
         wc, rho = s["wc"], s["rho"]
-        w = witness_operator(wc)
+        w = wc.W
         eigs = np.linalg.eigvalsh(w)
         mu0, mu1 = wc.schmidt_coefficients[:2]
         expected = np.sort([mu0**2, mu1**2, mu0 * mu1, -mu0 * mu1, 0, 0, 0, 0, 0])
@@ -245,7 +241,7 @@ def test_criterion_7_noise_threshold_semantics():
     grid = np.linspace(0.0, 1.0, 21)
     for s in campaign_states()[:100]:
         wc, rho = s["wc"], s["rho"]
-        w = witness_operator(wc)
+        w = wc.W
         rep = filter_report(rho, wc)
         for p in grid:
             p = float(p)

@@ -12,7 +12,8 @@ import pytest
 import belldistill
 from belldistill import filtering, linalg, report, witness
 from belldistill.filtering import FilterReport, filter_report
-from belldistill.simplex import PTSpectrumReport, build_state, classify
+from belldistill.linalg import partial_transpose
+from belldistill.simplex import PTSpectrumReport, build_state, classify, sample_npt
 from belldistill.witness import WitnessConstruction, construct_witness_vector
 
 from conftest import pure_bell_table, random_table, uniform_table
@@ -26,7 +27,7 @@ PIPELINE = {
     # states and classification
     "sample_simplex", "sample_npt", "build_state", "pt_block", "classify",
     # witness
-    "construct_witness_vector", "witness_operator", "detect",
+    "construct_witness_vector", "detect",
     # filtering and noise
     "filter_report", "add_white_noise", "p_rho_max", "p_sigma_max",
     # building blocks the pipeline is stated in
@@ -35,15 +36,16 @@ PIPELINE = {
 
 MOVED = ("apply_weyl_channel", "assemble_pt_from_blocks", "controlled_sum",
          "product_vector_positivity_check", "SchmidtDecomposition", "schmidt_decompose",
-         "filters_from_witness", "filter_state")
+         "filters_from_witness", "filter_state", "expectation")
 
-#: second sources of one quantity that were deleted: the witness is the array W,
-#: and the sampler classifies each batch from its one eigh
-REMOVED = ("WitnessOperator", "_screen_lambda_min", "SCREEN_MARGIN", "SCREEN_BATCH")
+#: second sources of one quantity that were deleted: the witness is the array
+#: W on the construction, and the sampler classifies each batch from its one eigh
+REMOVED = ("WitnessOperator", "witness_operator", "_screen_lambda_min", "SCREEN_MARGIN",
+           "SCREEN_BATCH")
 
 
 def test_all_is_the_pipeline():
-    assert len(belldistill.__all__) == len(PIPELINE) == 21
+    assert len(belldistill.__all__) == len(PIPELINE) == 20
     assert set(belldistill.__all__) == PIPELINE
     for name in belldistill.__all__:
         assert getattr(belldistill, name) is not None
@@ -112,6 +114,25 @@ def test_psi_is_one_read_only_constant():
     assert np.array_equal(witness.PSI, np.array([1.0, 0.0, -1.0], dtype=complex) / np.sqrt(2.0))
     with pytest.raises(ValueError):
         witness.PSI[1] = 1.0
+
+
+def test_construction_holds_its_witness():
+    # W is fixed once phi is, so it is a read-only field of the construction;
+    # the coefficient matrix C is phi_tilde reshaped and has no field of its own
+    names = [f.name for f in dataclasses.fields(WitnessConstruction)]
+    assert "W" in names and "C" not in names
+    for table in (pure_bell_table(), random_table(0), random_table(3)):
+        wc = construct_witness_vector(classify(table))
+        expected = partial_transpose(np.outer(wc.phi, wc.phi.conj()), 3, 3)
+        assert np.array_equal(wc.W, expected)
+        with pytest.raises(ValueError):
+            wc.W[0, 0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            wc.W = expected
+
+
+def test_sampler_retry_cap_is_a_constant():
+    assert list(inspect.signature(sample_npt).parameters) == ["seed"]
 
 
 def test_report_keys_are_one_tuple():

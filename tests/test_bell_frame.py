@@ -23,7 +23,7 @@ from belldistill.simplex import (
     sample_npt,
 )
 from belldistill.weyl import bell_unitary, bell_vector
-from belldistill.witness import construct_witness_vector, witness_operator
+from belldistill.witness import construct_witness_vector
 
 from conftest import boundary_walk_table, random_table, sparse_table, uniform_table
 from reference import build_state_loop, pt_block_loop, sample_npt_sequential
@@ -184,9 +184,9 @@ def _same_draw(a, b) -> bool:
     )
 
 
-def _outcome(sampler, seed, max_tries):
+def _outcome(sampler, *args):
     try:
-        return sampler(seed, max_tries=max_tries)
+        return sampler(*args)
     except SamplingExhaustedError as exc:
         return str(exc)
 
@@ -196,11 +196,12 @@ def test_batched_sampler_equals_sequential():
         assert _same_draw(sample_npt(seed), sample_npt_sequential(seed)), seed
 
 
-def test_batched_sampler_equals_sequential_across_the_batch_edge():
+def test_batched_sampler_equals_sequential_across_the_batch_edge(monkeypatch):
     exhausted = 0
     for seed in range(150):
         for max_tries in range(1, 18):
-            got = _outcome(sample_npt, seed, max_tries)
+            monkeypatch.setattr(simplex, "MAX_TRIES", max_tries)
+            got = _outcome(sample_npt, seed)
             want = _outcome(sample_npt_sequential, seed, max_tries)
             if isinstance(want, str):
                 exhausted += 1
@@ -229,8 +230,9 @@ def test_forced_exhaustion_matches_sequential(monkeypatch):
     monkeypatch.setattr(simplex, "_spectrum_report", _never_npt(calls))
     for max_tries in range(1, 18):
         del calls[:]
+        monkeypatch.setattr(simplex, "MAX_TRIES", max_tries)
         with pytest.raises(SamplingExhaustedError, match=f"within {max_tries} tries"):
-            sample_npt(5, max_tries=max_tries)
+            sample_npt(5)
         batched = len(calls)
         with pytest.raises(SamplingExhaustedError, match=f"within {max_tries} tries"):
             sample_npt_sequential(5, max_tries=max_tries)
@@ -269,8 +271,9 @@ def test_sampler_solves_each_batch_once(monkeypatch):
     monkeypatch.setattr(simplex, "_spectrum_report", _never_npt([]))
     for max_tries in range(1, 18):
         del log[:]
+        monkeypatch.setattr(simplex, "MAX_TRIES", max_tries)
         with pytest.raises(SamplingExhaustedError):
-            sample_npt(5, max_tries=max_tries)
+            sample_npt(5)
         assert log == ["eigh"] * -(-max_tries // simplex.SAMPLE_BATCH)
 
 
@@ -304,7 +307,7 @@ def test_witness_vector_is_maximally_entangled_on_its_qubit(family):
     assert len(tables) == 170
     for coeffs, rep in tables:
         wc = construct_witness_vector(rep)
-        w = witness_operator(wc)
+        w = wc.W
         mu0, mu1 = wc.schmidt_coefficients[:2]
         assert abs(mu0 - 2**-0.5) <= 1e-14 and abs(mu1 - 2**-0.5) <= 1e-14
         assert np.abs(np.linalg.eigvalsh(w) - expected).max() <= 1e-14

@@ -10,6 +10,7 @@ import pytest
 from belldistill.cli import main
 from belldistill.report import validate_report
 from belldistill.simplex import SimplexCoefficients, classify, pt_block
+from belldistill.witness import RankCertificationError
 
 
 def write_input(tmp_path, table, name="in.json"):
@@ -205,6 +206,23 @@ def test_npt_table_with_d_not_3_exits_1(tmp_path, capsys, command, table):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "d=3" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_rank_certification_error_exits_1(tmp_path, capsys, monkeypatch, command):
+    # a construction that fails its rank-2 certificate is a clean refusal:
+    # one error line, no traceback and no output file
+    def refuse(spectrum):
+        raise RankCertificationError("|det C| = 1.000e+00, max |minor| = 0.000e+00")
+
+    monkeypatch.setattr("belldistill.report.construct_witness_vector", refuse)
+    monkeypatch.setattr("belldistill.cli.construct_witness_vector", refuse)
+    out = tmp_path / "out"
+    assert main([command, str(write_input(tmp_path, PURE)), "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: bad input: |det C| = 1.000e+00, max |minor| = 0.000e+00\n"
+    assert not out.exists()
 
 
 def test_analyze_ppt_d2_exits_2_but_writes(tmp_path):

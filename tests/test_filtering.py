@@ -14,7 +14,7 @@ from belldistill.filtering import (
 )
 from belldistill.linalg import kron, partial_transpose
 from belldistill.simplex import build_state, classify, sample_npt
-from belldistill.witness import construct_witness_vector, detect, witness_operator
+from belldistill.witness import construct_witness_vector, detect
 
 from conftest import pure_bell_table, random_table
 from reference import filter_state, filters_from_witness, schmidt_decompose
@@ -196,7 +196,7 @@ def test_stacked_noise_grid_equals_single_points():
     for seed in NPT_SEEDS[:50]:
         coeffs, wc = npt_construction(seed)
         rho = build_state(coeffs)
-        w = witness_operator(wc)
+        w = wc.W
         sigma = filter_report(rho, wc).sigma
         rho_stack = add_white_noise(rho, grid)
         sigma_stack = add_white_noise(sigma, grid)
@@ -268,7 +268,7 @@ def test_robustness_matches_q_criterion(seed):
 def test_threshold_semantics_on_grid(seed):
     coeffs, wc = npt_construction(seed)
     rho = build_state(coeffs)
-    w = witness_operator(wc)
+    w = wc.W
     rep = filter_report(rho, wc)
     grid = list(np.linspace(0.0, 1.0, 21))
     grid += [rep.p_rho_max - 1e-6, rep.p_rho_max + 1e-6,

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from belldistill.linalg import expectation, kron, partial_transpose
+from belldistill.linalg import kron, partial_transpose
 from belldistill.simplex import SimplexCoefficients, _fix_phase, build_state, classify, pt_block
 from belldistill.weyl import weyl
 
 from conftest import pure_bell_table, random_table, uniform_table
-from reference import schmidt_decompose, schmidt_reconstruct
+from reference import expectation, schmidt_decompose, schmidt_reconstruct
 
 
 def basis_ket(dim, i):

@@ -28,7 +28,7 @@ from belldistill.simplex import (
     classify,
     sample_npt,
 )
-from belldistill.witness import PSI, construct_witness_vector, witness_operator
+from belldistill.witness import PSI, construct_witness_vector
 
 from conftest import pure_bell_table, random_table, sparse_table, uniform_table
 from reference import (
@@ -437,7 +437,7 @@ def oracle_sections(coeffs: SimplexCoefficients) -> dict:
         "u": [vector_to_json(wc.u[m]) for m in range(3)],
         "alpha": [vector_to_json(wc.alpha[m]) for m in range(3)],
         "psi": vector_to_json(PSI),
-        "C": matrix_to_json(wc.C),
+        "C": matrix_to_json(wc.phi_tilde.reshape(3, 3)),
         "minors": vector_to_json(wc.minors),
         "det_C": complex_to_json(wc.det_C),
         "phi_tilde": vector_to_json(wc.phi_tilde),
@@ -447,7 +447,7 @@ def oracle_sections(coeffs: SimplexCoefficients) -> dict:
         "schmidt_right": matrix_to_json(wc.schmidt_right),
         "schmidt_rank": 2,
     }
-    out["witness_spectrum"] = real_vector_to_json(np.linalg.eigvalsh(witness_operator(wc)))
+    out["witness_spectrum"] = real_vector_to_json(np.linalg.eigvalsh(wc.W))
     out["filter"] = {
         "P_A": matrix_to_json(wc.P_A),
         "P_B": matrix_to_json(wc.P_B),

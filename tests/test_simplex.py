@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from belldistill import simplex
 from belldistill.linalg import dag, partial_transpose
 from belldistill.simplex import (
     BOUNDARY,
@@ -280,6 +281,31 @@ def test_classify_matches_dense_oracle(d, family):
             assert rep.classification == (NPT if dense[0] < 0 else PPT)
 
 
+def _b0_relative_gaps(flat: np.ndarray) -> np.ndarray:
+    """(lambda_1 - lambda_0) / |lambda_0| of B_0 for the NPT rows of an (n, 9) stack."""
+    values = simplex._solve(flat, 3)[0][:, 0]
+    lam = values[values[:, 0] < -BOUNDARY_TOL]
+    return (lam[:, 1] - lam[:, 0]) / np.abs(lam[:, 0])
+
+
+def test_b0_relative_gap_is_at_least_two():
+    # lambda_0 + lambda_1 >= 0 for d = 3 (see classify), so an NPT block's
+    # relative gap is >= 2 up to rounding; sparse supports reach equality
+    rng = np.random.default_rng(123)
+    flat = simplex._flat_tables(rng, 4000)
+    sparse = np.where(rng.random(flat.shape) < 0.3, 0.0, flat)
+    sparse = sparse[sparse.sum(axis=1) > 0]
+    sparse /= sparse.sum(axis=1, keepdims=True)
+    masks = (np.arange(1, 2**9)[:, None] >> np.arange(9)) & 1
+    supports = masks / masks.sum(axis=1, keepdims=True)
+    gaps = [_b0_relative_gaps(tables) for tables in (flat, sparse, supports)]
+    assert min(gaps[0].size, gaps[1].size) > 1000
+    assert gaps[2].size == 315
+    for g in gaps:
+        assert g.min() >= 2.0 - 1e-12
+    assert abs(gaps[2].min() - 2.0) <= 1e-12
+
+
 # --------------------------------------------------------------- sampling
 
 def test_sample_simplex_deterministic():
@@ -325,14 +351,10 @@ def test_sample_npt_deterministic():
     assert np.array_equal(sample_npt(99)[0].c, sample_npt(99)[0].c)
 
 
-def test_sample_npt_exhaustion():
+def test_sample_npt_exhaustion(monkeypatch):
     # seed 2's first simplex draw is PPT, so a cap of one try must fail
     first_draw = sample_simplex(2)
     assert classify(first_draw).classification != NPT
+    monkeypatch.setattr(simplex, "MAX_TRIES", 1)
     with pytest.raises(SamplingExhaustedError):
-        sample_npt(2, max_tries=1)
-
-
-def test_sample_npt_rejects_bad_cap():
-    with pytest.raises(ValueError):
-        sample_npt(0, max_tries=0)
+        sample_npt(2)

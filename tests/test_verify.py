@@ -9,7 +9,7 @@ from belldistill.filtering import add_white_noise
 from belldistill.linalg import partial_transpose
 from belldistill.simplex import SimplexCoefficients, build_state, classify
 from belldistill.weyl import fourier, swap_conjugation, weyl
-from belldistill.witness import construct_witness_vector, detect, witness_operator
+from belldistill.witness import construct_witness_vector, detect
 
 
 def halved_thresholds(filter_report):
@@ -34,7 +34,7 @@ def test_threshold_failures_are_reported_point_by_point(monkeypatch):
 
     coeffs = SimplexCoefficients(d=3, c=result.coefficients)
     wc = construct_witness_vector(classify(coeffs))
-    w = witness_operator(wc)
+    w = wc.W
     rho = build_state(coeffs)
     rep = halved(rho, wc)
     points = np.linspace(0.0, 1.0, 21).tolist()
@@ -144,6 +144,28 @@ def test_campaign_keeps_no_passing_trial(monkeypatch, jobs):
     assert held[count] - held[100] <= 4096
 
 
+def test_campaign_holds_seeds_as_words(monkeypatch):
+    # the seeds are trial_seeds', dispatched as ints, but held as one uint64
+    # array: numpy's generate_state peaks at 24 B per word while it runs and
+    # holds 8 B after, where a list of ints held about 50 B per trial
+    seen, passed = [], verify.TrialResult(0, None)
+    monkeypatch.setattr(verify, "run_trial", lambda seed: seen.append(seed) or passed)
+    verify.run_campaign(1000, 7)
+    assert seen == verify.trial_seeds(7, 1000)
+    assert {type(seed) for seed in seen} == {int}
+
+    count = 200_000
+    monkeypatch.setattr(verify, "run_trial", lambda seed: passed)
+    tracemalloc.start()
+    try:
+        campaign = verify.run_campaign(count, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert campaign.ok
+    assert peak <= 26 * count, peak / count
+
+
 @pytest.mark.parametrize("count, jobs, match", [
     (0, 1, "count must be >= 1, got 0"),
     (1, 0, "jobs must be >= 1, got 0"),
@@ -173,7 +195,7 @@ def test_frame_and_closed_form_checks_fire_only_when_broken(monkeypatch):
     # stays silent while they hold
     seed = verify.trial_seeds(0, 1)[0]
     assert verify.run_trial(seed).ok
-    construct, operator = verify.construct_witness_vector, verify.witness_operator
+    construct = verify.construct_witness_vector
 
     def scaled_frame(spectrum):
         wc = construct(spectrum)
@@ -181,13 +203,10 @@ def test_frame_and_closed_form_checks_fire_only_when_broken(monkeypatch):
             wc,
             schmidt_coefficients=1.01 * wc.schmidt_coefficients,
             schmidt_left=1.01 * wc.schmidt_left,
+            W=0.99 * wc.W,
         )
 
-    def scaled_witness(wc):
-        return 0.99 * operator(wc)
-
     monkeypatch.setattr(verify, "construct_witness_vector", scaled_frame)
-    monkeypatch.setattr(verify, "witness_operator", scaled_witness)
     names = {line.split(":")[0] for line in verify.run_trial(seed).failures}
     assert {
         "schmidt_equal_coefficients",

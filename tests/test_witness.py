@@ -1,20 +1,15 @@
 import numpy as np
 import pytest
 
-from belldistill.linalg import expectation, partial_transpose
+from belldistill.linalg import partial_transpose
 from belldistill.simplex import PIVOT_RTOL, SimplexCoefficients, build_state, classify, pt_block
 from belldistill.weyl import bell_unitary, flip, weyl
-from belldistill.witness import (
-    PSI,
-    NotNPTError,
-    construct_witness_vector,
-    detect,
-    witness_operator,
-)
+from belldistill.witness import PSI, NotNPTError, construct_witness_vector, detect
 
 from conftest import isotropic_table, pure_bell_table, random_table, uniform_table
 from reference import (
     eigenvector_residual,
+    expectation,
     product_vector_positivity_check,
     witness_expectation_from_state,
 )
@@ -43,7 +38,7 @@ def test_pure_bell_alpha_and_coefficient_matrix():
     expected_c = np.array(
         [[0.0, 0.0, -0.5j], [0.5j, 0.5j, 0.0], [0.0, 0.0, -0.5j]]
     )
-    assert np.abs(wc.C - expected_c).max() < 1e-14
+    assert np.abs(wc.phi_tilde.reshape(3, 3) - expected_c).max() < 1e-14
     assert abs(wc.det_C) < 1e-15
     assert np.abs(wc.minors - np.array([0.25, 0.0, 0.0])).max() < 1e-14
 
@@ -141,7 +136,7 @@ def test_phi_equals_direct_bell_frame_route(seed):
 @pytest.mark.parametrize("seed", NPT_SEEDS[:20])
 def test_coefficient_matrix_singular_values_match_schmidt(seed):
     wc = construct_witness_vector(classify(npt_table(seed)))
-    singular = np.linalg.svd(wc.C, compute_uv=False)
+    singular = np.linalg.svd(wc.phi_tilde.reshape(3, 3), compute_uv=False)
     assert np.abs(singular[:2] - wc.schmidt_coefficients[:2]).max() <= 1e-10
     assert singular[2] <= 1e-10
 
@@ -191,7 +186,7 @@ def test_frame_rank_guard(monkeypatch):
 
 def test_witness_spectrum_pure_bell():
     wc = construct_witness_vector(classify(pure_bell_table()))
-    w = witness_operator(wc)
+    w = wc.W
     eigs = np.linalg.eigvalsh(w)
     expected = np.array([-0.5, 0, 0, 0, 0, 0, 0.5, 0.5, 0.5])
     assert np.abs(eigs - expected).max() < 1e-12
@@ -201,7 +196,7 @@ def test_witness_spectrum_pure_bell():
 def test_witness_operator_invariants(seed):
     coeffs = npt_table(seed)
     wc = construct_witness_vector(classify(coeffs))
-    w = witness_operator(wc)
+    w = wc.W
     assert w.shape == (9, 9) and not w.flags.writeable
     eigs = np.linalg.eigvalsh(w)
     mu0, mu1 = wc.schmidt_coefficients[:2]
@@ -222,13 +217,13 @@ def test_witness_operator_invariants(seed):
 def test_detect_on_generating_state():
     coeffs = pure_bell_table()
     wc = construct_witness_vector(classify(coeffs))
-    w = witness_operator(wc)
+    w = wc.W
     assert abs(detect(w, build_state(coeffs)) - wc.lambda_min) <= 1e-10
 
 
 def test_detect_on_maximally_mixed():
     wc = construct_witness_vector(classify(pure_bell_table()))
-    w = witness_operator(wc)
+    w = wc.W
     assert abs(detect(w, np.eye(9) / 9) - 1 / 9) <= 1e-12
 
 
@@ -237,7 +232,7 @@ def test_detect_affine_in_noise(p):
     # (1-p) <phi|rho^G|phi> + p / 9 for the white-noise admixture
     coeffs = npt_table(NPT_SEEDS[1])
     wc = construct_witness_vector(classify(coeffs))
-    w = witness_operator(wc)
+    w = wc.W
     rho = build_state(coeffs)
     noisy = (1 - p) * rho + p / 9 * np.eye(9)
     expected = (1 - p) * wc.lambda_min + p / 9
@@ -245,14 +240,14 @@ def test_detect_affine_in_noise(p):
 
 
 def test_detect_dimension_mismatch():
-    w = witness_operator(construct_witness_vector(classify(pure_bell_table())))
+    w = construct_witness_vector(classify(pure_bell_table())).W
     with pytest.raises(ValueError, match="shape"):
         detect(w, np.eye(4))
 
 
 def test_detect_rejects_large_imaginary_part():
     wc = construct_witness_vector(classify(npt_table(NPT_SEEDS[2])))
-    w = witness_operator(wc)
+    w = wc.W
     # pick the entry with the largest imaginary part and feed the matching
     # non-Hermitian basis unit; trace(W E_jk) = W[k, j]
     k, j = np.unravel_index(np.argmax(np.abs(w.imag)), w.shape)
@@ -267,7 +262,7 @@ def test_detect_on_a_stack():
     # a single state gives a float, a stack an array; one non-Hermitian
     # state anywhere in a stack raises
     wc = construct_witness_vector(classify(npt_table(NPT_SEEDS[2])))
-    w = witness_operator(wc)
+    w = wc.W
     stack = np.array([np.eye(9) / 9] * 5, dtype=complex)
     assert isinstance(detect(w, stack[0]), float)
     values = detect(w, stack)
@@ -282,7 +277,7 @@ def test_detect_on_a_stack():
 
 
 def test_detect_rejects_nan():
-    w = witness_operator(construct_witness_vector(classify(npt_table(NPT_SEEDS[2]))))
+    w = construct_witness_vector(classify(npt_table(NPT_SEEDS[2]))).W
     with pytest.raises(ValueError, match="imaginary"):
         detect(w, np.full((9, 9), complex(0, np.nan)))
     with pytest.raises(ValueError, match="imaginary"):
@@ -293,13 +288,13 @@ def test_detect_rejects_nan():
 # ------------------------------------------- product-vector positivity
 
 def test_product_positivity_pure_bell():
-    w = witness_operator(construct_witness_vector(classify(pure_bell_table())))
+    w = construct_witness_vector(classify(pure_bell_table())).W
     assert product_vector_positivity_check(w, 10_000, seed=5) >= -1e-10
 
 
 @pytest.mark.parametrize("seed", NPT_SEEDS[:5])
 def test_product_positivity_random_states(seed):
-    w = witness_operator(construct_witness_vector(classify(npt_table(seed))))
+    w = construct_witness_vector(classify(npt_table(seed))).W
     assert product_vector_positivity_check(w, 2_000, seed=seed) >= -1e-10
 
 
@@ -307,7 +302,7 @@ def test_product_positivity_random_states(seed):
 def test_weak_optimality_vector(seed):
     # the product vector |a_0, b_1*> lies in the witness kernel
     wc = construct_witness_vector(classify(npt_table(seed)))
-    w = witness_operator(wc)
+    w = wc.W
     a0 = wc.schmidt_left[0]
     b1_star = wc.schmidt_right[1].conj()
     v = np.kron(a0, b1_star)
@@ -315,6 +310,6 @@ def test_weak_optimality_vector(seed):
 
 
 def test_product_positivity_rejects_bad_trials():
-    w = witness_operator(construct_witness_vector(classify(pure_bell_table())))
+    w = construct_witness_vector(classify(pure_bell_table())).W
     with pytest.raises(ValueError):
         product_vector_positivity_check(w, 0, seed=1)
