@@ -18,8 +18,8 @@ wc = construct_witness_vector(rep)
 print("\nu_0 (ground vector of block B_0):", np.round(wc.u[0], 4))
 print("alpha^(0) = F^dag u_0          :", np.round(wc.alpha[0], 4))
 
-# The coefficient matrix is singular with a nonzero principal minor,
-# which certifies Schmidt rank exactly 2.
+# The coefficient matrix is singular and its adjugate has Frobenius norm
+# 1/2, which certifies Schmidt rank exactly 2.
 print(f"\n|det C| = {abs(wc.det_C):.2e}")
 print("principal minors:", np.round(np.abs(wc.minors), 4))
 print("Schmidt coefficients:", np.round(wc.schmidt_coefficients, 10))

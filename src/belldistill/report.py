@@ -49,7 +49,13 @@ from .simplex import (
     classify,
     verdict,
 )
-from .witness import PSI, WitnessConstruction, construct_witness_vector
+from .witness import (
+    PSI,
+    RankCertificationError,
+    WitnessConstruction,
+    certify_rank_2,
+    construct_witness_vector,
+)
 
 #: input tables whose sum deviates from one by at most this are renormalized
 RENORM_TOL = 1e-9
@@ -275,7 +281,7 @@ def _skeleton(shape: tuple, depth: int) -> tuple:
 #: null must be an object carrying them, and only witness and filter may be null
 SECTION_KEYS = {
     "classification": ("eigenvalues", "lambda_min", "negative_count", "classification"),
-    "witness": ("lambda_min",),
+    "witness": ("lambda_min", "C"),
     "filter": (),
 }
 
@@ -289,7 +295,8 @@ def validate_report(report: dict) -> None:
     :func:`~belldistill.simplex.verdict` of lambda_min, negative_count must
     count the eigenvalues that rule calls negative, and the witness,
     witness_spectrum, filter and reason fields must be set or null as the
-    label requires.
+    label requires. An NPT report's coefficient matrix C, decoded from its
+    [re, im] pairs, must pass :func:`~belldistill.witness.certify_rank_2`.
     """
     if not isinstance(report, dict):
         raise ValueError(f"report must be an object, got {type(report).__name__}")
@@ -332,5 +339,15 @@ def validate_report(report: dict) -> None:
         raise ValueError(f"{label} report carries witness, witness_spectrum or filter data")
     if report["reason"] != REASONS[label]:
         raise ValueError(f"reason {report['reason']!r} does not fit a {label} report")
-    if is_npt and report["witness"]["lambda_min"] != cls["lambda_min"]:
+    if not is_npt:
+        return
+    if report["witness"]["lambda_min"] != cls["lambda_min"]:
         raise ValueError("witness lambda_min differs from the classification's lambda_min")
+    pairs = np.asarray(report["witness"]["C"], dtype=object)
+    if pairs.shape != (3, 3, 2) or not all(type(x) in (int, float) for x in pairs.flat):
+        raise ValueError("witness C must be 3 x 3 [re, im] pairs of numbers")
+    try:
+        # a view pairs re and im without arithmetic, so inf and NaN raise no warning
+        certify_rank_2(pairs.astype(float).view(complex)[..., 0])
+    except (OverflowError, RankCertificationError) as exc:
+        raise ValueError(f"witness C fails its rank-2 certificate: {exc}") from exc

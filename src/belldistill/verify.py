@@ -28,12 +28,12 @@ from .simplex import (
     sample_npt,
 )
 from .witness import (
-    DET_TOL,
-    MINOR_TOL,
+    CERT_TOL,
     RANK_RTOL,
     W10,
     NotNPTError,
     RankCertificationError,
+    certify_rank_2,
     construct_witness_vector,
     detect,
 )
@@ -165,12 +165,11 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
     exp_dev = abs(complex(wc.phi.conj() @ rho_pt @ wc.phi).real - lam)
     bounded("expectation_equals_lambda", "expectation_minus_lambda", exp_dev, 1e-10, "deviation")
 
-    bounded("det_C_vanishes", "abs_det_C", abs(wc.det_C), DET_TOL, "|det C|")
-    check(
-        "minor_nonzero",
-        float(np.abs(wc.minors).max()) > MINOR_TOL,
-        lambda: f"max minor {np.abs(wc.minors).max():.3e}",
-    )
+    bounded("det_C_vanishes", "abs_det_C", abs(wc.det_C), CERT_TOL, "|det C|")
+    try:
+        certify_rank_2(wc.phi_tilde.reshape(3, 3))
+    except RankCertificationError as exc:
+        result.failures.append(f"rank_certificate: {exc}")
 
     mu = wc.schmidt_coefficients
     third = float(mu[2] / mu[0])

@@ -23,6 +23,7 @@ continuously with the input table except where a pivot weight crosses its
 tie threshold.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,13 +32,10 @@ from .linalg import dag, partial_transpose
 from .simplex import NPT, PTSpectrumReport, pivot_index
 from .weyl import fourier, swap_conjugation, weyl
 
-#: |det C| above this fails rank certification; measured |det C| stays
-#: at or below 1.3e-16 on NPT tables, six orders of magnitude under it
-DET_TOL = 1e-10
-
-#: at least one principal 2x2 minor of C must exceed this; the largest
-#: measured |minor| lies in [0.115, 0.25], eight orders of magnitude above
-MINOR_TOL = 1e-9
+#: |det C| and | ||adj C||_F - 1/2 | above this fail rank certification;
+#: measured, both stay at or below 1e-15 on NPT tables, including tables
+#: at the NPT edge of the boundary band
+CERT_TOL = 1e-10
 
 #: imaginary parts above this in a witness expectation signal a Hermiticity bug
 IMAG_TOL = 1e-11
@@ -77,7 +75,9 @@ class WitnessConstruction:
     mixes the alpha[m] with the fixed amplitudes PSI, and phi the
     normalized rank-2 eigenvector. The coefficient matrix C is phi_tilde
     reshaped to 3 x 3, so it is not held apart; minors are its principal
-    2 x 2 minors and det_C its determinant, the rank-2 certificate.
+    2 x 2 minors and det_C its determinant. Its rank-2 certificate,
+    :func:`certify_rank_2`, holds: |det C| and | ||adj C||_F - 1/2 | are
+    both at most CERT_TOL.
 
     W = (|phi><phi|)^Gamma is the witness, a read-only 9 x 9 array. Its
     spectrum is {mu0^2, mu1^2, mu0 mu1, -mu0 mu1, 0 x5}, so mu0^2 * 1 - W
@@ -138,16 +138,8 @@ def construct_witness_vector(spectrum: PTSpectrumReport) -> WitnessConstruction:
         for k in range(3):
             phi_tilde[3 * k + (k + i) % 3] += PSI[i] * alpha[i, k]
 
-    # cofactor formulas of C = phi_tilde as 3 x 3 on Python complex entries;
-    # minors[j] deletes row and column j
-    (a, b, c), (d, e, f), (g, h, i) = phi_tilde.reshape(3, 3).tolist()
-    minor0, minor1, minor2 = e * i - f * h, a * i - c * g, a * e - b * d
-    det_c = a * minor0 - b * (d * i - f * g) + c * (d * h - e * g)
-    minors = np.array([minor0, minor1, minor2])
-    if abs(det_c) > DET_TOL or np.abs(minors).max() <= MINOR_TOL:
-        raise RankCertificationError(
-            f"|det C| = {abs(det_c):.3e}, max |minor| = {np.abs(minors).max():.3e}"
-        )
+    all_minors, det_c = certify_rank_2(phi_tilde.reshape(3, 3))
+    minors = np.array([all_minors[j][j] for j in range(3)])
 
     phi = SWAP3 @ phi_tilde
     m = phi.reshape(3, 3)
@@ -155,17 +147,15 @@ def construct_witness_vector(spectrum: PTSpectrumReport) -> WitnessConstruction:
     p_b = 2.0 * (dag(m) @ m)
     a0 = _pivot_column(p_a)
     a1 = _pivot_column(p_a - np.outer(a0, a0.conj()))
-    # a_2 = (a_0 x a_1)^*, the cross product on Python complex entries like the cofactors
-    (p, q, r), (s, t, w) = a0.tolist(), a1.tolist()
-    a2 = np.array([q * w - r * t, r * s - p * w, p * t - q * s]).conj()
+    # a_2 = (a_0 x a_1)^*: the cross product is the signed row-2 minors of [a_0; a_1; any]
+    m20, m21, m22 = _minors([a0.tolist(), a1.tolist(), [0j, 0j, 0j]])[2]
+    a2 = np.array([m20, -m21, m22]).conj()
     # row i is a_i^dag M: rows 0 and 1 are b_0^T and b_1^T over sqrt 2, row 2 is
     # the part of phi outside the frame
     rows = np.array([a0, a1, a2]).conj() @ m
     mu = np.linalg.norm(rows, axis=1)
     if not mu[2] <= RANK_RTOL * mu.max() < mu[1]:
-        raise RankCertificationError(
-            f"Schmidt coefficients {mu} are not of rank 2 despite minor certificate"
-        )
+        raise RankCertificationError(f"Schmidt coefficients {mu} do not form a rank 2 frame")
     left = np.array([a0, a1])
     right = np.sqrt(2.0) * rows[:2]
     w = partial_transpose(np.outer(phi, phi.conj()), 3, 3)
@@ -187,6 +177,41 @@ def construct_witness_vector(spectrum: PTSpectrumReport) -> WitnessConstruction:
         schmidt_left=left,
         schmidt_right=right,
     )
+
+
+def _minors(rows: list) -> list:
+    """The nine 2 x 2 minors of a 3 x 3 nested list; [i][j] deletes row i and column j."""
+    (a, b, c), (d, e, f), (g, h, i) = rows
+    return [
+        [e * i - f * h, d * i - f * g, d * h - e * g],
+        [b * i - c * h, a * i - c * g, a * h - b * g],
+        [b * f - c * e, a * f - c * d, a * e - b * d],
+    ]
+
+
+def certify_rank_2(matrix: np.ndarray) -> tuple[list, complex]:
+    """Certify that the 3 x 3 coefficient matrix C has rank 2; returns its nine minors and det.
+
+    On every NPT table C has singular values (1/sqrt 2, 1/sqrt 2, 0), so
+    det C = 0 and its adjugate, the matrix of the nine signed minors, has
+    Frobenius norm exactly 1/2. A nonzero adjugate means rank >= 2 and a
+    vanishing determinant rank <= 2, so this raises RankCertificationError
+    unless |det C| and | ||adj C||_F - 1/2 | are both at most CERT_TOL (NaN
+    and overflow fail too). Minors and det are formed on Python complex
+    entries, det C along the first row.
+    """
+    rows = np.asarray(matrix, dtype=complex).tolist()
+    m = _minors(rows)
+    (a, b, c), _, _ = rows
+    det = a * m[0][0] - b * m[0][1] + c * m[0][2]
+    # hypot of the real and imaginary parts overflows to inf where abs() raises
+    adj = math.hypot(*[part for row in m for x in row for part in (x.real, x.imag)])
+    det_abs = math.hypot(det.real, det.imag)
+    if not (det_abs <= CERT_TOL and abs(adj - 0.5) <= CERT_TOL):
+        raise RankCertificationError(
+            f"|det C| = {det_abs:.3e}, ||adj C||_F - 1/2 = {adj - 0.5:.3e}"
+        )
+    return m, det
 
 
 def _pivot_column(p: np.ndarray) -> np.ndarray:

@@ -20,6 +20,9 @@ same quantity another way, so that the tests can compare the two:
   state with 9 x 9 products in the SVD frame, where ``filter_report``
   compresses it with the construction's 9 x 4 frame matrix;
 - ``sample_npt_sequential`` draws and fully classifies one table at a time;
+- ``adjugate_norm`` is the Frobenius norm of adj C from numpy's
+  determinants of the nine 2 x 2 submatrices, where ``certify_rank_2``
+  expands the minors by hand;
 - ``expectation`` is the checked quadratic form <v|M|v>;
   ``eigenvector_residual`` and ``witness_expectation_from_state`` are the
   two dense quantities that the verify battery computes inline;
@@ -232,6 +235,12 @@ def sample_npt_sequential(seed, max_tries: int = 1000):
         if spectrum.classification == simplex.NPT:
             return coeffs, spectrum
     raise SamplingExhaustedError(f"no NPT sample within {max_tries} tries")
+
+
+def adjugate_norm(c: np.ndarray) -> float:
+    """||adj C||_F of a 3 x 3 matrix, from the determinants of its 2 x 2 submatrices."""
+    subs = [np.delete(np.delete(c, i, 0), j, 1) for i in range(3) for j in range(3)]
+    return float(np.linalg.norm(np.linalg.det(np.array(subs))))
 
 
 def expectation(m: np.ndarray, v: np.ndarray) -> complex:

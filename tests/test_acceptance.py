@@ -29,7 +29,12 @@ from belldistill.weyl import phase_table, weyl
 from belldistill.witness import construct_witness_vector, detect
 
 from conftest import isotropic_table, pure_bell_table
-from reference import assemble_pt_from_blocks, expectation, product_vector_positivity_check
+from reference import (
+    adjugate_norm,
+    assemble_pt_from_blocks,
+    expectation,
+    product_vector_positivity_check,
+)
 
 CAMPAIGN_SEED = 20240901
 CAMPAIGN_SIZE = 1000
@@ -121,7 +126,11 @@ def test_criterion_3_rank2_eigenvector_campaign():
         expect_dev = abs(expectation(rho_pt, wc.phi).real - lam)
         mu = wc.schmidt_coefficients
         rank_ok = mu[1] > 1e-9 and mu[2] < 1e-9 * mu[0]
-        cert_ok = abs(wc.det_C) <= 1e-10 and np.abs(wc.minors).max() > 1e-9
+        cert_ok = (
+            abs(wc.det_C) <= 1e-10
+            and np.abs(wc.minors).max() > 1e-9
+            and abs(adjugate_norm(wc.phi_tilde.reshape(3, 3)) - 0.5) <= 1e-14
+        )
         mult = lambda_min_multiplicity(np.linalg.eigvalsh(rho_pt))
         ok = resid <= 1e-10 and rank_ok and expect_dev <= 1e-10 and cert_ok and mult == 3
         failures += 0 if ok else 1

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import belldistill
-from belldistill import filtering, linalg, report, witness
+from belldistill import filtering, linalg, report, verify, witness
 from belldistill.filtering import FilterReport, filter_report
 from belldistill.linalg import partial_transpose
 from belldistill.simplex import PTSpectrumReport, build_state, classify, sample_npt
@@ -39,9 +39,10 @@ MOVED = ("apply_weyl_channel", "assemble_pt_from_blocks", "controlled_sum",
          "filters_from_witness", "filter_state", "expectation")
 
 #: second sources of one quantity that were deleted: the witness is the array
-#: W on the construction, and the sampler classifies each batch from its one eigh
+#: W on the construction, the sampler classifies each batch from its one eigh,
+#: and the rank-2 certificate of C has one tolerance, CERT_TOL
 REMOVED = ("WitnessOperator", "witness_operator", "_screen_lambda_min", "SCREEN_MARGIN",
-           "SCREEN_BATCH")
+           "SCREEN_BATCH", "MINOR_TOL", "DET_TOL")
 
 
 def test_all_is_the_pipeline():
@@ -155,3 +156,36 @@ def test_one_dirichlet_draw():
             and node.func.attr == "dirichlet"
         ]
     assert calls == ["simplex"]
+
+
+def test_one_minor_expansion():
+    # a 2 x 2 minor written by hand is a difference of two products of names,
+    # x * y - z * w; the nine of them live in witness._minors, which the
+    # construction, its frame, the verify battery and validate_report share
+    def is_product_of_names(node):
+        return (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.Mult)
+            and isinstance(node.left, ast.Name)
+            and isinstance(node.right, ast.Name)
+        )
+
+    found = {}
+    for info in pkgutil.iter_modules(belldistill.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"belldistill.{info.name}")))
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                count = sum(
+                    isinstance(node, ast.BinOp)
+                    and isinstance(node.op, ast.Sub)
+                    and is_product_of_names(node.left)
+                    and is_product_of_names(node.right)
+                    for node in ast.walk(function)
+                )
+                if count:
+                    found[f"{info.name}.{function.name}"] = count
+    assert found == {"witness._minors": 9}
+    for function in (witness.construct_witness_vector, witness.certify_rank_2):
+        assert "_minors(" in inspect.getsource(function), function.__name__
+    for function in (report.validate_report, verify._check_invariants):
+        assert "certify_rank_2(" in inspect.getsource(function), function.__name__

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -260,6 +261,41 @@ def _unknown_label(report):
     return report
 
 
+def _c_entry_doubled(report):
+    # the pure Bell table's C[1][1] = 0.5j becomes 1j: det C stays 0, but
+    # ||adj C||_F becomes sqrt(5/8)
+    report["witness"]["C"][1][1] = [2 * x for x in report["witness"]["C"][1][1]]
+    return report
+
+
+def _c_overflows(report):
+    # finite entries whose minor e*i - f*h = (1.5e308, 1.5e308) has no finite modulus
+    report["witness"]["C"][1][1] = [1.5e154, 0.0]
+    report["witness"]["C"][2][2] = [1e154, 1e154]
+    return report
+
+
+def _c_infinite(report):
+    report["witness"]["C"][0][0] = [math.inf, 0.0]
+    return report
+
+
+def _c_huge_integer(report):
+    # a JSON integer too large for a float
+    report["witness"]["C"][0][0] = [10**400, 0]
+    return report
+
+
+def _c_removed(report):
+    del report["witness"]["C"]
+    return report
+
+
+def _c_two_rows(report):
+    del report["witness"]["C"][2]
+    return report
+
+
 @pytest.mark.parametrize(
     "malform, match",
     [
@@ -281,6 +317,12 @@ def _unknown_label(report):
         (_eight_eigenvalues, "lists 8 eigenvalues for d=3"),
         (_descending_eigenvalues, "not ascending"),
         (_unknown_label, "classification MAYBE contradicts lambda_min"),
+        (_c_entry_doubled, "witness C fails its rank-2 certificate"),
+        (_c_overflows, "witness C fails its rank-2 certificate"),
+        (_c_infinite, "witness C fails its rank-2 certificate"),
+        (_c_huge_integer, "witness C fails its rank-2 certificate: int too large"),
+        (_c_removed, "witness section is missing keys \\['C'\\]"),
+        (_c_two_rows, "witness C must be 3 x 3"),
     ],
 )
 def test_validate_raises_value_error_on_malformed_reports(malform, match):

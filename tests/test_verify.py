@@ -214,3 +214,21 @@ def test_frame_and_closed_form_checks_fire_only_when_broken(monkeypatch):
         "frame_rebuilds_phi",
         "witness_spectrum_closed_form",
     } <= names
+
+
+def test_rank_certificate_check_fires_only_when_broken(monkeypatch):
+    # the battery re-reads C = phi_tilde through witness.certify_rank_2; a C
+    # scaled by 1.01 keeps det C = 0 but has ||adj C||_F = 1.0201 / 2
+    seed = verify.trial_seeds(0, 1)[0]
+    assert verify.run_trial(seed).ok
+    construct = verify.construct_witness_vector
+
+    def scaled_c(spectrum):
+        wc = construct(spectrum)
+        return dataclasses.replace(wc, phi_tilde=1.01 * wc.phi_tilde)
+
+    monkeypatch.setattr(verify, "construct_witness_vector", scaled_c)
+    lines = [line for line in verify.run_trial(seed).failures if "rank_certificate" in line]
+    assert len(lines) == 1
+    assert lines[0].startswith("rank_certificate: |det C| = ")
+    assert lines[0].endswith(", ||adj C||_F - 1/2 = 1.005e-02")

@@ -2,12 +2,29 @@ import numpy as np
 import pytest
 
 from belldistill.linalg import partial_transpose
-from belldistill.simplex import PIVOT_RTOL, SimplexCoefficients, build_state, classify, pt_block
+from belldistill.simplex import (
+    BOUNDARY,
+    NPT,
+    PIVOT_RTOL,
+    PTSpectrumReport,
+    SimplexCoefficients,
+    build_state,
+    classify,
+    pt_block,
+)
 from belldistill.weyl import bell_unitary, flip, weyl
-from belldistill.witness import PSI, NotNPTError, construct_witness_vector, detect
+from belldistill.witness import (
+    PSI,
+    RANK_RTOL,
+    W10,
+    NotNPTError,
+    construct_witness_vector,
+    detect,
+)
 
 from conftest import isotropic_table, pure_bell_table, random_table, uniform_table
 from reference import (
+    adjugate_norm,
     eigenvector_residual,
     expectation,
     product_vector_positivity_check,
@@ -79,10 +96,10 @@ def test_rejects_wrong_dimension():
 
 def test_rank_certificate_guard(monkeypatch):
     # the certificate can only fail on numerical breakdown; force the guard
-    # by inflating the minor tolerance
+    # with a negative tolerance, which no |det C| can meet
     import belldistill.witness as witness_mod
 
-    monkeypatch.setattr(witness_mod, "MINOR_TOL", 1e6)
+    monkeypatch.setattr(witness_mod, "CERT_TOL", -1.0)
     with pytest.raises(witness_mod.RankCertificationError):
         construct_witness_vector(classify(npt_table(NPT_SEEDS[0])))
 
@@ -112,6 +129,7 @@ def test_construction_invariants(seed):
     # rank-2 certificate
     assert abs(wc.det_C) <= 1e-10
     assert np.abs(wc.minors).max() > 1e-9
+    assert abs(adjugate_norm(wc.phi_tilde.reshape(3, 3)) - 0.5) <= 1e-14
     mu = wc.schmidt_coefficients
     assert mu[1] > 1e-9
     assert mu[2] < 1e-9 * mu[0]
@@ -120,6 +138,66 @@ def test_construction_invariants(seed):
     assert eigenvector_residual(coeffs, wc) <= 1e-10
     assert abs(witness_expectation_from_state(coeffs, wc) - lam) <= 1e-10
     assert abs(np.linalg.norm(wc.phi) - 1.0) < 1e-12
+
+
+# -------------------------------------------------- the rank-2 certificate
+
+@pytest.mark.parametrize("images", [0, 1, 2])
+def test_certificate_holds_where_principal_minors_vanish(images):
+    # u0 = (1, 1, 1)/sqrt 3 and its W_{1,0} images, as synthetic NPT reports with
+    # lambda_min = -0.1 three-fold: all three principal minors of C are of
+    # rounding size, yet C has rank 2 and ||adj C||_F = 1/2
+    u0 = np.ones(3, dtype=complex) / np.sqrt(3.0)
+    for _ in range(images):
+        u0 = W10 @ u0
+    eigenvalues = np.array([-0.1] * 3 + [0.1] * 6)
+    wc = construct_witness_vector(PTSpectrumReport(eigenvalues, -0.1, 3, NPT, u0))
+    c = wc.phi_tilde.reshape(3, 3)
+    assert np.abs(wc.minors).max() <= 1e-15
+    assert abs(wc.det_C) <= 1e-15
+    assert abs(adjugate_norm(c) - 0.5) <= 1e-15
+    mu = wc.schmidt_coefficients
+    assert mu[2] <= RANK_RTOL * mu.max() < mu[1]
+
+
+def face_edge_table(face, k, l, t):
+    # (1 - t) face + t (Bell weight (k, l) outside it), the face being the
+    # uniform row-0 or column-0 table
+    c = np.zeros((3, 3))
+    if face == "row":
+        c[0, :] = 1 / 3
+    else:
+        c[:, 0] = 1 / 3
+    c *= 1 - t
+    c[k, l] += t
+    return SimplexCoefficients(d=3, c=c)
+
+
+FACE_EDGE_FAMILIES = [("row", k, l) for k in (1, 2) for l in range(3)] + [
+    ("column", k, l) for k in range(3) for l in (1, 2)
+]
+
+
+@pytest.mark.parametrize("face, k, l", FACE_EDGE_FAMILIES)
+def test_certificate_margin_at_the_face_edge(face, k, l):
+    # lambda_min ~ -t^2/3, so the NPT edge lies between t = 1.732e-6
+    # (BOUNDARY) and t = 1.733e-6 (lambda_min ~ -1.001e-12); the
+    # certificate keeps its full margin all the way to it
+    for t in (1e-6, 1.732e-6):
+        assert classify(face_edge_table(face, k, l, t)).classification == BOUNDARY
+    for t in (1e-3, 1e-5, 1.733e-6):
+        spectrum = classify(face_edge_table(face, k, l, t))
+        wc = construct_witness_vector(spectrum)
+        assert abs(wc.det_C) <= 1e-15
+        assert abs(adjugate_norm(wc.phi_tilde.reshape(3, 3)) - 0.5) <= 1e-15
+        if t == 1.733e-6:
+            assert -1.002e-12 < spectrum.lambda_min < -1.001e-12
+        if face == "row":
+            # the largest principal minor shrinks with the distance to the
+            # boundary, about sqrt(3)/2 * sqrt|lambda_min|; at the edge the
+            # rule "some principal minor > 1e-9" had only an 870x margin
+            ratio = np.abs(wc.minors).max() / np.sqrt(-spectrum.lambda_min)
+            assert abs(ratio - np.sqrt(3.0) / 2.0) <= 1e-3
 
 
 @pytest.mark.parametrize("seed", NPT_SEEDS[:20])
