@@ -21,12 +21,15 @@ from .report import (
     parse_coefficients,
 )
 from .simplex import (
+    BOUNDARY,
     NPT,
+    PPT,
     SamplingExhaustedError,
     build_state,
     classify,
     sample_npt,
     sample_simplex,
+    verdict,
 )
 from .verify import run_campaign, summary_text, trial_seeds
 from .witness import RankCertificationError, construct_witness_vector
@@ -119,11 +122,10 @@ def cmd_sweep(args) -> int:
     ]
     ps = np.linspace(args.p_min, args.p_max, args.steps)
     values, sigma_minima = noise_scan(wc.W, rho, rep.sigma, ps)
+    # each flag is the verdict of its value, so a threshold grid point reads boundary
+    flag = {NPT: "true", PPT: "false", BOUNDARY: "boundary"}
     for p, value, low in zip(ps.tolist(), values.tolist(), sigma_minima.tolist()):
-        lines.append(
-            f"{p!r},{value!r},{'true' if value < 0 else 'false'},"
-            f"{'true' if low < 0 else 'false'}"
-        )
+        lines.append(f"{p!r},{value!r},{flag[verdict(value)]},{flag[verdict(low)]}")
     try:
         _write_text(args.output, "\n".join(lines) + "\n")
     except OSError as exc:

@@ -281,7 +281,7 @@ def _skeleton(shape: tuple, depth: int) -> tuple:
 #: null must be an object carrying them, and only witness and filter may be null
 SECTION_KEYS = {
     "classification": ("eigenvalues", "lambda_min", "negative_count", "classification"),
-    "witness": ("lambda_min", "C"),
+    "witness": ("lambda_min", "C", "minors", "det_C"),
     "filter": (),
 }
 
@@ -295,8 +295,12 @@ def validate_report(report: dict) -> None:
     :func:`~belldistill.simplex.verdict` of lambda_min, negative_count must
     count the eigenvalues that rule calls negative, and the witness,
     witness_spectrum, filter and reason fields must be set or null as the
-    label requires. An NPT report's coefficient matrix C, decoded from its
-    [re, im] pairs, must pass :func:`~belldistill.witness.certify_rank_2`.
+    label requires. An NPT report's witness lambda_min must be the
+    classification's, its coefficient matrix C, decoded from [re, im] pairs,
+    must pass :func:`~belldistill.witness.certify_rank_2`, and its minors
+    and det_C must equal the principal minors and the determinant that the
+    certificate computes from C. Last, the report must be one that
+    :func:`dump_report` writes, so a NaN or an infinity anywhere raises.
     """
     if not isinstance(report, dict):
         raise ValueError(f"report must be an object, got {type(report).__name__}")
@@ -339,15 +343,21 @@ def validate_report(report: dict) -> None:
         raise ValueError(f"{label} report carries witness, witness_spectrum or filter data")
     if report["reason"] != REASONS[label]:
         raise ValueError(f"reason {report['reason']!r} does not fit a {label} report")
-    if not is_npt:
-        return
-    if report["witness"]["lambda_min"] != cls["lambda_min"]:
-        raise ValueError("witness lambda_min differs from the classification's lambda_min")
-    pairs = np.asarray(report["witness"]["C"], dtype=object)
-    if pairs.shape != (3, 3, 2) or not all(type(x) in (int, float) for x in pairs.flat):
-        raise ValueError("witness C must be 3 x 3 [re, im] pairs of numbers")
-    try:
-        # a view pairs re and im without arithmetic, so inf and NaN raise no warning
-        certify_rank_2(pairs.astype(float).view(complex)[..., 0])
-    except (OverflowError, RankCertificationError) as exc:
-        raise ValueError(f"witness C fails its rank-2 certificate: {exc}") from exc
+    if is_npt:
+        witness = report["witness"]
+        if witness["lambda_min"] != cls["lambda_min"]:
+            raise ValueError("witness lambda_min differs from the classification's lambda_min")
+        pairs = np.asarray(witness["C"], dtype=object)
+        if pairs.shape != (3, 3, 2) or not all(type(x) in (int, float) for x in pairs.flat):
+            raise ValueError("witness C must be 3 x 3 [re, im] pairs of numbers")
+        try:
+            # a view pairs re and im without arithmetic, so inf and NaN raise no warning
+            minors, det = certify_rank_2(pairs.astype(float).view(complex)[..., 0])
+        except (OverflowError, RankCertificationError) as exc:
+            raise ValueError(f"witness C fails its rank-2 certificate: {exc}") from exc
+        # compared as witness_to_json writes them; any other value or shape differs
+        if witness["minors"] != _json([minors[j][j] for j in range(3)]):
+            raise ValueError("witness minors differ from the principal minors of C")
+        if witness["det_C"] != _json(det):
+            raise ValueError("witness det_C differs from det C")
+    dump_report(report)

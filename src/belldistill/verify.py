@@ -6,9 +6,12 @@ ground-eigenvector property, Schmidt rank 2 with mu0 = mu1 = 1/sqrt 2, an
 orthonormal local frame that rebuilds the witness vector, the rank
 certificate of the coefficient matrix, the three-fold degeneracy of the
 negative eigenvalue, the witness spectrum, the filtered state's spectrum
-and the white-noise threshold semantics on a p-grid. Trials are pure
-functions of their seed, so campaigns parallelize and aggregate
-order-independently.
+and the white-noise thresholds. On a p-grid that holds both thresholds,
+the witness must fire on exactly the noisy states that are still NPT and
+the filtered pair's noisy states must turn PPT at p_sigma_max; every sign
+is read by :func:`~belldistill.simplex.verdict`, so each family reads
+BOUNDARY at its own threshold. Trials are pure functions of their seed,
+so campaigns parallelize and aggregate order-independently.
 """
 
 import os
@@ -19,13 +22,16 @@ import numpy as np
 from .filtering import FilterAnnihilationError, filter_report, noise_scan
 from .linalg import kron, partial_transpose
 from .simplex import (
+    BOUNDARY,
     BOUNDARY_TOL,
     GENERATOR_NAME,
+    NPT,
     SamplingExhaustedError,
     build_state,
     lambda_min_multiplicity,
     pt_block,
     sample_npt,
+    verdict,
 )
 from .witness import (
     CERT_TOL,
@@ -40,9 +46,6 @@ from .witness import (
 
 #: white-noise grid for threshold-semantics checks, as plain floats
 NOISE_GRID = tuple(np.linspace(0.0, 1.0, 21).tolist())
-
-#: grid points this close to a threshold are excluded from the comparison
-THRESHOLD_BAND = 1e-6
 
 #: ascending spectrum of W at mu0 = mu1 = 1/sqrt 2: -1/2, 0 five times, 1/2 three times
 W_SPECTRUM = np.array([-0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5])
@@ -196,7 +199,9 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
     trace_dev = abs(value - lam)
     res["witness_trace_identity"] = trace_dev
     check(
-        "witness_detects", value < 0 and trace_dev <= 1e-10, lambda: f"trace(W rho) {value!r}"
+        "witness_detects",
+        verdict(value) == NPT and trace_dev <= 1e-10,
+        lambda: f"trace(W rho) {value!r}",
     )
 
     mirror_floor = float(np.linalg.eigvalsh(mu0**2 * np.eye(9) - wc.W)[0])
@@ -228,35 +233,28 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
             lambda: f"q {rep.q!r}, thresholds {rep.p_rho_max!r} / {rep.p_sigma_max!r}",
         )
 
-    # Every grid point is evaluated, all of them in one noise_scan; the band
-    # around each threshold masks only that threshold's comparison. Failures
+    # adding (p/n) 1 shifts every partial-transpose eigenvalue by p/n, so
+    # each family's minimum is affine in p: the label of every noise_scan
+    # value must be verdict of its closed form from the dense spectra above,
+    # and BOUNDARY at the family's own threshold. For rho this says the
+    # witness detects exactly the noisy states that are still NPT. Failures
     # are reported point by point, rho before sigma.
-    grid = NOISE_GRID + (
-        rep.p_rho_max - THRESHOLD_BAND,
-        rep.p_rho_max + THRESHOLD_BAND,
-        rep.p_sigma_max - THRESHOLD_BAND,
-        rep.p_sigma_max + THRESHOLD_BAND,
-    )
-    points = np.array([p for p in grid if 0.0 <= p <= 1.0])
-    on_rho = np.abs(points - rep.p_rho_max) >= THRESHOLD_BAND - 1e-15
-    on_sigma = np.abs(points - rep.p_sigma_max) >= THRESHOLD_BAND - 1e-15
-    values, sigma_minima = noise_scan(wc.W, rho, rep.sigma, points)
-    detected = values < 0.0
-    npt = sigma_minima < 0.0
-    rho_wrong = on_rho & (detected != (points < rep.p_rho_max))
-    sigma_wrong = on_sigma & (npt != (points < rep.p_sigma_max))
-    for i in np.flatnonzero(rho_wrong | sigma_wrong):
-        p = float(points[i])
-        check(
-            "rho_threshold_semantics",
-            not rho_wrong[i],
-            lambda: f"p={p!r} detected={bool(detected[i])} threshold={rep.p_rho_max!r}",
-        )
-        check(
-            "sigma_threshold_semantics",
-            not sigma_wrong[i],
-            lambda: f"p={p!r} npt={bool(npt[i])} threshold={rep.p_sigma_max!r}",
-        )
+    points = NOISE_GRID + (rep.p_rho_max, rep.p_sigma_max)
+    values, sigma_minima = noise_scan(wc.W, rho, rep.sigma, np.array(points))
+    rho_low, sigma_low = float(pt_eigs[0]), float(rep.sigma_pt_spectrum[0])
+    for p, value, low in zip(points, values.tolist(), sigma_minima.tolist()):
+        for name, got, closed, threshold in (
+            ("rho", value, (1 - p) * rho_low + p / 9, rep.p_rho_max),
+            ("sigma", low, (1 - p) * sigma_low + p / 4, rep.p_sigma_max),
+        ):
+            label = verdict(got)
+            expected = BOUNDARY if p == threshold else verdict(closed)
+            check(
+                f"{name}_threshold_semantics",
+                label == expected,
+                lambda: f"p={p!r} value={got!r} reads {label}, not {expected}; "
+                f"threshold={threshold!r}",
+            )
 
 
 def run_campaign(count: int, master_seed: int, jobs: int = 1) -> CampaignResult:

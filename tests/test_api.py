@@ -40,9 +40,10 @@ MOVED = ("apply_weyl_channel", "assemble_pt_from_blocks", "controlled_sum",
 
 #: second sources of one quantity that were deleted: the witness is the array
 #: W on the construction, the sampler classifies each batch from its one eigh,
-#: and the rank-2 certificate of C has one tolerance, CERT_TOL
+#: the rank-2 certificate of C has one tolerance, CERT_TOL, and the noise
+#: family's signs are read by simplex.verdict alone
 REMOVED = ("WitnessOperator", "witness_operator", "_screen_lambda_min", "SCREEN_MARGIN",
-           "SCREEN_BATCH", "MINOR_TOL", "DET_TOL")
+           "SCREEN_BATCH", "MINOR_TOL", "DET_TOL", "THRESHOLD_BAND")
 
 
 def test_all_is_the_pipeline():

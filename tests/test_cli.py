@@ -374,6 +374,27 @@ def test_sweep_sigma_column(tmp_path):
             assert not sigma_npt
 
 
+@pytest.mark.parametrize("steps, cells", [
+    (["--steps", "37"], {("0.75", "detected"), ("0.6666666666666666", "sigma_npt")}),
+    ([], {("0.75", "detected")}),
+])
+def test_sweep_flags_read_boundary_at_a_threshold(tmp_path, steps, cells):
+    # the pure Bell table's thresholds are 3/4 and 2/3 up to rounding; each
+    # flag is simplex.verdict of its value, so a grid point on a threshold
+    # reads boundary in that family's column and no other cell does
+    inp = write_input(tmp_path, PURE)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(inp), "--output", str(out)] + steps) == 0
+    header, *rows = out.read_text().splitlines()[2:]
+    columns = header.split(",")
+    found = set()
+    for row in rows:
+        fields = row.split(",")
+        assert {fields[2], fields[3]} <= {"true", "false", "boundary"}
+        found |= {(fields[0], columns[i]) for i in (2, 3) if fields[i] == "boundary"}
+    assert found == cells
+
+
 def test_sweep_bad_range_exits_1(tmp_path):
     inp = write_input(tmp_path, PURE)
     out = tmp_path / "s.csv"

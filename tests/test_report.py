@@ -296,6 +296,54 @@ def _c_two_rows(report):
     return report
 
 
+def _minors_and_det_made_up(report):
+    # C passes its certificate, but the report claims det C = 0.5 and minors
+    # of 9, where C's det is 0 and its principal minors are (0.25, 0, 0)
+    report["witness"]["det_C"] = [0.5, 0.0]
+    report["witness"]["minors"] = [[9.0, 0.0]] * 3
+    return report
+
+
+def _det_c_made_up(report):
+    report["witness"]["det_C"] = [0.5, 0.0]
+    return report
+
+
+def _minor_huge_integer(report):
+    # a JSON integer too large for a float compares unequal, without overflow
+    report["witness"]["minors"][0] = [10**400, 0]
+    return report
+
+
+def _minors_removed(report):
+    del report["witness"]["minors"]
+    return report
+
+
+def _minors_two_entries(report):
+    del report["witness"]["minors"][2]
+    return report
+
+
+def _det_c_scalar(report):
+    report["witness"]["det_C"] = 0.0
+    return report
+
+
+def _ppt_largest_eigenvalue_infinite(report):
+    # json.loads reads Infinity and NaN as these floats; a report the writer
+    # refuses to write does not validate either
+    ppt = _ppt_report()
+    ppt["classification"]["eigenvalues"][-1] = math.inf
+    return ppt
+
+
+def _ppt_largest_eigenvalue_nan(report):
+    ppt = _ppt_report()
+    ppt["classification"]["eigenvalues"][-1] = math.nan
+    return ppt
+
+
 @pytest.mark.parametrize(
     "malform, match",
     [
@@ -323,6 +371,14 @@ def _c_two_rows(report):
         (_c_huge_integer, "witness C fails its rank-2 certificate: int too large"),
         (_c_removed, "witness section is missing keys \\['C'\\]"),
         (_c_two_rows, "witness C must be 3 x 3"),
+        (_minors_and_det_made_up, "witness minors differ from the principal minors of C"),
+        (_det_c_made_up, "witness det_C differs from det C"),
+        (_minor_huge_integer, "witness minors differ from the principal minors of C"),
+        (_minors_removed, "witness section is missing keys \\['minors'\\]"),
+        (_minors_two_entries, "witness minors differ from the principal minors of C"),
+        (_det_c_scalar, "witness det_C differs from det C"),
+        (_ppt_largest_eigenvalue_infinite, "not JSON compliant: inf"),
+        (_ppt_largest_eigenvalue_nan, "not JSON compliant: nan"),
     ],
 )
 def test_validate_raises_value_error_on_malformed_reports(malform, match):

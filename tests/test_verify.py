@@ -5,9 +5,16 @@ import numpy as np
 import pytest
 
 from belldistill import verify, witness
-from belldistill.filtering import add_white_noise
+from belldistill.filtering import add_white_noise, noise_scan
 from belldistill.linalg import partial_transpose
-from belldistill.simplex import SimplexCoefficients, build_state, classify
+from belldistill.simplex import (
+    BOUNDARY,
+    SimplexCoefficients,
+    build_state,
+    classify,
+    sample_npt,
+    verdict,
+)
 from belldistill.weyl import fourier, swap_conjugation, weyl
 from belldistill.witness import construct_witness_vector, detect
 
@@ -23,10 +30,10 @@ def halved_thresholds(filter_report):
 
 
 def test_threshold_failures_are_reported_point_by_point(monkeypatch):
-    # with halved thresholds the grid points between half and the true
-    # threshold fail; the expected lines come from one scalar evaluation per
-    # point, the rho line before the sigma line at each point, and every
-    # point prints as a plain float
+    # with halved thresholds every grid point still reads the verdict of its
+    # closed form, but each family's halved threshold point must read
+    # BOUNDARY and reads NPT: exactly two lines, rho before sigma, each at
+    # its own point, which prints as a plain float
     halved = halved_thresholds(verify.filter_report)
     monkeypatch.setattr(verify, "filter_report", halved)
     seed = verify.trial_seeds(0, 1)[0]
@@ -34,35 +41,61 @@ def test_threshold_failures_are_reported_point_by_point(monkeypatch):
 
     coeffs = SimplexCoefficients(d=3, c=result.coefficients)
     wc = construct_witness_vector(classify(coeffs))
-    w = wc.W
     rho = build_state(coeffs)
     rep = halved(rho, wc)
-    points = np.linspace(0.0, 1.0, 21).tolist()
-    points += [rep.p_rho_max - 1e-6, rep.p_rho_max + 1e-6]
-    points += [rep.p_sigma_max - 1e-6, rep.p_sigma_max + 1e-6]
-    band = verify.THRESHOLD_BAND - 1e-15
-    expected = []
-    for p in points:
-        if not 0.0 <= p <= 1.0:
-            continue
-        if abs(p - rep.p_rho_max) >= band:
-            detected = detect(w, add_white_noise(rho, p)) < 0.0
-            if detected != (p < rep.p_rho_max):
-                expected.append(
-                    f"rho_threshold_semantics: p={p!r} detected={detected} "
-                    f"threshold={rep.p_rho_max!r}"
-                )
-        if abs(p - rep.p_sigma_max) >= band:
-            noisy_pt = partial_transpose(add_white_noise(rep.sigma, p), 2, 2)
-            npt = float(np.linalg.eigvalsh(noisy_pt)[0]) < 0.0
-            if npt != (p < rep.p_sigma_max):
-                expected.append(
-                    f"sigma_threshold_semantics: p={p!r} npt={npt} "
-                    f"threshold={rep.p_sigma_max!r}"
-                )
-    assert any(line.startswith("rho_") for line in expected)
-    assert any(line.startswith("sigma_") for line in expected)
-    assert result.failures == expected
+    value = detect(wc.W, add_white_noise(rho, rep.p_rho_max))
+    noisy_pt = partial_transpose(add_white_noise(rep.sigma, rep.p_sigma_max), 2, 2)
+    low = float(np.linalg.eigvalsh(noisy_pt)[0])
+    assert value < -1e-3 and low < -1e-3
+    assert result.failures == [
+        f"rho_threshold_semantics: p={rep.p_rho_max!r} value={value!r} reads NPT, "
+        f"not BOUNDARY; threshold={rep.p_rho_max!r}",
+        f"sigma_threshold_semantics: p={rep.p_sigma_max!r} value={low!r} reads NPT, "
+        f"not BOUNDARY; threshold={rep.p_sigma_max!r}",
+    ]
+
+
+def test_untight_witness_fails_at_its_threshold(monkeypatch):
+    # W + eps 1 still detects the same states away from the threshold, but
+    # reads PPT where rho_p turns PPT: the battery's noise check sees that
+    # the witness no longer fires on exactly the NPT noisy states
+    eps = 1e-9
+    construct = verify.construct_witness_vector
+
+    def shifted(spectrum):
+        wc = construct(spectrum)
+        return dataclasses.replace(wc, W=wc.W + eps * np.eye(9))
+
+    seed = verify.trial_seeds(0, 1)[0]
+    coeffs, spectrum = sample_npt(seed)
+    rep = verify.filter_report(build_state(coeffs), construct_witness_vector(spectrum))
+    monkeypatch.setattr(verify, "construct_witness_vector", shifted)
+    noise = [m for m in verify.run_trial(seed).failures if "_threshold_semantics" in m]
+    assert len(noise) == 1
+    assert noise[0].startswith(f"rho_threshold_semantics: p={rep.p_rho_max!r} ")
+    assert "reads PPT, not BOUNDARY" in noise[0]
+
+
+def test_witness_detects_exactly_the_npt_noisy_states():
+    # dense oracle over the battery's grid: the verdict of trace(W rho_p)
+    # is that of the smallest eigenvalue of rho_p^Gamma, formed here with
+    # numpy alone, and both read BOUNDARY at p_rho_max
+    boundary_points = 0
+    for seed in verify.trial_seeds(1, 200):
+        coeffs, spectrum = sample_npt(seed)
+        wc = construct_witness_vector(spectrum)
+        rho = build_state(coeffs)
+        rep = verify.filter_report(rho, wc)
+        ps = np.array(verify.NOISE_GRID + (rep.p_rho_max, rep.p_sigma_max))
+        values, _ = noise_scan(wc.W, rho, rep.sigma, ps)
+        noisy = (1 - ps)[:, None, None] * rho + (ps / 9)[:, None, None] * np.eye(9)
+        noisy_pt = noisy.reshape(-1, 3, 3, 3, 3).transpose(0, 1, 4, 3, 2).reshape(-1, 9, 9)
+        minima = np.linalg.eigvalsh(noisy_pt)[:, 0]
+        for p, value, low in zip(ps.tolist(), values.tolist(), minima.tolist()):
+            assert verdict(value) == verdict(low), (seed, p, value, low)
+            assert (verdict(value) == BOUNDARY) == (p == rep.p_rho_max), (seed, p)
+            boundary_points += p == rep.p_rho_max
+    assert boundary_points == 200
 
 
 @pytest.mark.parametrize(
