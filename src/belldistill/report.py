@@ -31,6 +31,7 @@ JSON.
 
 import functools
 import math
+import reprlib
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 
@@ -47,13 +48,11 @@ from .simplex import (
     SimplexCoefficients,
     build_state,
     classify,
-    verdict,
 )
 from .witness import (
     PSI,
     RankCertificationError,
     WitnessConstruction,
-    certify_rank_2,
     construct_witness_vector,
 )
 
@@ -81,14 +80,8 @@ def _json(a) -> list:
     return a.tolist()
 
 
-def parse_coefficients(obj) -> tuple[SimplexCoefficients, bool]:
-    """Coefficient table from a decoded input file, applying the renormalization rule.
-
-    A sum within RENORM_TOL of one is silently scaled to exactly one (the
-    report records that this happened). Shape, finiteness, negativity and
-    any sum further off are left to :class:`SimplexCoefficients`; every
-    rejection raises InvalidCoefficientsError.
-    """
+def _table(obj) -> tuple[int, np.ndarray]:
+    """d and the float table of a decoded input file, after its type checks."""
     if not isinstance(obj, dict) or "d" not in obj or "c" not in obj:
         raise InvalidCoefficientsError('input must be an object with keys "d" and "c"')
     d = obj["d"]
@@ -98,9 +91,23 @@ def parse_coefficients(obj) -> tuple[SimplexCoefficients, bool]:
         entries = np.asarray(obj["c"], dtype=object)
         if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in entries.flat):
             raise TypeError("entries must be numbers, not strings, booleans or null")
-        c = entries.astype(float)
-    except (TypeError, ValueError, OverflowError) as exc:
+        return d, entries.astype(float)
+    except (TypeError, ValueError, OverflowError, RuntimeError) as exc:
+        # RuntimeError: numpy iterates at most 32 dimensions of a deeper nest
         raise InvalidCoefficientsError(f"coefficient table is not numeric: {exc}") from exc
+
+
+def parse_coefficients(obj) -> tuple[SimplexCoefficients, bool]:
+    """Coefficient table from a decoded input file, applying the renormalization rule.
+
+    A sum within RENORM_TOL of one, but not equal to it, is divided by
+    that sum (the report records that this happened). The quotient's sum is
+    one only up to rounding, and misses it by an ulp on about a third of
+    such tables. Shape, finiteness, negativity and any sum further off are
+    left to :class:`SimplexCoefficients`; every rejection raises
+    InvalidCoefficientsError.
+    """
+    d, c = _table(obj)
     total = float(c.sum())
     renormalized = total != 1.0 and abs(total - 1.0) <= RENORM_TOL
     if renormalized:
@@ -277,87 +284,65 @@ def _skeleton(shape: tuple, depth: int) -> tuple:
     )
 
 
-#: keys that validate_report reads from each section; a section that is not
-#: null must be an object carrying them, and only witness and filter may be null
-SECTION_KEYS = {
-    "classification": ("eigenvalues", "lambda_min", "negative_count", "classification"),
-    "witness": ("lambda_min", "C", "minors", "det_C"),
-    "filter": (),
-}
-
-
 def validate_report(report: dict) -> None:
-    """Re-validate a decoded report; raises ValueError on any inconsistency.
+    """Check that a decoded report is the one :func:`analysis_report` writes for its input.
 
-    The report's type, and each section's type and required keys, are
-    checked before they are read, so a malformed report raises ValueError
-    too, not KeyError or TypeError. The label must be
-    :func:`~belldistill.simplex.verdict` of lambda_min, negative_count must
-    count the eigenvalues that rule calls negative, and the witness,
-    witness_spectrum, filter and reason fields must be set or null as the
-    label requires. An NPT report's witness lambda_min must be the
-    classification's, its coefficient matrix C, decoded from [re, im] pairs,
-    must pass :func:`~belldistill.witness.certify_rank_2`, and its minors
-    and det_C must equal the principal minors and the determinant that the
-    certificate computes from C. Last, the report must be one that
-    :func:`dump_report` writes, so a NaN or an infinity anywhere raises.
+    The report's ``input`` table is analyzed as written, without a second
+    renormalization, with the report's own ``renormalized`` flag, and the
+    report must equal the result leaf by leaf, in type and in value (a
+    float's repr, so -0.0 is not 0.0). The first leaf that differs is named
+    by its path, as in ``report.filter.q is -3.0, not 0.666...``; a report
+    that is not an object, a flag that is not a boolean, an input that does
+    not parse and an input whose witness fails its rank-2 certificate raise
+    too, all as ValueError.
+
+    The rule is exact, so it holds for reports written by the same build:
+    another numpy or LAPACK build may move the last bits of a report, and
+    such a report does not validate.
     """
     if not isinstance(report, dict):
         raise ValueError(f"report must be an object, got {type(report).__name__}")
-    missing = set(REPORT_KEYS) - set(report)
-    if missing:
-        raise ValueError(f"report is missing keys {sorted(missing)}")
-    for name, keys in SECTION_KEYS.items():
-        section = report[name]
-        if section is None and name != "classification":
-            continue
-        if not isinstance(section, dict):
-            raise ValueError(f"{name} section must be an object, got {type(section).__name__}")
-        missing = set(keys) - set(section)
-        if missing:
-            raise ValueError(f"{name} section is missing keys {sorted(missing)}")
-    coeffs, _ = parse_coefficients(report["input"])
-    cls = report["classification"]
-    eigs = cls["eigenvalues"]
-    if not isinstance(eigs, list) or not all(type(x) in (int, float) for x in eigs):
-        raise ValueError("classification eigenvalues must be a list of numbers")
-    if len(eigs) != coeffs.d**2:
-        raise ValueError(f"classification lists {len(eigs)} eigenvalues for d={coeffs.d}")
-    if eigs != sorted(eigs):
-        raise ValueError("classification eigenvalues are not ascending")
-    if cls["lambda_min"] != eigs[0]:
-        raise ValueError("lambda_min does not equal the smallest eigenvalue")
-    label = cls["classification"]
-    if label != verdict(cls["lambda_min"]):
-        raise ValueError(f"classification {label} contradicts lambda_min {cls['lambda_min']!r}")
-    negatives = sum(verdict(x) == NPT for x in eigs)
-    if type(cls["negative_count"]) is not int or cls["negative_count"] != negatives:
-        raise ValueError(f"negative_count {cls['negative_count']!r}, not {negatives}")
-    if type(report["renormalized"]) is not bool:
-        raise ValueError(f"renormalized must be a boolean, got {report['renormalized']!r}")
-    is_npt = label == NPT
-    absent = [report[name] is None for name in ("witness", "witness_spectrum", "filter")]
-    if is_npt and any(absent):
-        raise ValueError("NPT report lacks a witness, witness_spectrum or filter section")
-    if not is_npt and not all(absent):
-        raise ValueError(f"{label} report carries witness, witness_spectrum or filter data")
-    if report["reason"] != REASONS[label]:
-        raise ValueError(f"reason {report['reason']!r} does not fit a {label} report")
-    if is_npt:
-        witness = report["witness"]
-        if witness["lambda_min"] != cls["lambda_min"]:
-            raise ValueError("witness lambda_min differs from the classification's lambda_min")
-        pairs = np.asarray(witness["C"], dtype=object)
-        if pairs.shape != (3, 3, 2) or not all(type(x) in (int, float) for x in pairs.flat):
-            raise ValueError("witness C must be 3 x 3 [re, im] pairs of numbers")
-        try:
-            # a view pairs re and im without arithmetic, so inf and NaN raise no warning
-            minors, det = certify_rank_2(pairs.astype(float).view(complex)[..., 0])
-        except (OverflowError, RankCertificationError) as exc:
-            raise ValueError(f"witness C fails its rank-2 certificate: {exc}") from exc
-        # compared as witness_to_json writes them; any other value or shape differs
-        if witness["minors"] != _json([minors[j][j] for j in range(3)]):
-            raise ValueError("witness minors differ from the principal minors of C")
-        if witness["det_C"] != _json(det):
-            raise ValueError("witness det_C differs from det C")
-    dump_report(report)
+    renormalized = report.get("renormalized")
+    if type(renormalized) is not bool:
+        raise ValueError(f"renormalized must be a boolean, got {reprlib.repr(renormalized)}")
+    try:
+        expected = analysis_report(SimplexCoefficients(*_table(report.get("input"))), renormalized)
+    except RankCertificationError as exc:
+        raise ValueError(f"report input fails its rank-2 certificate: {exc}") from exc
+    difference = _first_difference(report, expected, "report")
+    if difference is not None:
+        raise ValueError(difference)
+
+
+def _first_difference(got, want, path: str) -> str | None:
+    """Where ``got`` first differs from ``want`` in type or value, named by path; None if nowhere.
+
+    The walk follows ``want``, so it goes no deeper than ``want`` is nested.
+    """
+    if type(got) is not type(want) or (
+        not isinstance(want, (dict, list)) and (got != want or repr(got) != repr(want))
+    ):
+        return f"{path} is {_show(got)}, not {_show(want)}"
+    if isinstance(want, dict):
+        if got.keys() != want.keys():
+            missing = [key for key in want if key not in got]
+            if missing:
+                return f"{path} is missing keys {missing}"
+            return f"{path} has extra keys {reprlib.repr([key for key in got if key not in want])}"
+        children = ((f"{path}.{key}", got[key], want[key]) for key in want)
+    elif isinstance(want, list):
+        if len(got) != len(want):
+            return f"{path} has {len(got)} entries, not {len(want)}"
+        children = ((f"{path}[{i}]", x, y) for i, (x, y) in enumerate(zip(got, want)))
+    else:
+        return None
+    for child_path, x, y in children:
+        difference = _first_difference(x, y, child_path)
+        if difference is not None:
+            return difference
+    return None
+
+
+def _show(node) -> str:
+    """A report node for a message: an object or a list by its kind, a leaf by a short repr."""
+    return {dict: "an object", list: "a list"}.get(type(node)) or reprlib.repr(node)

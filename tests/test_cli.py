@@ -192,6 +192,21 @@ def test_deeply_nested_json_exits_1(tmp_path, capsys, command):
     assert err.startswith("error: bad input: ") and "nested too deeply" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_table_nested_beyond_numpy_dimensions_exits_1(tmp_path, capsys, command):
+    # json.load reads 70 levels, but numpy iterates at most 32 dimensions
+    table = [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+    for _ in range(70):
+        table = [table]
+    inp = tmp_path / "deep.json"
+    inp.write_text(json.dumps({"d": 3, "c": table}), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, str(inp), "--output", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad input: coefficient table is not numeric")
+
+
 def test_analyze_missing_file_exits_1(tmp_path):
     assert main(["analyze", str(tmp_path / "nope.json"),
                  "--output", str(tmp_path / "r.json")]) == 1

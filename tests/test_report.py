@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from belldistill import witness
 from belldistill.cli import main
 from belldistill.filtering import filter_report
 from belldistill.linalg import partial_transpose
@@ -152,7 +154,7 @@ def test_validate_rejects_inconsistent_lambda():
 def test_validate_rejects_npt_without_sections():
     report = analysis_report(pure_bell_table())
     report["witness"] = None
-    with pytest.raises(ValueError, match="lacks"):
+    with pytest.raises(ValueError, match="report.witness is None, not an object"):
         validate_report(report)
 
 
@@ -344,50 +346,212 @@ def _ppt_largest_eigenvalue_nan(report):
     return ppt
 
 
+def _p_rho_max_5(report):
+    report["filter"]["p_rho_max"] = 5.0
+    return report
+
+
+def _q_negative(report):
+    report["filter"]["q"] = -3.0
+    return report
+
+
+def _witness_spectrum_zeros(report):
+    report["witness_spectrum"] = [0.0] * 9
+    return report
+
+
+def _phi_one_pair(report):
+    report["witness"]["phi"] = report["witness"]["phi"][:1]
+    return report
+
+
+def _sigma_entry_moved(report):
+    report["filter"]["sigma"][1][2][0] += 1e-3
+    return report
+
+
+def _schmidt_left_entry_moved(report):
+    report["witness"]["schmidt_left"][0][1][1] = 0.25
+    return report
+
+
+def _qubit_more_robust_flipped(report):
+    report["filter"]["qubit_more_robust"] = not report["filter"]["qubit_more_robust"]
+    return report
+
+
+def _tool_version_made_up(report):
+    report["tool_version"] = "0.0.0"
+    return report
+
+
+def _extra_key(report):
+    report["filter"]["note"] = "hand-edited"
+    return report
+
+
+def _input_entry_an_integer(report):
+    # the writer writes every table entry as a float
+    report["input"]["c"][0][0] = 1
+    return report
+
+
+def _zero_sign_flipped(report):
+    report["witness"]["C"][0][0][0] = -0.0
+    return report
+
+
+def _negative_count_a_boolean(report):
+    report["classification"]["negative_count"] = True
+    return report
+
+
+def _q_deeply_nested(report):
+    # far deeper than the recursion limit; the walk stops at the expected float
+    nest = 2 / 3
+    for _ in range(100_000):
+        nest = [nest]
+    report["filter"]["q"] = nest
+    return report
+
+
+def _input_deeply_nested(report):
+    # deeper than the 32 dimensions numpy iterates
+    nest = report["input"]["c"]
+    for _ in range(70):
+        nest = [nest]
+    report["input"]["c"] = nest
+    return report
+
+
+def _input_removed(report):
+    del report["input"]
+    return report
+
+
 @pytest.mark.parametrize(
-    "malform, match",
+    "malform, defect, message",
     [
-        (_drop_eigenvalues, "missing keys \\['eigenvalues'\\]"),
-        (_null_classification, "classification section must be an object, got NoneType"),
-        (_list_witness, "witness section must be an object, got list"),
-        (lambda report: [report], "report must be an object, got list"),
-        (_eigenvalues_not_numbers, "list of numbers"),
+        (_drop_eigenvalues, "missing keys ['eigenvalues']",
+         "report.classification is missing keys ['eigenvalues']"),
+        (_null_classification, "classification section must be an object, got NoneType",
+         "report.classification is None, not an object"),
+        (_list_witness, "witness section must be an object, got list",
+         "report.witness is a list, not an object"),
+        (lambda report: [report], "report must be an object, got list",
+         "report must be an object, got list"),
+        (_eigenvalues_not_numbers, "list of numbers",
+         "report.classification.eigenvalues[0] is None, not -0.333"),
         # reports that are well formed but contradict themselves
-        (_ppt_relabelled_npt, "classification NPT contradicts lambda_min 0.111"),
-        (_negative_count_7, "negative_count 7, not 3"),
-        (_npt_without_witness_spectrum, "NPT report lacks"),
-        (_ppt_with_witness_spectrum, "PPT report carries"),
-        (_ppt_with_witness, "PPT report carries"),
-        (_npt_with_reason, "does not fit a NPT report"),
-        (_ppt_with_made_up_reason, "does not fit a PPT report"),
-        (_ppt_without_reason, "None does not fit a PPT report"),
-        (_renormalized_yes, "renormalized must be a boolean, got 'yes'"),
-        (_eight_eigenvalues, "lists 8 eigenvalues for d=3"),
-        (_descending_eigenvalues, "not ascending"),
-        (_unknown_label, "classification MAYBE contradicts lambda_min"),
-        (_c_entry_doubled, "witness C fails its rank-2 certificate"),
-        (_c_overflows, "witness C fails its rank-2 certificate"),
-        (_c_infinite, "witness C fails its rank-2 certificate"),
-        (_c_huge_integer, "witness C fails its rank-2 certificate: int too large"),
-        (_c_removed, "witness section is missing keys \\['C'\\]"),
-        (_c_two_rows, "witness C must be 3 x 3"),
-        (_minors_and_det_made_up, "witness minors differ from the principal minors of C"),
-        (_det_c_made_up, "witness det_C differs from det C"),
-        (_minor_huge_integer, "witness minors differ from the principal minors of C"),
-        (_minors_removed, "witness section is missing keys \\['minors'\\]"),
-        (_minors_two_entries, "witness minors differ from the principal minors of C"),
-        (_det_c_scalar, "witness det_C differs from det C"),
-        (_ppt_largest_eigenvalue_infinite, "not JSON compliant: inf"),
-        (_ppt_largest_eigenvalue_nan, "not JSON compliant: nan"),
+        (_ppt_relabelled_npt, "classification NPT contradicts lambda_min 0.111",
+         "report.classification.classification is 'NPT', not 'PPT'"),
+        (_negative_count_7, "negative_count 7, not 3",
+         "report.classification.negative_count is 7, not 3"),
+        (_npt_without_witness_spectrum, "NPT report lacks a witness_spectrum",
+         "report.witness_spectrum is None, not a list"),
+        (_ppt_with_witness_spectrum, "PPT report carries a witness_spectrum",
+         "report.witness_spectrum is a list, not None"),
+        (_ppt_with_witness, "PPT report carries a witness",
+         "report.witness is an object, not None"),
+        (_npt_with_reason, "does not fit a NPT report", "report.reason is 'no negative"),
+        (_ppt_with_made_up_reason, "does not fit a PPT report",
+         "report.reason is 'state looks fine', not 'no negative"),
+        (_ppt_without_reason, "None does not fit a PPT report",
+         "report.reason is None, not 'no negative"),
+        (_renormalized_yes, "renormalized must be a boolean, got 'yes'",
+         "renormalized must be a boolean, got 'yes'"),
+        (_eight_eigenvalues, "lists 8 eigenvalues for d=3",
+         "report.classification.eigenvalues has 8 entries, not 9"),
+        (_descending_eigenvalues, "not ascending",
+         "report.classification.eigenvalues[0] is 0.333"),
+        (_unknown_label, "classification MAYBE contradicts lambda_min",
+         "report.classification.classification is 'MAYBE', not 'NPT'"),
+        (_c_entry_doubled, "witness C fails its rank-2 certificate",
+         "report.witness.C[1][1][0] is -3.9"),
+        (_c_overflows, "witness C fails its rank-2 certificate",
+         "report.witness.C[1][1][0] is 1.5e+154, not "),
+        (_c_infinite, "witness C fails its rank-2 certificate",
+         "report.witness.C[0][0][0] is inf, not 0.0"),
+        (_c_huge_integer, "witness C fails its rank-2 certificate: int too large",
+         "report.witness.C[0][0][0] is 1000"),
+        (_c_removed, "witness section is missing keys ['C']",
+         "report.witness is missing keys ['C']"),
+        (_c_two_rows, "witness C must be 3 x 3", "report.witness.C has 2 entries, not 3"),
+        (_minors_and_det_made_up, "witness minors differ from the principal minors of C",
+         "report.witness.minors[0][0] is 9.0, not 0.24"),
+        (_det_c_made_up, "witness det_C differs from det C",
+         "report.witness.det_C[0] is 0.5, not "),
+        (_minor_huge_integer, "witness minors differ from the principal minors of C",
+         "report.witness.minors[0][0] is 1000"),
+        (_minors_removed, "witness section is missing keys ['minors']",
+         "report.witness is missing keys ['minors']"),
+        (_minors_two_entries, "witness minors differ from the principal minors of C",
+         "report.witness.minors has 2 entries, not 3"),
+        (_det_c_scalar, "witness det_C differs from det C",
+         "report.witness.det_C is 0.0, not a list"),
+        (_ppt_largest_eigenvalue_infinite, "not JSON compliant: inf",
+         "report.classification.eigenvalues[8] is inf, not 0.111"),
+        (_ppt_largest_eigenvalue_nan, "not JSON compliant: nan",
+         "report.classification.eigenvalues[8] is nan, not 0.111"),
+        # fields that only a recomputation can check
+        (_p_rho_max_5, "p_rho_max outside (0, 1)", "report.filter.p_rho_max is 5.0, not 0.75"),
+        (_q_negative, "q outside (0, 1]", "report.filter.q is -3.0, not 0.666"),
+        (_witness_spectrum_zeros, "witness spectrum not {-1/2, 0 x5, 1/2 x3}",
+         "report.witness_spectrum[0] is 0.0, not -0.5"),
+        (_phi_one_pair, "witness vector of one entry", "report.witness.phi has 1 entries, not 9"),
+        (_sigma_entry_moved, "one sigma entry moved", "report.filter.sigma[1][2][0] is "),
+        (_schmidt_left_entry_moved, "one frame entry moved",
+         "report.witness.schmidt_left[0][1][1] is 0.25, not "),
+        (_qubit_more_robust_flipped, "robustness flag flipped",
+         "report.filter.qubit_more_robust is True, not False"),
+        (_tool_version_made_up, "another tool version",
+         "report.tool_version is '0.0.0', not "),
+        (_extra_key, "a key the writer does not write", "report.filter has extra keys ['note']"),
+        (_input_entry_an_integer, "an input entry written as an integer",
+         "report.input.c[0][0] is 1, not 1.0"),
+        (_zero_sign_flipped, "a zero of the other sign", "report.witness.C[0][0][0] is -0.0, not 0.0"),
+        (_negative_count_a_boolean, "a boolean for a count",
+         "report.classification.negative_count is True, not 3"),
+        (_q_deeply_nested, "a deep nest for a number", "report.filter.q is a list, not 0.666"),
+        (_input_deeply_nested, "an input nested beyond numpy's 32 dimensions",
+         "coefficient table is not numeric"),
+        (_input_removed, "no input table", 'input must be an object with keys "d" and "c"'),
     ],
 )
-def test_validate_raises_value_error_on_malformed_reports(malform, match):
-    # each malformed part is caught before it is read, so none of these
-    # surfaces as KeyError or TypeError; every report starts from the pure
-    # Bell table's report after a JSON round trip
+def test_validate_raises_value_error_on_malformed_reports(malform, defect, message):
+    # every report starts from the pure Bell table's report after a JSON round
+    # trip; `defect` says what is wrong with it, and the ValueError names the
+    # first field that differs from the report of its own input, so none of
+    # these surfaces as KeyError, TypeError, OverflowError, RecursionError or
+    # RuntimeError
     report = json.loads(dump_report(analysis_report(pure_bell_table())))
-    with pytest.raises(ValueError, match=match):
+    with pytest.raises(ValueError, match=re.escape(message)):
         validate_report(malform(report))
+
+
+def test_validate_accepts_renormalized_inputs():
+    # Dirichlet tables scaled by 1 +- up to 9e-10 are renormalized once. The
+    # written input c / total is analyzed as written: on a second parse about
+    # a third of them would be renormalized again, since their sum misses
+    # 1.0 by an ulp, and their reports would no longer match
+    parsed_again = 0
+    for seed in range(500):
+        rng = np.random.default_rng(seed)
+        c = rng.dirichlet(np.ones(9)) * (1 + rng.uniform(-9e-10, 9e-10))
+        coeffs, renormalized = parse_coefficients({"d": 3, "c": c.reshape(3, 3).tolist()})
+        assert renormalized, seed
+        report = json.loads(dump_report(analysis_report(coeffs, renormalized)))
+        validate_report(report)
+        parsed_again += parse_coefficients(report["input"])[1]
+    assert parsed_again >= 100
+
+
+def test_validate_surfaces_a_failed_certificate_as_value_error(monkeypatch):
+    report = json.loads(dump_report(analysis_report(pure_bell_table())))
+    monkeypatch.setattr(witness, "CERT_TOL", -1.0)
+    with pytest.raises(ValueError, match="rank-2 certificate"):
+        validate_report(report)
 
 
 # ------------------------------------------- walks toward the PPT boundary
@@ -420,6 +584,7 @@ def test_last_npt_tables_toward_the_boundary_get_full_reports():
     for seed in BOUNDARY_PATH_SEEDS:
         report = analysis_report(_last_npt_on_path(random_table(seed)))
         validate_report(report)
+        validate_report(json.loads(dump_report(report)))
         cls = report["classification"]
         assert cls["classification"] == NPT
         assert -2 * BOUNDARY_TOL < cls["lambda_min"] < -BOUNDARY_TOL
@@ -438,6 +603,7 @@ def test_equal_weight_supports_match_dense_oracle():
         report = analysis_report(coeffs)
         text = dump_report(report)
         assert text == dump_json(report), f"support mask {mask:09b}"
+        validate_report(report)
         validate_report(json.loads(text))
         assert_sections_match_oracle(coeffs, report)
         verdict = report["classification"]["classification"]
