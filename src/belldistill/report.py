@@ -73,10 +73,11 @@ REPORT_KEYS = (
 
 
 def _json(a) -> list:
-    """Nested lists of floats for an array; complex entries become [re, im] pairs."""
+    """Nested lists of floats for an array; complex128 entries become [re, im] pairs."""
     a = np.asarray(a)
     if np.iscomplexobj(a):
-        a = np.stack([a.real, a.imag], -1)
+        # a complex128 entry is its two float64 parts in memory: [re, im]
+        a = np.ascontiguousarray(a).view(np.float64).reshape(a.shape + (2,))
     return a.tolist()
 
 

@@ -44,14 +44,20 @@ IMAG_TOL = 1e-11
 RANK_RTOL = 1e-9
 
 #: the d = 3 constants of the construction, built once and shared read-only:
-#: the diagonal Weyl operator W_{1,0}, the Fourier matrix F, the Bell-frame
-#: swap (F^dag (x) F) flip and the fixed mixing amplitudes psi = (1, 0, -1)/sqrt 2
+#: the diagonal Weyl operator W_{1,0}, the Fourier matrix F and F^dag (a
+#: transposed view, the layout ``dag`` returns), the Bell-frame swap
+#: (F^dag (x) F) flip and the fixed mixing amplitudes psi = (1, 0, -1)/sqrt 2
 W10 = weyl(3, 1, 0)
 F3 = fourier(3)
+F3_DAG = dag(F3)
 SWAP3 = swap_conjugation(3)
 PSI = np.array([1.0, 0.0, -1.0], dtype=complex) / np.sqrt(2.0)
-for _const in (W10, F3, SWAP3, PSI):
+for _const in (W10, F3, F3_DAG, SWAP3, PSI):
     _const.setflags(write=False)
+
+#: (i, entries) for each nonzero PSI[i], which mixes alpha[i, k] into entry
+#: 3k + (k + i) mod 3 of phi_tilde
+_MIX = tuple((i, np.array([3 * k + (k + i) % 3 for k in range(3)])) for i in range(3) if PSI[i])
 
 
 class NotNPTError(ValueError):
@@ -129,14 +135,11 @@ def construct_witness_vector(spectrum: PTSpectrumReport) -> WitnessConstruction:
     u1 = W10 @ u2
     u = np.array([u0, u1, u2])
 
-    alpha = np.array([dag(F3) @ u[m] for m in range(3)])
+    alpha = np.array([F3_DAG @ u[m] for m in range(3)])
 
     phi_tilde = np.zeros(9, dtype=complex)
-    for i in range(3):
-        if PSI[i] == 0.0:
-            continue
-        for k in range(3):
-            phi_tilde[3 * k + (k + i) % 3] += PSI[i] * alpha[i, k]
+    for i, entries in _MIX:
+        phi_tilde[entries] += PSI[i] * alpha[i]
 
     all_minors, det_c = certify_rank_2(phi_tilde.reshape(3, 3))
     minors = np.array([all_minors[j][j] for j in range(3)])

@@ -26,6 +26,12 @@ same quantity another way, so that the tests can compare the two:
 - ``expectation`` is the checked quadratic form <v|M|v>;
   ``eigenvector_residual`` and ``witness_expectation_from_state`` are the
   two dense quantities that the verify battery computes inline;
+- ``mix_loop`` builds alpha and phi_tilde from u_0 one numpy scalar at a
+  time, where ``construct_witness_vector`` mixes each PSI term as one
+  indexed array update;
+- ``battery_residuals_loop`` computes the verify battery's residuals with
+  a loop over the blocks and the alpha shifts and one ``eigvalsh`` call per
+  dense spectrum, where the battery stacks each of the three;
 - ``complex_to_json``, ``vector_to_json``, ``matrix_to_json`` and
   ``real_vector_to_json`` convert entry by entry, the serialisation the
   report writer's array conversion must match byte for byte;
@@ -41,11 +47,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from belldistill import simplex
-from belldistill.filtering import MIN_Q, FilterAnnihilationError
+from belldistill.filtering import MIN_Q, FilterAnnihilationError, filter_report
 from belldistill.linalg import dag, kron, partial_transpose
-from belldistill.simplex import SamplingExhaustedError, SimplexCoefficients, pt_block
+from belldistill.simplex import SamplingExhaustedError, SimplexCoefficients, build_state, pt_block
 from belldistill.weyl import _check_dim, bell_unitary, bell_vector, phase_table, weyl
-from belldistill.witness import RANK_RTOL
+from belldistill.witness import F3, PSI, RANK_RTOL, W10, detect
 
 
 def pt_block_loop(coeffs: SimplexCoefficients, m: int) -> np.ndarray:
@@ -262,6 +268,54 @@ def witness_expectation_from_state(coeffs: SimplexCoefficients, wc) -> float:
     """<phi| rho^Gamma |phi> evaluated directly on the generating state."""
     rho_pt = partial_transpose(build_state_loop(coeffs), 3, 3)
     return expectation(rho_pt, wc.phi).real
+
+
+def mix_loop(u0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """alpha and phi_tilde of the construction, with PSI[i] alpha[i, k] added entry by entry."""
+    u2 = W10 @ u0
+    u = np.array([u0, W10 @ u2, u2])
+    alpha = np.array([dag(F3) @ u[m] for m in range(3)])
+    phi_tilde = np.zeros(9, dtype=complex)
+    for i in range(3):
+        if PSI[i] == 0.0:
+            continue
+        for k in range(3):
+            phi_tilde[3 * k + (k + i) % 3] += PSI[i] * alpha[i, k]
+    return alpha, phi_tilde
+
+
+def battery_residuals_loop(coeffs: SimplexCoefficients, wc) -> dict:
+    """The verify battery's 13 residuals, block by block and one eigvalsh call per spectrum."""
+    rho = build_state(coeffs)
+    rho_pt = partial_transpose(rho, 3, 3)
+    lam = wc.lambda_min
+    mu = wc.schmidt_coefficients
+    mu0, mu1 = float(mu[0]), float(mu[1])
+    w_eigs = np.linalg.eigvalsh(wc.W)
+    expected = np.sort([mu0**2, mu1**2, mu0 * mu1, -mu0 * mu1, 0, 0, 0, 0, 0])
+    mirror_floor = float(np.linalg.eigvalsh(mu0**2 * np.eye(9) - wc.W)[0])
+    rep = filter_report(rho, wc)
+    sigma_eigs = np.linalg.eigvalsh(rep.sigma)
+    return {
+        "block_eigen_residual": max(
+            float(np.abs(pt_block(coeffs, m) @ wc.u[m] - lam * wc.u[m]).max()) for m in range(3)
+        ),
+        "alpha_shift_residual": max(
+            float(np.abs(np.roll(wc.alpha[m], -1) - wc.alpha[(m + 2) % 3]).max())
+            for m in range(3)
+        ),
+        "eigenvector_residual": float(np.abs(rho_pt @ wc.phi - lam * wc.phi).max()),
+        "expectation_minus_lambda": abs(complex(wc.phi.conj() @ rho_pt @ wc.phi).real - lam),
+        "abs_det_C": abs(wc.det_C),
+        "schmidt_third_relative": float(mu[2] / mu[0]),
+        "witness_spectrum_dev": float(np.abs(w_eigs - expected).max()),
+        "witness_trace_identity": abs(detect(wc.W, rho) - lam),
+        "mirror_negative_part": max(0.0, -mirror_floor),
+        "filter_fixpoint_residual": float(np.abs(kron(wc.P_A, wc.P_B.T) @ wc.phi - wc.phi).max()),
+        "sigma_trace_dev": abs(float(np.trace(rep.sigma).real) - 1.0),
+        "sigma_negative_part": max(0.0, -float(sigma_eigs[0])),
+        "sigma_lambda_ratio_dev": abs(float(rep.sigma_pt_spectrum[0]) - lam / rep.q),
+    }
 
 
 def complex_to_json(z) -> list:

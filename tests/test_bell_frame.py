@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from belldistill import simplex
+from belldistill import simplex, verify
 from belldistill.cli import main
 from belldistill.filtering import filter_report
 from belldistill.linalg import partial_transpose
@@ -275,6 +275,27 @@ def test_sampler_solves_each_batch_once(monkeypatch):
         with pytest.raises(SamplingExhaustedError):
             sample_npt(5)
         assert log == ["eigh"] * -(-max_tries // simplex.SAMPLE_BATCH)
+
+
+def test_trial_solves_five_times(monkeypatch):
+    # the sampler's batches, then one stacked eigvalsh for the battery's
+    # three dense spectra, filter_report's eigh, sigma's eigvalsh and
+    # noise_scan's stacked eigvalsh
+    seeds = verify.trial_seeds(0, 40)
+    draws = []
+    monkeypatch.setattr(simplex, "classify", lambda coeffs: draws.append(coeffs) or classify(coeffs))
+    batches = []
+    for seed in seeds:
+        del draws[:]
+        sample_npt_sequential(seed)
+        batches.append(-(-len(draws) // simplex.SAMPLE_BATCH))
+    monkeypatch.undo()
+
+    log = _count_eigensolves(monkeypatch)
+    for seed, count in zip(seeds, batches):
+        del log[:]
+        assert verify.run_trial(seed).ok
+        assert log == ["eigh"] * count + ["eigvalsh", "eigh", "eigvalsh", "eigvalsh"], seed
 
 
 # ------------------------------------------- structural invariants (d = 3)

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from belldistill import report as report_module
 from belldistill import witness
 from belldistill.cli import main
 from belldistill.filtering import filter_report
@@ -763,6 +764,29 @@ def test_written_reports_validate(d):
 
 
 # ------------------------------------------------------ the report writer
+
+_TINY = 5e-324  # the smallest subnormal
+#: every row holds a -0.0 part and a subnormal part
+_PARTS = np.array([
+    [complex(-0.0, _TINY), 1 + 2j, complex(0.1, -3.5)],
+    [complex(_TINY, -0.0), 0.1 + 0.0j, complex(-1 / 3, 2 / 3)],
+    [complex(-0.0, 1e300), complex(-_TINY, 0.5), complex(7.0, -0.0)],
+])
+
+
+@pytest.mark.parametrize("a", [
+    _PARTS[0, 0], np.array(_PARTS[0, 0]), _PARTS[1], _PARTS, _PARTS.T,
+], ids=["scalar", "zero_dim", "vector", "matrix", "transposed_view"])
+def test_complex_arrays_are_written_as_stacked_parts(a):
+    # _json reads the [re, im] pairs from a float view of the array; the
+    # pairs are the stacked real and imaginary parts, leaf for leaf by repr
+    written = report_module._json(a)
+    stacked = np.stack([np.real(a), np.imag(a)], -1).tolist()
+    assert repr(written) == repr(stacked)
+    leaves = np.ravel(written).tolist()
+    assert len(leaves) == 2 * np.size(a) and all(type(x) is float for x in leaves)
+    assert any(x == 0.0 and math.copysign(1.0, x) < 0 for x in leaves)
+    assert _TINY in leaves or -_TINY in leaves
 
 @pytest.mark.parametrize("d", [2, 4, 5])
 def test_reports_across_dims_match_writer_oracle(d):

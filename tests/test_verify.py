@@ -6,7 +6,7 @@ import pytest
 
 from belldistill import verify, witness
 from belldistill.filtering import add_white_noise, noise_scan
-from belldistill.linalg import partial_transpose
+from belldistill.linalg import dag, partial_transpose
 from belldistill.simplex import (
     BOUNDARY,
     SimplexCoefficients,
@@ -17,6 +17,8 @@ from belldistill.simplex import (
 )
 from belldistill.weyl import fourier, swap_conjugation, weyl
 from belldistill.witness import construct_witness_vector, detect
+
+from reference import battery_residuals_loop, mix_loop
 
 
 def halved_thresholds(filter_report):
@@ -103,13 +105,15 @@ def test_witness_detects_exactly_the_npt_noisy_states():
     [
         ("W10", lambda: weyl(3, 1, 0)),
         ("F3", lambda: fourier(3)),
+        ("F3_DAG", lambda: dag(fourier(3))),
         ("SWAP3", lambda: swap_conjugation(3)),
     ],
 )
 def test_shared_unitaries_are_read_only(name, fresh):
-    # built once at import and used by every trial, so no caller may write them
+    # built once at import and used by every trial, so no caller may write
+    # them; each keeps the layout of a fresh build, so products keep their bits
     const = getattr(witness, name)
-    assert np.array_equal(const, fresh())
+    assert np.array_equal(const, fresh()) and const.strides == fresh().strides
     with pytest.raises(ValueError):
         const[0, 0] = 0.0
     assert np.array_equal(const, fresh())
@@ -214,6 +218,39 @@ def test_passing_trial_records_every_residual_key():
     result = verify.run_trial(verify.trial_seeds(0, 1)[0])
     assert result.ok
     assert sorted(result.residuals) == sorted(verify.RESIDUAL_KEYS)
+
+
+def test_battery_residuals_match_the_loop_forms(monkeypatch):
+    # the stacked spectra, the stacked block product, the indexed alpha
+    # shift and the indexed PSI mixing give every residual, alpha and
+    # phi_tilde the bits of the loop forms, and each stacked spectrum the
+    # bits of its own eigvalsh call
+    stacks = []
+
+    def eigvalsh(a, _solve=np.linalg.eigvalsh):
+        values = _solve(a)
+        if np.shape(a) == (3, 9, 9):
+            stacks.append((np.array(a), values))
+        return values
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    for seed in verify.trial_seeds(0, 2000):
+        del stacks[:]
+        result = verify.run_trial(seed)
+        assert result.ok, (seed, result.failures)
+        coeffs, spectrum = sample_npt(seed)
+        wc = construct_witness_vector(spectrum)
+        expected = battery_residuals_loop(coeffs, wc)
+        assert {k: float(v).hex() for k, v in result.residuals.items()} == {
+            k: float(v).hex() for k, v in expected.items()
+        }, seed
+        alpha, phi_tilde = mix_loop(spectrum.u0)
+        assert alpha.tobytes() == wc.alpha.tobytes(), seed
+        assert phi_tilde.tobytes() == wc.phi_tilde.tobytes(), seed
+        [(matrices, spectra)] = stacks
+        assert np.array_equal(matrices[0], partial_transpose(build_state(coeffs), 3, 3))
+        for matrix, values in zip(matrices, spectra):
+            assert values.tobytes() == np.linalg.eigvalsh(matrix).tobytes(), seed
 
 
 def test_verify_reuses_the_read_only_weyl_operator():
