@@ -47,6 +47,7 @@ from .simplex import (
     PTSpectrumReport,
     SimplexCoefficients,
     build_state,
+    check_entries,
     classify,
 )
 from .witness import (
@@ -104,11 +105,13 @@ def parse_coefficients(obj) -> tuple[SimplexCoefficients, bool]:
     A sum within RENORM_TOL of one, but not equal to it, is divided by
     that sum (the report records that this happened). The quotient's sum is
     one only up to rounding, and misses it by an ulp on about a third of
-    such tables. Shape, finiteness, negativity and any sum further off are
-    left to :class:`SimplexCoefficients`; every rejection raises
-    InvalidCoefficientsError.
+    such tables. A non-finite entry, or one too large to sum, is refused
+    before the sum (:func:`check_entries`); shape, negativity and any sum
+    further off are left to :class:`SimplexCoefficients`. Every rejection
+    raises InvalidCoefficientsError.
     """
     d, c = _table(obj)
+    check_entries(c)
     total = float(c.sum())
     renormalized = total != 1.0 and abs(total - 1.0) <= RENORM_TOL
     if renormalized:

@@ -63,6 +63,18 @@ class SamplingExhaustedError(RuntimeError):
     """Rejection sampling hit its retry cap; raise the cap and retry."""
 
 
+def check_entries(c: np.ndarray) -> None:
+    """Refuse a float table with a non-finite entry, or one too large for its sum.
+
+    Each entry must be at most max / (2 size) in magnitude, so that no sum
+    of the table overflows and warns; a valid table's entries are at most 1.
+    """
+    if not np.all(np.isfinite(c)):
+        raise InvalidCoefficientsError("coefficient table contains non-finite entries")
+    if c.size and np.abs(c).max() > np.finfo(float).max / (2 * c.size):
+        raise InvalidCoefficientsError("coefficient table entries are too large to sum")
+
+
 @dataclass(frozen=True)
 class SimplexCoefficients:
     """Probability table of a Bell-diagonal state.
@@ -84,11 +96,10 @@ class SimplexCoefficients:
             raise InvalidCoefficientsError(
                 f"coefficient table shape {c.shape} does not match d={self.d}"
             )
-        if not np.all(np.isfinite(c)):
-            raise InvalidCoefficientsError("coefficient table contains non-finite entries")
+        check_entries(c)
         if c.min() < 0.0:
             raise InvalidCoefficientsError(f"negative coefficient {c.min():.3e}")
-        total = c.sum()
+        total = float(c.sum())
         if abs(total - 1.0) > COEFF_SUM_TOL:
             raise InvalidCoefficientsError(f"coefficients sum to {total!r}, not 1")
         c = c.copy()

@@ -158,6 +158,30 @@ def test_non_finite_input_exits_1(tmp_path, capsys, command, literal):
     assert err.startswith("error: bad input: ") and "non-finite" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+def test_bad_sum_is_printed_as_a_plain_float(tmp_path, capsys, command):
+    inp = write_input(tmp_path, {"d": 3, "c": [[0.5, 0.5, 0.5], [0, 0, 0], [0, 0, 0]]})
+    assert main([command, str(inp), "--output", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: bad input: coefficients sum to 1.5, not 1\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", ["analyze", "sweep"])
+@pytest.mark.parametrize("row, message", [
+    ("[1e308, 1e308, 1e308]", "coefficient table entries are too large to sum"),
+    ("[Infinity, -Infinity, 0]", "coefficient table contains non-finite entries"),
+])
+def test_table_refused_before_its_sum_warns(tmp_path, capsys, command, row, message):
+    # numpy's sum of either first row warns (overflow, invalid value); under
+    # warnings-as-errors that was a traceback, and must be a clean exit 1
+    inp = tmp_path / "in.json"
+    inp.write_text('{"d": 3, "c": [%s, [0, 0, 0], [0, 0, 0]]}' % row, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main([command, str(inp), "--output", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err == f"error: bad input: {message}\n"
+
+
 @pytest.mark.parametrize("command, what", [
     ("analyze", "report"),
     ("sweep", "sweep"),

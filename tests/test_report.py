@@ -75,6 +75,19 @@ def test_parse_rejects_negative_entry():
         parse_coefficients(obj)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("row, message", [
+    ([1e308, 1e308, 1e308], "too large to sum"),
+    ([math.inf, -math.inf, 0.0], "non-finite"),
+])
+def test_parse_refuses_tables_before_their_sum_warns(row, message):
+    # numpy's sum warns of an overflow on the first row and of an invalid
+    # value on the second; both tables are refused before any sum is taken
+    obj = {"d": 3, "c": [row, [0, 0, 0], [0, 0, 0]]}
+    with pytest.raises(InvalidCoefficientsError, match=message):
+        parse_coefficients(obj)
+
+
 @pytest.mark.parametrize("obj", [
     {"d": 3},
     {"c": [[1]]},
@@ -546,6 +559,15 @@ def test_validate_accepts_renormalized_inputs():
         validate_report(report)
         parsed_again += parse_coefficients(report["input"])[1]
     assert parsed_again >= 100
+
+
+@pytest.mark.filterwarnings("error")
+def test_validate_refuses_an_input_too_large_to_sum():
+    # the ValueError the docstring promises, not numpy's overflow RuntimeWarning
+    report = json.loads(dump_report(analysis_report(pure_bell_table())))
+    report["input"]["c"][0] = [1e308, 1e308, 1e308]
+    with pytest.raises(ValueError, match="coefficient table entries are too large to sum"):
+        validate_report(report)
 
 
 def test_validate_surfaces_a_failed_certificate_as_value_error(monkeypatch):

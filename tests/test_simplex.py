@@ -50,6 +50,27 @@ def test_rejects_bad_sum():
         SimplexCoefficients(d=3, c=np.full((3, 3), 0.1))
 
 
+@pytest.mark.filterwarnings("error")
+def test_rejects_entries_too_large_to_sum():
+    # three finite entries of 1e308 overflow a float sum; the table is refused
+    # before the sum is taken, so numpy raises no RuntimeWarning
+    c = np.zeros((3, 3))
+    c[0] = 1e308
+    with pytest.raises(InvalidCoefficientsError, match="too large to sum"):
+        SimplexCoefficients(d=3, c=c)
+
+
+@pytest.mark.filterwarnings("error")
+def test_entries_at_the_size_bound_sum_without_overflow():
+    # nine entries of max / 18 pass the size check and sum to max / 2; one
+    # step above that bound is refused
+    bound = np.finfo(float).max / 18
+    with pytest.raises(InvalidCoefficientsError, match=r"sum to 8\.98\d*e\+307, not 1"):
+        SimplexCoefficients(d=3, c=np.full((3, 3), bound))
+    with pytest.raises(InvalidCoefficientsError, match="too large to sum"):
+        SimplexCoefficients(d=3, c=np.full((3, 3), np.nextafter(bound, np.inf)))
+
+
 def test_rejects_shape_mismatch():
     with pytest.raises(InvalidCoefficientsError):
         SimplexCoefficients(d=3, c=np.full((2, 2), 0.25))
