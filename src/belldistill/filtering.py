@@ -22,7 +22,11 @@ from .witness import WitnessConstruction, detect
 #: thresholds closer than this count as a tie in the robustness comparison
 TIE_TOL = 1e-10
 
-#: filtering below this success probability is treated as annihilation
+#: filtering below this success probability is treated as annihilation. On
+#: the pipeline's path it cannot fire: sigma is a two-qubit state, so
+#: lambda / q = lambda_min(sigma^Gamma) >= -1/2 (Rana, PRA 87, 054301 (2013)),
+#: and q >= 2 |lambda| > 2 BOUNDARY_TOL > MIN_Q on every NPT table; the guard
+#: is for direct calls with other states
 MIN_Q = 1e-12
 
 
@@ -110,7 +114,10 @@ def noise_scan(w: np.ndarray, rho: np.ndarray, sigma: np.ndarray, ps) -> tuple:
 def filter_report(rho: np.ndarray, wc: WitnessConstruction) -> FilterReport:
     """Run the whole filtering stage for a state and its witness construction.
 
-    Raises FilterAnnihilationError when q falls below MIN_Q.
+    Raises FilterAnnihilationError when q falls below MIN_Q. For the
+    construction's own state this cannot happen: lambda_min(sigma^Gamma) =
+    lambda / q is at least -1/2 for a two-qubit state, so
+    q >= 2 |lambda| > 2 BOUNDARY_TOL > MIN_Q on every NPT table.
     """
     b_star = wc.schmidt_right.conj()
     # column 2i + j is a_i (x) b*_j

@@ -2,11 +2,13 @@
 
 Each trial samples an NPT coefficient table from its own seed, runs the
 complete pipeline and checks every identity the construction promises:
-ground-eigenvector property, Schmidt rank 2 with mu0 = mu1 = 1/sqrt 2, an
-orthonormal local frame that rebuilds the witness vector, the rank
-certificate of the coefficient matrix, the three-fold degeneracy of the
-negative eigenvalue, the witness spectrum, the filtered state's spectrum
-and the white-noise thresholds. On a p-grid that holds both thresholds,
+ground-eigenvector property, Schmidt coefficients mu0 = mu1 = 1/sqrt 2, an
+orthonormal local frame that rebuilds the witness vector, the three-fold
+degeneracy of the negative eigenvalue, the witness spectrum, the filtered
+state's spectrum and the white-noise thresholds. The battery checks the
+construction rather than repeating it: every check reads an identity from
+the construction's output that no step of the construction computes or
+guards, so each of them can fail. On a p-grid that holds both thresholds,
 the witness must fire on exactly the noisy states that are still NPT and
 the filtered pair's noisy states must turn PPT at p_sigma_max; every sign
 is read by :func:`~belldistill.simplex.verdict`, so each family reads
@@ -19,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .filtering import FilterAnnihilationError, filter_report, noise_scan
+from .filtering import filter_report, noise_scan
 from .linalg import kron, partial_transpose
 from .simplex import (
     BOUNDARY,
@@ -33,16 +35,7 @@ from .simplex import (
     sample_npt,
     verdict,
 )
-from .witness import (
-    CERT_TOL,
-    RANK_RTOL,
-    W10,
-    NotNPTError,
-    RankCertificationError,
-    certify_rank_2,
-    construct_witness_vector,
-    detect,
-)
+from .witness import NotNPTError, RankCertificationError, construct_witness_vector, detect
 
 #: white-noise grid for threshold-semantics checks, as plain floats
 NOISE_GRID = tuple(np.linspace(0.0, 1.0, 21).tolist())
@@ -51,7 +44,10 @@ NOISE_GRID = tuple(np.linspace(0.0, 1.0, 21).tolist())
 W_SPECTRUM = np.array([-0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5])
 W_SPECTRUM.setflags(write=False)
 
-#: residual names in fixed reporting order
+#: residual names in fixed reporting order; three are recorded but not
+#: checked, because a construction guard already bounds them: abs_det_C by
+#: certify_rank_2's CERT_TOL, schmidt_third_relative by the frame's RANK_RTOL
+#: and sigma_trace_dev by sigma's normalization, sigma = compressed / q
 RESIDUAL_KEYS = (
     "block_eigen_residual",
     "alpha_shift_residual",
@@ -113,9 +109,7 @@ def run_trial(seed: int) -> TrialResult:
         coeffs, spectrum = sample_npt(seed)
         result.coefficients = np.asarray(coeffs.c)
         _check_invariants(coeffs, spectrum, result)
-    except (
-        SamplingExhaustedError, RankCertificationError, FilterAnnihilationError, NotNPTError
-    ) as exc:
+    except (SamplingExhaustedError, RankCertificationError, NotNPTError) as exc:
         result.failures.append(f"{type(exc).__name__}: {exc}")
     return result
 
@@ -158,11 +152,6 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
     blocks = np.array([pt_block(coeffs, m) for m in range(3)])
     block_res = float(np.abs((blocks @ wc.u[:, :, None])[..., 0] - lam * wc.u).max())
     bounded("block_eigenvectors", "block_eigen_residual", block_res, 1e-10)
-    check(
-        "u_shift_relation",
-        all(np.array_equal(wc.u[(m + 2) % 3], W10 @ wc.u[m]) for m in (0, 2)),
-        lambda: "u_{m+2} differs from W_{1,0} u_m",
-    )
     # row m: alpha_m shifted by one entry against alpha_{m+2}
     alpha_res = float(np.abs(wc.alpha[:, (1, 2, 0)] - wc.alpha[(2, 0, 1), :]).max())
     bounded("alpha_shift_relation", "alpha_shift_residual", alpha_res, 1e-12)
@@ -173,15 +162,8 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
     exp_dev = abs(complex(wc.phi.conj() @ rho_pt @ wc.phi).real - lam)
     bounded("expectation_equals_lambda", "expectation_minus_lambda", exp_dev, 1e-10, "deviation")
 
-    bounded("det_C_vanishes", "abs_det_C", abs(wc.det_C), CERT_TOL, "|det C|")
-    try:
-        certify_rank_2(wc.phi_tilde.reshape(3, 3))
-    except RankCertificationError as exc:
-        result.failures.append(f"rank_certificate: {exc}")
-
-    third = float(mu[2] / mu[0])
-    res["schmidt_third_relative"] = third
-    check("schmidt_rank_2", mu[1] > 1e-9 and third < RANK_RTOL, lambda: f"coefficients {mu}")
+    res["abs_det_C"] = abs(wc.det_C)
+    res["schmidt_third_relative"] = float(mu[2] / mu[0])
     # the closed forms P_A = 2 M M^dag and P_B = 2 M^dag M assume mu0 = mu1 = 1/sqrt 2
     mu_dev = float(np.abs(mu[:2] - np.sqrt(0.5)).max())
     check("schmidt_equal_coefficients", mu_dev <= 1e-9, lambda: f"coefficients {mu}")
@@ -217,8 +199,7 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
     sigma_eigs = np.linalg.eigvalsh(rep.sigma)
     res["sigma_negative_part"] = max(0.0, -float(sigma_eigs[0]))
     check("sigma_psd", sigma_eigs[0] >= -1e-10, lambda: f"floor {sigma_eigs[0]:.3e}")
-    trace_dev = abs(float(np.trace(rep.sigma).real) - 1.0)
-    bounded("sigma_unit_trace", "sigma_trace_dev", trace_dev, 1e-12, "deviation")
+    res["sigma_trace_dev"] = abs(float(np.trace(rep.sigma).real) - 1.0)
 
     ratio_dev = abs(float(rep.sigma_pt_spectrum[0]) - lam / rep.q)
     bounded("sigma_pt_minimum", "sigma_lambda_ratio_dev", ratio_dev, 1e-9, "deviation")

@@ -252,7 +252,7 @@ def test_rank_certification_error_exits_1(tmp_path, capsys, monkeypatch, command
     # a construction that fails its rank-2 certificate is a clean refusal:
     # one error line, no traceback and no output file
     def refuse(spectrum):
-        raise RankCertificationError("|det C| = 1.000e+00, max |minor| = 0.000e+00")
+        raise RankCertificationError("|det C| = 1.000e+00, ||adj C||_F - 1/2 = -5.000e-01")
 
     monkeypatch.setattr("belldistill.report.construct_witness_vector", refuse)
     monkeypatch.setattr("belldistill.cli.construct_witness_vector", refuse)
@@ -260,7 +260,7 @@ def test_rank_certification_error_exits_1(tmp_path, capsys, monkeypatch, command
     assert main([command, str(write_input(tmp_path, PURE)), "--output", str(out)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: bad input: |det C| = 1.000e+00, max |minor| = 0.000e+00\n"
+    assert captured.err == "error: bad input: |det C| = 1.000e+00, ||adj C||_F - 1/2 = -5.000e-01\n"
     assert not out.exists()
 
 
@@ -338,7 +338,7 @@ def test_verify_records_package_error_as_failed_trial(monkeypatch, capsys):
 
     def construct_failing_on_bad_seed(spectrum):
         if np.array_equal(spectrum.eigenvalues, bad_spectrum):
-            raise RankCertificationError("|det C| = 1.000e-03, max |minor| = 1.000e-02")
+            raise RankCertificationError("|det C| = 1.000e-03, ||adj C||_F - 1/2 = 1.000e-02")
         return construct(spectrum)
 
     monkeypatch.setattr(verify, "construct_witness_vector", construct_failing_on_bad_seed)

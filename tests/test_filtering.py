@@ -63,6 +63,9 @@ def test_pivot_frame_matches_svd_oracle():
         wc = construct_witness_vector(spectrum)
         rho = build_state(coeffs)
         rep = filter_report(rho, wc)
+        # lambda / q = lambda_min(sigma^Gamma) >= -1/2 for a qubit pair, so
+        # MIN_Q cannot fire on an NPT table; the smallest q / |lambda| is 2.72
+        assert rep.q >= 2 * abs(wc.lambda_min), seed
         dec = schmidt_decompose(wc.phi, 3, 3)
         p_a, p_b = filters_from_witness(wc)
         sigma, q = filter_state(rho, p_a, p_b, dec)

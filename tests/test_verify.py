@@ -1,17 +1,21 @@
+import ast
 import dataclasses
+import functools
+import inspect
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from belldistill import verify, witness
-from belldistill.filtering import add_white_noise, noise_scan
+from belldistill.filtering import add_white_noise, filter_report, noise_scan
 from belldistill.linalg import dag, partial_transpose
 from belldistill.simplex import (
     BOUNDARY,
     SimplexCoefficients,
     build_state,
     classify,
+    pt_block,
     sample_npt,
     verdict,
 )
@@ -55,27 +59,6 @@ def test_threshold_failures_are_reported_point_by_point(monkeypatch):
         f"sigma_threshold_semantics: p={rep.p_sigma_max!r} value={low!r} reads NPT, "
         f"not BOUNDARY; threshold={rep.p_sigma_max!r}",
     ]
-
-
-def test_untight_witness_fails_at_its_threshold(monkeypatch):
-    # W + eps 1 still detects the same states away from the threshold, but
-    # reads PPT where rho_p turns PPT: the battery's noise check sees that
-    # the witness no longer fires on exactly the NPT noisy states
-    eps = 1e-9
-    construct = verify.construct_witness_vector
-
-    def shifted(spectrum):
-        wc = construct(spectrum)
-        return dataclasses.replace(wc, W=wc.W + eps * np.eye(9))
-
-    seed = verify.trial_seeds(0, 1)[0]
-    coeffs, spectrum = sample_npt(seed)
-    rep = verify.filter_report(build_state(coeffs), construct_witness_vector(spectrum))
-    monkeypatch.setattr(verify, "construct_witness_vector", shifted)
-    noise = [m for m in verify.run_trial(seed).failures if "_threshold_semantics" in m]
-    assert len(noise) == 1
-    assert noise[0].startswith(f"rho_threshold_semantics: p={rep.p_rho_max!r} ")
-    assert "reads PPT, not BOUNDARY" in noise[0]
 
 
 def test_witness_detects_exactly_the_npt_noisy_states():
@@ -253,52 +236,91 @@ def test_battery_residuals_match_the_loop_forms(monkeypatch):
             assert values.tobytes() == np.linalg.eigvalsh(matrix).tobytes(), seed
 
 
-def test_verify_reuses_the_read_only_weyl_operator():
-    assert verify.W10 is witness.W10
-    with pytest.raises(ValueError):
-        verify.W10[1, 1] = 1.0
+def with_fields(call, **maps):
+    """verify's attribute ``call`` and a stand-in that maps the named fields of its result."""
+
+    def patched(*args):
+        out = call(*args)
+        return dataclasses.replace(out, **{k: f(getattr(out, k)) for k, f in maps.items()})
+
+    return call.__name__, patched
 
 
-def test_frame_and_closed_form_checks_fire_only_when_broken(monkeypatch):
-    # P_A = 2 M M^dag and the frame rest on mu0 = mu1 = 1/sqrt 2 and on W's
-    # spectrum {-1/2, 0 x5, 1/2 x3}; the battery names each broken fact and
-    # stays silent while they hold
+construction_with = functools.partial(with_fields, construct_witness_vector)
+report_with = functools.partial(with_fields, filter_report)
+
+
+def noise_scan_with_shifted_minima(w, rho, sigma, ps):
+    values, sigma_minima = noise_scan(w, rho, sigma, ps)
+    return values, sigma_minima + 1e-9
+
+
+#: each battery check, and the package call whose output breaks it: verify's
+#: attribute and its replacement
+MUTATIONS = {
+    # rho^Gamma + 1 has no negative eigenvalue
+    "negative_count": ("partial_transpose", lambda m, a, b: partial_transpose(m, a, b) + np.eye(9)),
+    # a diagonal tilt of 1e-3 splits the three-fold minimum and keeps it negative
+    "lambda_min_multiplicity": (
+        "partial_transpose",
+        lambda m, a, b: partial_transpose(m, a, b) - 1e-3 * np.diag(np.arange(9.0)) / 8,
+    ),
+    "block_eigenvectors": ("pt_block", lambda c, m: pt_block(c, m) + 1e-6 * np.eye(3)),
+    "alpha_shift_relation": construction_with(alpha=lambda a: a * [[1.0], [1.0], [1.001]]),
+    "eigenvector_property": (
+        "build_state", lambda c: build_state(c) + 1e-6 * np.diag(np.arange(9.0))
+    ),
+    # 1.01 phi is still an eigenvector, of norm 1.01
+    "expectation_equals_lambda": construction_with(phi=lambda v: 1.01 * v),
+    "schmidt_equal_coefficients": construction_with(schmidt_coefficients=lambda mu: 1.01 * mu),
+    "frame_orthonormal": construction_with(schmidt_left=lambda a: 1.01 * a),
+    # b_0 and b_1 swapped stay orthonormal but rebuild another vector
+    "frame_rebuilds_phi": construction_with(schmidt_right=lambda b: b[::-1]),
+    "witness_spectrum": construction_with(schmidt_coefficients=lambda mu: mu * [1.0, 0.99, 1.0]),
+    "witness_spectrum_closed_form": construction_with(W=lambda w: 0.99 * w),
+    "witness_detects": ("detect", lambda w, state: detect(w, state) + 1e-6),
+    "mirror_psd": construction_with(W=lambda w: 1.01 * w),
+    "filter_fixpoint": construction_with(P_A=lambda p: 0.99 * p),
+    # sigma's smallest eigenvalue is at most 1/4
+    "sigma_psd": report_with(sigma=lambda s: s - 0.3 * np.eye(4)),
+    "sigma_pt_minimum": report_with(q=lambda q: 1.01 * q),
+    "sigma_single_negative": report_with(
+        sigma_pt_spectrum=lambda s: np.array([s[0], s[0] / 2, s[2], s[3]])
+    ),
+    "robustness_equivalence": report_with(qubit_more_robust=lambda more: not more),
+    # W + eps 1 still detects the same states away from the threshold, but
+    # reads PPT where rho_p turns PPT
+    "rho_threshold_semantics": construction_with(W=lambda w: w + 1e-9 * np.eye(9)),
+    "sigma_threshold_semantics": ("noise_scan", noise_scan_with_shifted_minima),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTATIONS))
+def test_every_check_fires_under_its_mutation(monkeypatch, name):
+    # a check that no broken input can fail checks nothing: each one names
+    # itself once the package call it reads is broken, and is silent before
     seed = verify.trial_seeds(0, 1)[0]
     assert verify.run_trial(seed).ok
-    construct = verify.construct_witness_vector
-
-    def scaled_frame(spectrum):
-        wc = construct(spectrum)
-        return dataclasses.replace(
-            wc,
-            schmidt_coefficients=1.01 * wc.schmidt_coefficients,
-            schmidt_left=1.01 * wc.schmidt_left,
-            W=0.99 * wc.W,
-        )
-
-    monkeypatch.setattr(verify, "construct_witness_vector", scaled_frame)
+    attribute, replacement = MUTATIONS[name]
+    monkeypatch.setattr(verify, attribute, replacement)
     names = {line.split(":")[0] for line in verify.run_trial(seed).failures}
-    assert {
-        "schmidt_equal_coefficients",
-        "frame_orthonormal",
-        "frame_rebuilds_phi",
-        "witness_spectrum_closed_form",
-    } <= names
+    assert name in names, names
 
 
-def test_rank_certificate_check_fires_only_when_broken(monkeypatch):
-    # the battery re-reads C = phi_tilde through witness.certify_rank_2; a C
-    # scaled by 1.01 keeps det C = 0 but has ||adj C||_F = 1.0201 / 2
-    seed = verify.trial_seeds(0, 1)[0]
-    assert verify.run_trial(seed).ok
-    construct = verify.construct_witness_vector
-
-    def scaled_c(spectrum):
-        wc = construct(spectrum)
-        return dataclasses.replace(wc, phi_tilde=1.01 * wc.phi_tilde)
-
-    monkeypatch.setattr(verify, "construct_witness_vector", scaled_c)
-    lines = [line for line in verify.run_trial(seed).failures if "rank_certificate" in line]
-    assert len(lines) == 1
-    assert lines[0].startswith("rank_certificate: |det C| = ")
-    assert lines[0].endswith(", ||adj C||_F - 1/2 = 1.005e-02")
+def test_mutation_table_names_every_check():
+    # the checks are the names passed to check and bounded, plus the two
+    # noise families, whose lines are the battery's only other failure; a
+    # check added without a mutation fails here
+    tree = ast.parse(inspect.getsource(verify._check_invariants))
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+    names = {
+        call.args[0].value
+        for call in calls
+        if isinstance(call.func, ast.Name)
+        and call.func.id in ("check", "bounded")
+        and isinstance(call.args[0], ast.Constant)
+    }
+    appends = [ast.unparse(c.func) for c in calls if isinstance(c.func, ast.Attribute)]
+    assert appends.count("result.failures.append") == 2  # check's line and the noise grid's
+    assert names | {"rho_threshold_semantics", "sigma_threshold_semantics"} == set(MUTATIONS)
+    assert len(MUTATIONS) == 20

@@ -18,6 +18,8 @@ from belldistill.witness import (
     RANK_RTOL,
     W10,
     NotNPTError,
+    RankCertificationError,
+    certify_rank_2,
     construct_witness_vector,
     detect,
 )
@@ -102,6 +104,16 @@ def test_rank_certificate_guard(monkeypatch):
     monkeypatch.setattr(witness_mod, "CERT_TOL", -1.0)
     with pytest.raises(witness_mod.RankCertificationError):
         construct_witness_vector(classify(npt_table(NPT_SEEDS[0])))
+
+
+def test_rank_certificate_check_fires_only_when_broken():
+    # C scaled by 1.01 keeps det C = 0 but has ||adj C||_F = 1.0201 / 2
+    c = construct_witness_vector(classify(npt_table(NPT_SEEDS[0]))).phi_tilde.reshape(3, 3)
+    certify_rank_2(c)
+    with pytest.raises(RankCertificationError) as info:
+        certify_rank_2(1.01 * c)
+    assert str(info.value).startswith("|det C| = ")
+    assert str(info.value).endswith(", ||adj C||_F - 1/2 = 1.005e-02")
 
 
 # --------------------------------------------- construction invariants
