@@ -23,13 +23,14 @@ without the standard library's pure-Python encoder (``json`` uses its C
 encoder only when ``indent`` is None). It walks dicts, lists and scalars
 recursively, and writes a list that is a regular nest of floats, which is
 what every array of a report becomes, in one step: its leaves are
-flattened, formatted with ``float.__repr__`` and joined with a bracket and
-indent skeleton memoised per shape and depth. Like ``allow_nan=False`` it
-refuses NaN and infinities with ValueError, so a report is always RFC 8259
-JSON.
+flattened, formatted with ``float.__repr__`` and joined with the bracket and
+indent skeleton that ``json.dumps`` writes for that shape, memoised per
+shape and depth. Like ``allow_nan=False`` it refuses NaN and infinities
+with ValueError, so a report is always RFC 8259 JSON.
 """
 
 import functools
+import json
 import math
 import reprlib
 from itertools import chain
@@ -271,21 +272,12 @@ def _float_nest(a: list, depth: int) -> str | None:
 def _skeleton(shape: tuple, depth: int) -> tuple:
     """The prod(shape) + 1 pieces of text between and around the leaves of a regular nest.
 
-    Bounded so that a process dumping many shapes keeps at most 64; a
-    report has about 15.
+    They are ``json.dumps`` of a nest of zeros of that shape, each newline
+    indented ``depth`` levels deeper, split at its ``0.0`` leaves. Bounded so
+    that a process dumping many shapes keeps at most 64; a report has about 15.
     """
-    inner = "\n" + "  " * (depth + 1)
-    close = "\n" + "  " * depth + "]"
-    if len(shape) == 1:
-        return ("[" + inner,) + ("," + inner,) * (shape[0] - 1) + (close,)
-    first, *mid, last = _skeleton(shape[1:], depth + 1)
-    mid = tuple(mid)
-    return (
-        ("[" + inner + first,)
-        + (mid + (last + "," + inner + first,)) * (shape[0] - 1)
-        + mid
-        + (last + close,)
-    )
+    text = json.dumps(np.zeros(shape).tolist(), indent=2)
+    return tuple(text.replace("\n", "\n" + "  " * depth).split("0.0"))
 
 
 def validate_report(report: dict) -> None:

@@ -329,6 +329,11 @@ def test_b0_relative_gap_is_at_least_two():
 
 # --------------------------------------------------------------- sampling
 
+def test_generator_name_is_the_samplers_bit_generator():
+    # the samplers draw from default_rng; verify's summary names it GENERATOR_NAME
+    assert type(np.random.default_rng(0).bit_generator).__name__ == simplex.GENERATOR_NAME
+
+
 def test_sample_simplex_deterministic():
     a = sample_simplex(424242)
     b = sample_simplex(424242)

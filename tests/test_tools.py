@@ -6,6 +6,7 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "outputs.py"
@@ -123,6 +124,68 @@ def test_table_writer_writes_each_family_with_the_same_bytes_twice(tmp_path):
 def test_validate_passes_on_this_tree(tmp_path, capsys):
     assert outputs.validate(tmp_path / "validate") == 0
     assert capsys.readouterr().out.endswith(" reports validate\n")
+
+
+#: stem -> (argv, the exit code a process of its own gives)
+DRIVER_RUNS = {
+    "pure.analyze": ("analyze ../pure.json --output pure.report.json", 0),
+    "pure.sweep": ("sweep ../pure.json --steps 5 --output pure.sweep.csv", 0),
+    "uniform.analyze": ("analyze ../uniform.json --output uniform.report.json", 2),
+    "uniform.sweep": ("sweep ../uniform.json --output uniform.sweep.csv", 1),
+    "npt_d4.analyze": ("analyze ../npt_d4.json --output npt_d4.report.json", 1),
+    "unparseable.analyze": ("analyze ../unparseable.json --output unparseable.report.json", 1),
+    # an argparse usage error, raised as SystemExit(1)
+    "usage.sweep": ("sweep ../pure.json --steps x --output usage.sweep.csv", 1),
+}
+
+
+def test_driver_writes_what_a_process_of_its_own_writes(tmp_path):
+    tables = {"pure": np.eye(1, 9), "uniform": np.full(9, 1 / 9), "npt_d4": np.eye(1, 16)}
+    for name, c in tables.items():
+        d = int(np.sqrt(c.size))
+        (tmp_path / f"{name}.json").write_text(json.dumps({"d": d, "c": c.reshape(d, d).tolist()}))
+    (tmp_path / "unparseable.json").write_text("{")
+    runs = {stem: args.split() for stem, (args, _) in DRIVER_RUNS.items()}
+    driver, process = tmp_path / "driver", tmp_path / "process"
+    driver.mkdir()
+    process.mkdir()
+    outputs.drive(outputs.REPO, driver, runs)
+    for stem, argv in runs.items():
+        with open(process / f"{stem}.out", "w") as fh, open(process / f"{stem}.err", "w") as eh:
+            code = outputs.run(outputs.REPO, process, ["-m", "belldistill.cli", *argv],
+                               stdout=fh, stderr=eh)
+        (process / f"{stem}.code").write_text(f"{code}\n")
+    files = {side: {p.name: p.read_bytes() for p in side.iterdir()} for side in (driver, process)}
+    assert files[driver] == files[process]
+    assert {stem: files[driver][f"{stem}.code"] for stem in runs} == {
+        stem: f"{code}\n".encode() for stem, (_, code) in DRIVER_RUNS.items()}
+    streams = {f"{stem}.{kind}" for stem in runs for kind in ("out", "err", "code")}
+    written = {"pure.report.json", "pure.sweep.csv", "uniform.report.json"}
+    assert set(files[driver]) == streams | written
+
+
+def test_driver_keeps_each_runs_exception_and_warnings_apart(tmp_path):
+    # a stand-in tree whose main warns once per location, raises or exits
+    package = tmp_path / "tree" / "src" / "belldistill"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text("")
+    (package / "cli.py").write_text(
+        "import warnings\n"
+        "def main(argv):\n"
+        "    warnings.warn('seen once per location', UserWarning)\n"
+        "    if argv == ['raise']:\n"
+        "        raise RuntimeError('uncaught')\n"
+        "    if argv == ['exit']:\n"
+        "        raise SystemExit(3)\n"
+        "    print(argv[0])\n"
+        "    return 0\n"
+    )
+    outputs.drive(tmp_path / "tree", tmp_path, {"a": ["ok"], "b": ["raise"], "c": ["exit"]})
+    read = {p.name: p.read_text() for p in tmp_path.glob("[abc].*")}
+    assert [read[f"{s}.code"] for s in "abc"] == ["0\n", "1\n", "3\n"]
+    assert read["a.out"] == "ok\n" and read["b.out"] == read["c.out"] == ""
+    assert all("UserWarning: seen once per location" in read[f"{s}.err"] for s in "abc")
+    assert "Traceback" in read["b.err"] and read["b.err"].endswith("RuntimeError: uncaught\n")
 
 
 def test_tool_imports_nothing_from_the_package():

@@ -9,6 +9,14 @@ exits 1 on any moved byte. ``validate`` analyzes every table with this repo's
 package, then checks each report with ``validate_report`` under ``-X dev -W
 error``. Package code runs only in subprocesses, with ``PYTHONPATH=<root>/src``
 and one BLAS/OpenMP thread, so the script can drive any commit.
+
+Every ``analyze`` and ``sweep`` of a table runs through one :data:`DRIVER`
+process per tree, which calls the tree's ``belldistill.cli.main(argv)`` once
+per run with the outputs, exit code and warnings a process of its own would
+have; a base tree must have that function, returning the exit code. The
+``verify`` and ``sample`` runs of :data:`STDOUT_RUNS` and the demos each run as
+a process of their own, which exercises ``python -m belldistill.cli``'s import
+and exit.
 """
 
 import filecmp
@@ -22,17 +30,25 @@ import numpy as np
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
-#: analyze tables in one process: python -c ANALYZE_IN_PROCESS PREFIX TABLE...
-ANALYZE_IN_PROCESS = """
-import contextlib, io, pathlib, sys
+#: run CLI commands in one process, each as its own process would:
+#: python -c DRIVER < {stem: argv} as JSON, writing STEM.out, STEM.err and STEM.code
+DRIVER = """
+import io, json, pathlib, sys, traceback, warnings
+from contextlib import redirect_stderr, redirect_stdout
 from belldistill.cli import main
-for table in sys.argv[2:]:
-    name = sys.argv[1] + pathlib.Path(table).stem
+for stem, argv in json.load(sys.stdin).items():
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(["analyze", table, "--output", f"{name}.report.json"])
+    # catch_warnings re-arms the warnings a process shows once per location
+    with redirect_stdout(out), redirect_stderr(err), warnings.catch_warnings():
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        except Exception:
+            traceback.print_exc()
+            code = 1
     for kind, text in (("out", out.getvalue()), ("err", err.getvalue()), ("code", f"{code}\\n")):
-        pathlib.Path(f"{name}.analyze.{kind}").write_text(text)
+        pathlib.Path(f"{stem}.{kind}").write_text(text)
 """
 
 VALIDATE_REPORTS = """
@@ -122,26 +138,32 @@ def table_paths(workdir: pathlib.Path, family: str) -> list:
     return [f"../{family}/{p.name}" for p in sorted((workdir / family).glob("*.json"))]
 
 
+def table_runs(tables: list, kinds, prefix: str = "") -> dict:
+    """{stem: argv} of the TABLE_RUNS KINDS on each of TABLES, its names led by PREFIX."""
+    runs = {}
+    for table in tables:
+        name = prefix + pathlib.Path(table).stem
+        for kind in kinds:
+            runs[f"{name}.{kind}"] = TABLE_RUNS[kind].format(table=table, name=name).split()
+    return runs
+
+
+def drive(root: pathlib.Path, cwd: pathlib.Path, runs: dict) -> None:
+    """Run each {stem: argv} of RUNS through ROOT's ``cli.main`` in one DRIVER process in CWD."""
+    run(root, cwd, ["-c", DRIVER], input=json.dumps(runs), text=True, check=True)
+
+
 def produce(root: pathlib.Path, workdir: pathlib.Path, side: str) -> None:
     """Write every CLI and demo output of the source tree ROOT into WORKDIR/SIDE."""
     out = workdir / side
     out.mkdir()
-    cli = ["-m", "belldistill.cli"]
-    commands = {name: cli + args.split() for name, args in STDOUT_RUNS.items()}
+    commands = {n: ["-m", "belldistill.cli", *a.split()] for n, a in STDOUT_RUNS.items()}
     commands.update({f"demo_{d.stem}.txt": [str(d)] for d in sorted((root / "demos").glob("*.py"))})
     for name, args in commands.items():
         with open(out / name, "w") as fh:
             run(root, out, args, stdout=fh, check=True)
-    run(root, out, ["-c", ANALYZE_IN_PROCESS, "support_", *table_paths(workdir, "supports")],
-        check=True)
-    for table in table_paths(workdir, "tables"):
-        name = pathlib.Path(table).stem
-        for kind, args in TABLE_RUNS.items():
-            args = cli + args.format(table=table, name=name).split()
-            with open(out / f"{name}.{kind}.out", "w") as fh:
-                with open(out / f"{name}.{kind}.err", "w") as eh:
-                    code = run(root, out, args, stdout=fh, stderr=eh)
-            (out / f"{name}.{kind}.code").write_text(f"{code}\n")
+    drive(root, out, table_runs(table_paths(workdir, "supports"), ["analyze"], "support_")
+          | table_runs(table_paths(workdir, "tables"), TABLE_RUNS))
 
 
 def _walk(a, b, path: str, moves: dict, mismatches: list) -> None:
@@ -238,12 +260,12 @@ def check_bytes(workdir: pathlib.Path) -> int:
 
 
 def validate(workdir: pathlib.Path) -> int:
-    """Analyze every table in one process, validate each report in a fresh one: 0 if all hold."""
+    """Analyze every table through DRIVER, validate each report in a new process: 0 if all hold."""
     write_tables(workdir, REPO)
     out = workdir / "reports"
     out.mkdir()
     tables = table_paths(workdir, "tables") + table_paths(workdir, "supports")
-    run(REPO, out, ["-c", ANALYZE_IN_PROCESS, "", *tables], check=True)
+    drive(REPO, out, table_runs(tables, ["analyze"]))
     codes = {p.name: p.read_text() for p in out.glob("*.analyze.code")}
     # every table writes a report but an NPT one with d != 3, which exits 1
     refused = [n for n, code in codes.items() if code == "1\n" and n.startswith("dims_")]
