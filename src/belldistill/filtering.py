@@ -12,6 +12,7 @@ exactly lambda_min / q, which fixes closed-form white-noise thresholds for
 both the original state and the filtered pair.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,13 +90,22 @@ def add_white_noise(state: np.ndarray, p) -> np.ndarray:
     single-weight result. Every weight must lie in [0, 1].
     """
     p = np.asarray(p, dtype=float)
-    outside = ~((0.0 <= p) & (p <= 1.0))
-    if np.any(outside):
+    # NaN fails both comparisons; the offending weight is looked up only then
+    if not (p.min(initial=0.0) >= 0.0 and p.max(initial=0.0) <= 1.0):
+        outside = ~((0.0 <= p) & (p <= 1.0))
         raise ValueError(f"noise weight {float(p[outside][0])!r} outside [0, 1]")
     state = np.asarray(state, dtype=complex)
     n = state.shape[0]
     p = p[..., None, None]
-    return (1.0 - p) * state + (p / n) * np.eye(n)
+    return (1.0 - p) * state + (p / n) * _identity(n)
+
+
+@functools.cache
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity of :func:`add_white_noise`, built once per n and read-only."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
 
 
 def noise_scan(w: np.ndarray, rho: np.ndarray, sigma: np.ndarray, ps) -> tuple:

@@ -54,6 +54,9 @@ MAX_D = 32
 #: the bit generator behind all sampling in this package
 GENERATOR_NAME = "PCG64"
 
+#: the largest finite float, the bound of :func:`check_entries`
+FLOAT_MAX = np.finfo(float).max
+
 
 class InvalidCoefficientsError(ValueError):
     """Coefficient table violates positivity or normalization."""
@@ -71,7 +74,7 @@ def check_entries(c: np.ndarray) -> None:
     """
     if not np.all(np.isfinite(c)):
         raise InvalidCoefficientsError("coefficient table contains non-finite entries")
-    if c.size and np.abs(c).max() > np.finfo(float).max / (2 * c.size):
+    if c.size and np.abs(c).max() > FLOAT_MAX / (2 * c.size):
         raise InvalidCoefficientsError("coefficient table entries are too large to sum")
 
 
@@ -283,7 +286,7 @@ def lambda_min_multiplicity(eigenvalues: np.ndarray) -> int:
     """
     eigenvalues = np.asarray(eigenvalues)
     width = float(eigenvalues[-1] - eigenvalues[0])
-    return int(np.sum(eigenvalues <= eigenvalues[0] + DEGENERACY_RTOL * width))
+    return int(np.count_nonzero(eigenvalues <= eigenvalues[0] + DEGENERACY_RTOL * width))
 
 
 def _flat_tables(rng, size: int) -> np.ndarray:
@@ -327,16 +330,20 @@ def sample_npt(seed) -> tuple[SimplexCoefficients, PTSpectrumReport]:
     Draws come in batches of up to SAMPLE_BATCH from one
     :func:`_flat_tables` call, the draw :func:`sample_simplex` makes for one
     table. Each batch is solved in one stacked ``eigh`` (:func:`_solve`),
-    and the first row in draw order whose report says NPT is returned.
-    Every row gets the bits it would get alone, so the accepted table, its
-    report and the draw count at which sampling gives up are those of
-    classifying every draw one by one.
+    and the first row in draw order whose smallest eigenvalue is below
+    -BOUNDARY_TOL, which is :func:`verdict` NPT (a NaN row is not), is
+    returned with its report; no other row gets one. Every row gets the
+    bits it would get alone, so the accepted table, its report and the draw
+    count at which sampling gives up are those of classifying every draw
+    one by one.
     """
     rng = np.random.default_rng(seed)
     for start in range(0, MAX_TRIES, SAMPLE_BATCH):
         cs = _flat_tables(rng, min(SAMPLE_BATCH, MAX_TRIES - start))
-        for c, values, vectors in zip(cs, *_solve(cs, 3)):
-            spectrum = _spectrum_report(values, vectors)
-            if spectrum.classification == NPT:
-                return SimplexCoefficients(d=3, c=c.reshape(3, 3)), spectrum
+        values, vectors = _solve(cs, 3)
+        # eigh's values ascend, so entry 0 of B_0's spectrum is lambda_min
+        for i, low in enumerate(values[:, 0, 0].tolist()):
+            if low < -BOUNDARY_TOL:
+                spectrum = _spectrum_report(values[i], vectors[i])
+                return SimplexCoefficients(d=3, c=cs[i].reshape(3, 3)), spectrum
     raise SamplingExhaustedError(f"no NPT sample within {MAX_TRIES} tries")

@@ -12,10 +12,15 @@ guards, so each of them can fail. On a p-grid that holds both thresholds,
 the witness must fire on exactly the noisy states that are still NPT and
 the filtered pair's noisy states must turn PPT at p_sigma_max; every sign
 is read by :func:`~belldistill.simplex.verdict`, so each family reads
-BOUNDARY at its own threshold. Trials are pure functions of their seed,
-so campaigns parallelize and aggregate order-independently.
+BOUNDARY at its own threshold. The grid starts at p = 0, so its first
+witness value is trace(W rho) itself, and the battery reads it there
+rather than calling ``detect`` again. After the sampler's one stacked
+``eigh`` per batch of draws, a trial makes four solver calls. Trials are
+pure functions of their seed, so campaigns parallelize and aggregate
+order-independently.
 """
 
+import functools
 import os
 from dataclasses import dataclass, field
 
@@ -29,20 +34,26 @@ from .simplex import (
     GENERATOR_NAME,
     NPT,
     SamplingExhaustedError,
+    _block_map,
     build_state,
     lambda_min_multiplicity,
-    pt_block,
     sample_npt,
     verdict,
 )
-from .witness import NotNPTError, RankCertificationError, construct_witness_vector, detect
+from .witness import NotNPTError, RankCertificationError, construct_witness_vector
 
-#: white-noise grid for threshold-semantics checks, as plain floats
+#: white-noise grid for threshold-semantics checks, as plain floats; it
+#: starts at p = 0, where the noisy state is rho itself
 NOISE_GRID = tuple(np.linspace(0.0, 1.0, 21).tolist())
 
 #: ascending spectrum of W at mu0 = mu1 = 1/sqrt 2: -1/2, 0 five times, 1/2 three times
 W_SPECTRUM = np.array([-0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5])
-W_SPECTRUM.setflags(write=False)
+
+#: the identities of the mirror and of the frame's Gram check
+EYE9 = np.eye(9)
+EYE2 = np.eye(2)
+for _const in (W_SPECTRUM, EYE9, EYE2):
+    _const.setflags(write=False)
 
 #: residual names in fixed reporting order; three are recorded but not
 #: checked, because a construction guard already bounds them: abs_det_C by
@@ -99,6 +110,17 @@ def trial_seeds(master_seed: int, count: int) -> list:
     return [int(w) for w in _seed_words(master_seed, count)]
 
 
+@functools.cache
+def _block_maps() -> np.ndarray:
+    """The (3, 9, 9) stack of the d = 3 block maps, so that one product builds B_0, B_1 and B_2.
+
+    Built on the first trial, as the maps themselves are, and read-only after.
+    """
+    maps = np.array([_block_map(3, m) for m in range(3)])
+    maps.setflags(write=False)
+    return maps
+
+
 def run_trial(seed: int) -> TrialResult:
     """Sample one NPT state from ``seed`` and check the full invariant battery.
 
@@ -119,8 +141,9 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
 
     ``spectrum`` is the classification report of ``coeffs``. The battery
     reads its three dense 9 x 9 spectra, of rho^Gamma, W and mu0^2 * 1 - W,
-    from one stacked ``eigvalsh``; each row is bit for bit the spectrum of
-    its own call.
+    from one stacked ``eigvalsh``, and builds the three blocks B_m in one
+    product with :func:`_block_maps`; each row is bit for bit its own call's.
+    trace(W rho) is the noise grid's value at p = 0.
     """
     res = result.residuals
 
@@ -140,16 +163,16 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
     mu = wc.schmidt_coefficients
     mu0, mu1 = float(mu[0]), float(mu[1])
     pt_eigs, w_eigs, mirror_eigs = np.linalg.eigvalsh(
-        np.array([rho_pt, wc.W, mu0**2 * np.eye(9) - wc.W])
+        np.array([rho_pt, wc.W, mu0**2 * EYE9 - wc.W])
     )
 
-    negatives = int(np.sum(pt_eigs < -BOUNDARY_TOL))
+    negatives = int(np.count_nonzero(pt_eigs < -BOUNDARY_TOL))
     check("negative_count", negatives == 3, lambda: f"{negatives} negative eigenvalues")
     mult = lambda_min_multiplicity(pt_eigs)
     check("lambda_min_multiplicity", mult == 3, lambda: f"multiplicity {mult}")
 
     lam = wc.lambda_min
-    blocks = np.array([pt_block(coeffs, m) for m in range(3)])
+    blocks = np.matmul(_block_maps(), coeffs.c.reshape(9, 1)).reshape(3, 3, 3)
     block_res = float(np.abs((blocks @ wc.u[:, :, None])[..., 0] - lam * wc.u).max())
     bounded("block_eigenvectors", "block_eigen_residual", block_res, 1e-10)
     # row m: alpha_m shifted by one entry against alpha_{m+2}
@@ -168,7 +191,7 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
     mu_dev = float(np.abs(mu[:2] - np.sqrt(0.5)).max())
     check("schmidt_equal_coefficients", mu_dev <= 1e-9, lambda: f"coefficients {mu}")
     left, right = wc.schmidt_left, wc.schmidt_right
-    gram_dev = max(float(np.abs(f.conj() @ f.T - np.eye(2)).max()) for f in (left, right))
+    gram_dev = max(float(np.abs(f.conj() @ f.T - EYE2).max()) for f in (left, right))
     check("frame_orthonormal", gram_dev <= 1e-12, lambda: f"deviation {gram_dev:.3e}")
     rebuild_dev = float(np.abs((left.T @ right).ravel() / np.sqrt(2.0) - wc.phi).max())
     check("frame_rebuilds_phi", rebuild_dev <= 1e-12, lambda: f"deviation {rebuild_dev:.3e}")
@@ -179,7 +202,11 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
     closed_dev = float(np.abs(w_eigs - W_SPECTRUM).max())
     check("witness_spectrum_closed_form", closed_dev <= 1e-9, lambda: f"spectrum {w_eigs}")
 
-    value = detect(wc.W, rho)
+    rep = filter_report(rho, wc)
+    points = NOISE_GRID + (rep.p_rho_max, rep.p_sigma_max)
+    values, sigma_minima = (a.tolist() for a in noise_scan(wc.W, rho, rep.sigma, np.array(points)))
+    # trace(W rho) is the value at the grid's first point, p = 0
+    value = values[0]
     trace_dev = abs(value - lam)
     res["witness_trace_identity"] = trace_dev
     check(
@@ -192,7 +219,6 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
     res["mirror_negative_part"] = max(0.0, -mirror_floor)
     check("mirror_psd", mirror_floor >= -1e-10, lambda: f"floor {mirror_floor:.3e}")
 
-    rep = filter_report(rho, wc)
     fix_res = float(np.abs(kron(wc.P_A, wc.P_B.T) @ wc.phi - wc.phi).max())
     bounded("filter_fixpoint", "filter_fixpoint_residual", fix_res, 1e-10)
 
@@ -205,7 +231,7 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
     bounded("sigma_pt_minimum", "sigma_lambda_ratio_dev", ratio_dev, 1e-9, "deviation")
     check(
         "sigma_single_negative",
-        int(np.sum(rep.sigma_pt_spectrum < -BOUNDARY_TOL)) == 1,
+        int(np.count_nonzero(rep.sigma_pt_spectrum < -BOUNDARY_TOL)) == 1,
         lambda: f"spectrum {rep.sigma_pt_spectrum}",
     )
 
@@ -222,10 +248,8 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
     # and BOUNDARY at the family's own threshold. For rho this says the
     # witness detects exactly the noisy states that are still NPT. Failures
     # are reported point by point, rho before sigma.
-    points = NOISE_GRID + (rep.p_rho_max, rep.p_sigma_max)
-    values, sigma_minima = noise_scan(wc.W, rho, rep.sigma, np.array(points))
     rho_low, sigma_low = float(pt_eigs[0]), float(rep.sigma_pt_spectrum[0])
-    for p, value, low in zip(points, values.tolist(), sigma_minima.tolist()):
+    for p, value, low in zip(points, values, sigma_minima):
         for name, got, closed, threshold in (
             ("rho", value, (1 - p) * rho_low + p / 9, rep.p_rho_max),
             ("sigma", low, (1 - p) * sigma_low + p / 4, rep.p_sigma_max),

@@ -149,19 +149,20 @@ def construct_witness_vector(spectrum: PTSpectrumReport) -> WitnessConstruction:
     p_a = 2.0 * (m @ dag(m))
     p_b = 2.0 * (dag(m) @ m)
     a0 = _pivot_column(p_a)
-    a1 = _pivot_column(p_a - np.outer(a0, a0.conj()))
+    a1 = _pivot_column(p_a - _outer(a0, a0))
     # a_2 = (a_0 x a_1)^*: the cross product is the signed row-2 minors of [a_0; a_1; any]
     m20, m21, m22 = _minors([a0.tolist(), a1.tolist(), [0j, 0j, 0j]])[2]
     a2 = np.array([m20, -m21, m22]).conj()
     # row i is a_i^dag M: rows 0 and 1 are b_0^T and b_1^T over sqrt 2, row 2 is
     # the part of phi outside the frame
     rows = np.array([a0, a1, a2]).conj() @ m
-    mu = np.linalg.norm(rows, axis=1)
+    # np.linalg.norm(rows, axis=1), spelled out
+    mu = np.sqrt(np.add.reduce((rows.conj() * rows).real, axis=1))
     if not mu[2] <= RANK_RTOL * mu.max() < mu[1]:
         raise RankCertificationError(f"Schmidt coefficients {mu} do not form a rank 2 frame")
     left = np.array([a0, a1])
     right = np.sqrt(2.0) * rows[:2]
-    w = partial_transpose(np.outer(phi, phi.conj()), 3, 3)
+    w = partial_transpose(_outer(phi, phi), 3, 3)
 
     for arr in (u, alpha, minors, phi_tilde, phi, w, p_a, p_b, mu, left, right):
         arr.setflags(write=False)
@@ -220,7 +221,14 @@ def certify_rank_2(matrix: np.ndarray) -> tuple[list, complex]:
 def _pivot_column(p: np.ndarray) -> np.ndarray:
     """Unit column of the projector ``p`` at its pivot_index diagonal entry."""
     column = p[:, pivot_index(p.diagonal().real)]
-    return column / np.linalg.norm(column)
+    # np.linalg.norm(column), spelled out
+    re, im = column.real, column.imag
+    return column / math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|a><b|, the products of np.outer(a, b.conj()) without its set-up."""
+    return a[:, None] * b.conj()[None, :]
 
 
 def detect(w: np.ndarray, test_state: np.ndarray) -> float | np.ndarray:
@@ -237,7 +245,7 @@ def detect(w: np.ndarray, test_state: np.ndarray) -> float | np.ndarray:
         raise ValueError(f"state shape {test_state.shape} does not match witness {w.shape}")
     values = np.trace(w @ test_state, axis1=-2, axis2=-1)
     imag = np.abs(values.imag)
-    if not np.all(imag <= IMAG_TOL):  # NaN parts fail too
+    if not imag.max(initial=0.0) <= IMAG_TOL:  # NaN parts fail too
         worst = values.imag.flat[np.argmax(imag)]
         raise ValueError(f"witness expectation has imaginary part {worst:.3e}")
     return float(values.real) if values.ndim == 0 else values.real

@@ -1,6 +1,5 @@
 """The closed-form Bell-frame kernel and the batch sampler against their loop forms."""
 
-import dataclasses
 import json
 import tracemalloc
 
@@ -212,22 +211,23 @@ def test_batched_sampler_equals_sequential_across_the_batch_edge(monkeypatch):
 
 
 def _never_npt(calls):
-    """A report builder that records each row and reads every verdict as PPT."""
-    build = simplex._spectrum_report
+    """A block solver that records each table it solves and lifts every spectrum to PPT."""
+    solve = simplex._solve
 
-    def never_npt(values, vectors):
-        calls.append(values)
-        return dataclasses.replace(build(values, vectors), classification=PPT)
+    def never_npt(flat, d):
+        values, vectors = solve(flat, d)
+        calls.extend(flat)
+        return values + 1.0, vectors
 
     return never_npt
 
 
 def test_forced_exhaustion_matches_sequential(monkeypatch):
-    # every report reads PPT, so both samplers use up all their tries; the
-    # builder is shared, so the patch reaches sample_npt and, through
+    # every spectrum reads PPT, so both samplers use up all their tries; the
+    # solver is shared, so the patch reaches sample_npt's screen and, through
     # classify, the sequential oracle alike
     calls = []
-    monkeypatch.setattr(simplex, "_spectrum_report", _never_npt(calls))
+    monkeypatch.setattr(simplex, "_solve", _never_npt(calls))
     for max_tries in range(1, 18):
         del calls[:]
         monkeypatch.setattr(simplex, "MAX_TRIES", max_tries)
@@ -237,6 +237,54 @@ def test_forced_exhaustion_matches_sequential(monkeypatch):
         with pytest.raises(SamplingExhaustedError, match=f"within {max_tries} tries"):
             sample_npt_sequential(5, max_tries=max_tries)
         assert batched == len(calls) - batched == max_tries
+
+
+def test_sampler_reports_only_the_accepted_table(monkeypatch):
+    # the screen reads lambda_min off each solved row and builds a report
+    # for the accepted row alone; table and report keep the bytes of
+    # classifying every draw one by one
+    seeds = verify.trial_seeds(0, 2000)
+    expected = [sample_npt_sequential(seed) for seed in seeds]
+    built = []
+    build = simplex._spectrum_report
+    monkeypatch.setattr(simplex, "_spectrum_report", lambda *a: built.append(a) or build(*a))
+    for seed, (want_c, want) in zip(seeds, expected):
+        del built[:]
+        got_c, got = sample_npt(seed)
+        assert len(built) == 1, seed
+        assert got_c.c.tobytes() == want_c.c.tobytes(), seed
+        assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes(), seed
+        assert got.u0.tobytes() == want.u0.tobytes(), seed
+        assert got.lambda_min.hex() == want.lambda_min.hex(), seed
+        assert (got.negative_count, got.classification) == (want.negative_count, NPT), seed
+
+
+def test_sampler_exhausts_at_the_sequential_draw_count(monkeypatch):
+    # with MAX_TRIES one short of the sequential sampler's first NPT draw,
+    # both draw MAX_TRIES tables and give up; one more try accepts that draw
+    rows, draws = [], []
+    solve = simplex._solve
+    monkeypatch.setattr(simplex, "_solve", lambda flat, d: rows.extend(flat) or solve(flat, d))
+    monkeypatch.setattr(simplex, "classify", lambda coeffs: draws.append(coeffs) or classify(coeffs))
+    late = 0
+    for seed in range(300):
+        del draws[:]
+        sample_npt_sequential(seed)
+        accept = len(draws)
+        if accept < 2:
+            continue
+        late += 1
+        monkeypatch.setattr(simplex, "MAX_TRIES", accept - 1)
+        del rows[:], draws[:]
+        with pytest.raises(SamplingExhaustedError, match=f"within {accept - 1} tries"):
+            sample_npt(seed)
+        assert len(rows) == accept - 1, seed
+        with pytest.raises(SamplingExhaustedError, match=f"within {accept - 1} tries"):
+            sample_npt_sequential(seed, accept - 1)
+        assert len(draws) == accept - 1, seed
+        monkeypatch.setattr(simplex, "MAX_TRIES", accept)
+        assert _same_draw(sample_npt(seed), sample_npt_sequential(seed, accept)), seed
+    assert late >= 50
 
 
 def _count_eigensolves(monkeypatch) -> list:
@@ -268,7 +316,7 @@ def test_sampler_solves_each_batch_once(monkeypatch):
         sample_npt(seed)
         assert log == ["eigh"] * batches, seed
 
-    monkeypatch.setattr(simplex, "_spectrum_report", _never_npt([]))
+    monkeypatch.setattr(simplex, "_solve", _never_npt([]))
     for max_tries in range(1, 18):
         del log[:]
         monkeypatch.setattr(simplex, "MAX_TRIES", max_tries)
@@ -279,8 +327,9 @@ def test_sampler_solves_each_batch_once(monkeypatch):
 
 def test_trial_solves_five_times(monkeypatch):
     # the sampler's batches, then one stacked eigvalsh for the battery's
-    # three dense spectra, filter_report's eigh, sigma's eigvalsh and
-    # noise_scan's stacked eigvalsh
+    # three dense spectra, filter_report's eigh, noise_scan's stacked
+    # eigvalsh, whose p = 0 value is also the witness value trace(W rho),
+    # and sigma's eigvalsh
     seeds = verify.trial_seeds(0, 40)
     draws = []
     monkeypatch.setattr(simplex, "classify", lambda coeffs: draws.append(coeffs) or classify(coeffs))

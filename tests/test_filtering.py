@@ -190,6 +190,38 @@ def test_white_noise_domain_of_weight_arrays(ps):
         add_white_noise(np.eye(9) / 9, np.array(ps))
 
 
+@pytest.mark.parametrize("form", [float, np.float64, np.array, lambda p: np.array([p, 0.5, p])])
+def test_white_noise_has_the_bits_of_its_formula(form):
+    # a scalar, a 0-d array and each entry of an (n,) weight array give the
+    # bits of (1 - p) state + (p / n) 1 with p a plain float
+    coeffs, wc = npt_construction(NPT_SEEDS[0])
+    rho = build_state(coeffs)
+    for state in (rho, filter_report(rho, wc).sigma):
+        n = state.shape[0]
+        for p in (0.0, 0.3, 0.7, 1.0, 1 / 3):
+            weights = form(p)
+            got = add_white_noise(state, weights)
+            assert got.shape == np.shape(weights) + (n, n)
+            for w, mixed in zip(np.ravel(weights).tolist(), got.reshape(-1, n, n)):
+                want = (1 - w) * state + (w / n) * np.eye(n)
+                assert mixed.tobytes() == want.tobytes(), (n, w)
+
+
+@pytest.mark.parametrize(
+    "ps, first",
+    [([0.2, -0.1, 1.5], -0.1), ([0.2, 1.5, np.nan], 1.5), ([0.2, np.nan, -0.1], np.nan)],
+)
+def test_white_noise_names_the_first_weight_outside(ps, first):
+    with pytest.raises(ValueError, match=rf"^noise weight {first!r} outside \[0, 1\]$"):
+        add_white_noise(np.eye(9) / 9, np.array(ps))
+
+
+def test_white_noise_of_no_weights_is_an_empty_stack():
+    for n in (4, 9):
+        out = add_white_noise(np.eye(n) / n, np.array([]))
+        assert out.shape == (0, n, n) and out.dtype == complex
+
+
 def test_stacked_noise_grid_equals_single_points():
     # one call over a weight array gives, bit for bit, the values of one call
     # per weight: the mixtures, the witness values, sigma's partial transpose

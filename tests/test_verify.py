@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from belldistill import verify, witness
+from belldistill import filtering, simplex, verify, witness
 from belldistill.filtering import add_white_noise, filter_report, noise_scan
 from belldistill.linalg import dag, partial_transpose
 from belldistill.simplex import (
@@ -15,7 +15,6 @@ from belldistill.simplex import (
     SimplexCoefficients,
     build_state,
     classify,
-    pt_block,
     sample_npt,
     verdict,
 )
@@ -90,16 +89,54 @@ def test_witness_detects_exactly_the_npt_noisy_states():
         ("F3", lambda: fourier(3)),
         ("F3_DAG", lambda: dag(fourier(3))),
         ("SWAP3", lambda: swap_conjugation(3)),
+        ("verify.W_SPECTRUM", lambda: np.array([-0.5] + [0.0] * 5 + [0.5] * 3)),
+        ("verify.EYE9", lambda: np.eye(9)),
+        ("verify.EYE2", lambda: np.eye(2)),
+        (
+            "verify._block_maps()",
+            lambda: np.array([simplex._block_map.__wrapped__(3, m) for m in range(3)]),
+        ),
+        ("filtering._identity(4)", lambda: np.eye(4)),
+        ("filtering._identity(9)", lambda: np.eye(9)),
     ],
 )
 def test_shared_unitaries_are_read_only(name, fresh):
-    # built once at import and used by every trial, so no caller may write
-    # them; each keeps the layout of a fresh build, so products keep their bits
-    const = getattr(witness, name)
-    assert np.array_equal(const, fresh()) and const.strides == fresh().strides
+    # built once and used by every trial, so no caller may write them; each
+    # keeps the bytes and layout of a fresh build, so products keep their
+    # bits. A bare name is witness's; a call is a cached builder, which
+    # returns the same array every time
+    module, _, attr = name.rpartition(".")
+    owner = {"": witness, "verify": verify, "filtering": filtering}[module]
+    if attr.endswith(")"):
+        builder, _, arg = attr[:-1].partition("(")
+        args = (int(arg),) if arg else ()
+        const = getattr(owner, builder)(*args)
+        assert const is getattr(owner, builder)(*args)
+    else:
+        const = getattr(owner, attr)
+    assert const.tobytes() == fresh().tobytes() and const.strides == fresh().strides
+    assert const.dtype == fresh().dtype and const.shape == fresh().shape
     with pytest.raises(ValueError):
-        const[0, 0] = 0.0
-    assert np.array_equal(const, fresh())
+        const[(0,) * const.ndim] = 0.0
+    assert const.tobytes() == fresh().tobytes()
+
+
+def test_noise_grid_starts_at_zero():
+    # the battery reads trace(W rho) off the grid's first value
+    assert verify.NOISE_GRID[0] == 0.0 and type(verify.NOISE_GRID[0]) is float
+
+
+def test_grid_zero_value_is_the_witness_value():
+    # at p = 0 the noisy state is rho itself, so the grid's first value is,
+    # bit for bit, the single detect call it replaces
+    for seed in verify.trial_seeds(0, 2000):
+        coeffs, spectrum = sample_npt(seed)
+        wc = construct_witness_vector(spectrum)
+        rho = build_state(coeffs)
+        rep = filter_report(rho, wc)
+        points = np.array(verify.NOISE_GRID + (rep.p_rho_max, rep.p_sigma_max))
+        values, _ = noise_scan(wc.W, rho, rep.sigma, points)
+        assert values.tolist()[0].hex() == detect(wc.W, rho).hex(), seed
 
 
 class _SerialPool:
@@ -250,6 +287,11 @@ construction_with = functools.partial(with_fields, construct_witness_vector)
 report_with = functools.partial(with_fields, filter_report)
 
 
+def noise_scan_with_shifted_values(w, rho, sigma, ps):
+    values, sigma_minima = noise_scan(w, rho, sigma, ps)
+    return values + 1e-6, sigma_minima
+
+
 def noise_scan_with_shifted_minima(w, rho, sigma, ps):
     values, sigma_minima = noise_scan(w, rho, sigma, ps)
     return values, sigma_minima + 1e-9
@@ -265,7 +307,8 @@ MUTATIONS = {
         "partial_transpose",
         lambda m, a, b: partial_transpose(m, a, b) - 1e-3 * np.diag(np.arange(9.0)) / 8,
     ),
-    "block_eigenvectors": ("pt_block", lambda c, m: pt_block(c, m) + 1e-6 * np.eye(3)),
+    # 1.001 B_m keeps B_m's eigenvectors, at 1.001 times their eigenvalues
+    "block_eigenvectors": ("_block_maps", lambda maps=verify._block_maps: 1.001 * maps()),
     "alpha_shift_relation": construction_with(alpha=lambda a: a * [[1.0], [1.0], [1.001]]),
     "eigenvector_property": (
         "build_state", lambda c: build_state(c) + 1e-6 * np.diag(np.arange(9.0))
@@ -278,7 +321,8 @@ MUTATIONS = {
     "frame_rebuilds_phi": construction_with(schmidt_right=lambda b: b[::-1]),
     "witness_spectrum": construction_with(schmidt_coefficients=lambda mu: mu * [1.0, 0.99, 1.0]),
     "witness_spectrum_closed_form": construction_with(W=lambda w: 0.99 * w),
-    "witness_detects": ("detect", lambda w, state: detect(w, state) + 1e-6),
+    # trace(W rho) is read from the grid's p = 0 value
+    "witness_detects": ("noise_scan", noise_scan_with_shifted_values),
     "mirror_psd": construction_with(W=lambda w: 1.01 * w),
     "filter_fixpoint": construction_with(P_A=lambda p: 0.99 * p),
     # sigma's smallest eigenvalue is at most 1/4

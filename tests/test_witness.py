@@ -375,6 +375,19 @@ def test_detect_rejects_nan():
     assert abs(detect(w, np.eye(9, dtype=complex) / 9) - 1 / 9) <= 1e-12
 
 
+def test_detect_on_an_empty_stack():
+    # no states give no values; a NaN imaginary part anywhere in a stack still raises
+    w = construct_witness_vector(classify(npt_table(NPT_SEEDS[2]))).W
+    values = detect(w, np.zeros((0, 9, 9), dtype=complex))
+    assert isinstance(values, np.ndarray) and values.shape == (0,)
+    stack = np.array([np.eye(9) / 9] * 3, dtype=complex)
+    stack[2, 0, 0] = complex(1 / 9, np.nan)
+    with pytest.raises(ValueError, match="imaginary part nan"):
+        detect(w, stack)
+    with pytest.raises(ValueError, match="imaginary part nan"):
+        detect(w, stack[2])
+
+
 # ------------------------------------------- product-vector positivity
 
 def test_product_positivity_pure_bell():
