@@ -6,15 +6,16 @@ partial transpose of such a state is block-diagonal in the Bell-unitary
 frame, with d Hermitian d x d blocks and B_{m+2} = W_{1,0} B_m W_{1,0}^dag.
 Both the blocks and the dense state are linear in c, so each is one
 product of the flattened table with a constant built on first use
-(:func:`_block_map` per block, :func:`_bell_vectors` per d).
-Classification solves one block per orbit of m -> m+2 (B_0 alone for odd
-d), the witness is built from its result, and the dense d^2 x d^2 state of
-:func:`build_state` is not needed. Blocks are built and solved for a stack
-of tables in one ``eigh`` call (:func:`_solve`), and one builder
-(:func:`_spectrum_report`) turns a solved row into its report, so
-:func:`classify`, a stack of one, and :func:`sample_npt`, a batch of draws,
-give each table the same bits and no table is solved twice. Everything
-here works for 2 <= d <= MAX_D.
+(:func:`_block_maps` per d and tuple of blocks, :func:`_bell_vectors` per
+d). One block builder, :func:`_blocks`, serves :func:`pt_block`, the
+solver and the verify battery alike. Classification solves one block per
+orbit of m -> m+2 (B_0 alone for odd d), the witness is built from its
+result, and the dense d^2 x d^2 state of :func:`build_state` is not
+needed. Blocks are built and solved for a stack of tables in one ``eigh``
+call (:func:`_solve`), and one builder (:func:`_spectrum_report`) turns a
+solved row into its report, so :func:`classify`, a stack of one, and
+:func:`sample_npt`, a batch of draws, give each table the same bits and no
+table is solved twice. Everything here works for 2 <= d <= MAX_D.
 """
 
 import functools
@@ -45,9 +46,9 @@ DEGENERACY_RTOL = 1e-9
 #: entries within this relative distance of the largest modulus tie for the pivot
 PIVOT_RTOL = 1e-12
 
-#: largest dimension a coefficient table may have. Each block map of
-#: :func:`_block_map` is a dense d^2 x d^2 complex matrix and classify
-#: builds at most two of them, so at d = 32 that is two maps of 16.8 MB each;
+#: largest dimension a coefficient table may have. Each block map in a
+#: stack of :func:`_block_maps` is a dense d^2 x d^2 complex matrix and
+#: classify builds one stack of at most two of them, 33.6 MB at d = 32;
 #: the maps grow as d^4, and d = 100 would need 1.6 GB per map
 MAX_D = 32
 
@@ -154,20 +155,22 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
 
 
 @functools.cache
-def _block_map(d: int, m: int) -> np.ndarray:
-    """Constant linear map from a flattened table c to the block B_m.
+def _block_maps(d: int, ms: tuple) -> np.ndarray:
+    """Stack of the constant linear maps from a flattened table c to the blocks B_m, m in ``ms``.
 
-    T_m has shape (d^2, d^2) with T_m[i*d + j, k*d + l] the coefficient of
-    c[k, l] in B_m[i, j]: omega^(y (k-m)) / d where i = l - y and j = l + y
-    (mod d), zero elsewhere. Built from the shared phase table on the first
-    call for each (d, m), read-only after; only the blocks that are used
-    are ever built.
+    Slice j is the map T_m of m = ms[j], shape (d^2, d^2), with
+    T_m[a*d + b, k*d + l] the coefficient of c[k, l] in B_m[a, b]:
+    omega^(y (k-m)) / d where a = l - y and b = l + y (mod d), zero
+    elsewhere. Built with one scatter from the shared phase table on the
+    first call for each (d, ms), read-only after; only the blocks that are
+    used are ever built, so callers ask for the blocks they read.
     """
     tab = phase_table(d)
+    j = np.arange(len(ms))[:, None, None, None]
     k, l, y = np.ogrid[:d, :d, :d]
-    t = np.zeros((d * d, d * d), dtype=complex)
-    # for fixed (k, l) distinct y hit distinct entries, so no term is lost
-    t[((l - y) % d) * d + (l + y) % d, k * d + l] = tab[(y * (k - m)) % d] / d
+    t = np.zeros((len(ms), d * d, d * d), dtype=complex)
+    # for fixed (j, k, l) distinct y hit distinct entries, so no term is lost
+    t[j, ((l - y) % d) * d + (l + y) % d, k * d + l] = tab[(y * (k - np.array(ms)[j])) % d] / d
     t.setflags(write=False)
     return t
 
@@ -201,23 +204,25 @@ def pt_block(coeffs: SimplexCoefficients, m: int) -> np.ndarray:
 
     B_m = (1/d) sum_{k,l,y} omega^(y (k-m)) c[k,l] |l-y><l+y|, indices mod d,
     evaluated as one product of the constant map T_m (see
-    :func:`_block_map`) with the flattened table. Neighbouring-by-two
+    :func:`_block_maps`) with the flattened table. Neighbouring-by-two
     blocks are related by conjugation with the diagonal Weyl operator:
     B_{m+2} = W_{1,0} B_m W_{1,0}^dag.
     """
     d = coeffs.d
     if not 0 <= m < d:
         raise ValueError(f"block index {m} out of range for d={d}")
-    return _blocks(coeffs.c.reshape(1, -1), d, m)[0]
+    return _blocks(coeffs.c.reshape(1, -1), d, (m,))[0, 0]
 
 
-def _blocks(flat: np.ndarray, d: int, m: int) -> np.ndarray:
-    """B_m of each row of an (n, d^2) stack of flattened tables, shape (n, d, d).
+def _blocks(flat: np.ndarray, d: int, ms: tuple) -> np.ndarray:
+    """B_m for each m in ``ms`` of each row of an (n, d^2) stack of flattened tables.
 
-    ``np.matmul(T_m, c[..., None])`` gives every row the bits it gets in a
-    stack of one, so a table's blocks do not depend on its batch.
+    Shape (n, len(ms), d, d). One ``np.matmul`` of the map stack of
+    :func:`_block_maps` with the rows gives every (row, m) pair the bits it
+    gets in a stack of one table and one block, so a block depends on
+    neither its batch nor the other blocks built with it.
     """
-    return np.matmul(_block_map(d, m), flat[..., None]).reshape(-1, d, d)
+    return np.matmul(_block_maps(d, ms), flat[:, None, :, None]).reshape(-1, len(ms), d, d)
 
 
 def _solve(flat: np.ndarray, d: int):
@@ -226,8 +231,7 @@ def _solve(flat: np.ndarray, d: int):
     Returns eigenvalues of shape (n, b, d) and eigenvectors of shape
     (n, b, d, d), b = 2 - d % 2 solved blocks per table, B_0 first.
     """
-    blocks = [_blocks(flat, d, m)[:, None] for m in range(2 - d % 2)]
-    return np.linalg.eigh(np.concatenate(blocks, axis=1))
+    return np.linalg.eigh(_blocks(flat, d, (0, 1)[: 2 - d % 2]))
 
 
 def _spectrum_report(values: np.ndarray, vectors: np.ndarray) -> PTSpectrumReport:

@@ -20,7 +20,6 @@ pure functions of their seed, so campaigns parallelize and aggregate
 order-independently.
 """
 
-import functools
 import os
 from dataclasses import dataclass, field
 
@@ -34,13 +33,13 @@ from .simplex import (
     GENERATOR_NAME,
     NPT,
     SamplingExhaustedError,
-    _block_map,
+    _blocks,
     build_state,
     lambda_min_multiplicity,
     sample_npt,
     verdict,
 )
-from .witness import NotNPTError, RankCertificationError, construct_witness_vector
+from .witness import RankCertificationError, construct_witness_vector
 
 #: white-noise grid for threshold-semantics checks, as plain floats; it
 #: starts at p = 0, where the noisy state is rho itself
@@ -110,28 +109,20 @@ def trial_seeds(master_seed: int, count: int) -> list:
     return [int(w) for w in _seed_words(master_seed, count)]
 
 
-@functools.cache
-def _block_maps() -> np.ndarray:
-    """The (3, 9, 9) stack of the d = 3 block maps, so that one product builds B_0, B_1 and B_2.
-
-    Built on the first trial, as the maps themselves are, and read-only after.
-    """
-    maps = np.array([_block_map(3, m) for m in range(3)])
-    maps.setflags(write=False)
-    return maps
-
-
 def run_trial(seed: int) -> TrialResult:
     """Sample one NPT state from ``seed`` and check the full invariant battery.
 
-    An error the package raises fails this trial instead of aborting the campaign.
+    An error the package raises fails this trial instead of aborting the
+    campaign. NotNPTError is not among them: sample_npt accepts a table only
+    when B_0's smallest eigenvalue is below -BOUNDARY_TOL, and for d = 3 that
+    same float is the report's lambda_min, which verdict reads as NPT.
     """
     result = TrialResult(seed=seed, coefficients=None)
     try:
         coeffs, spectrum = sample_npt(seed)
         result.coefficients = np.asarray(coeffs.c)
         _check_invariants(coeffs, spectrum, result)
-    except (SamplingExhaustedError, RankCertificationError, NotNPTError) as exc:
+    except (SamplingExhaustedError, RankCertificationError) as exc:
         result.failures.append(f"{type(exc).__name__}: {exc}")
     return result
 
@@ -141,9 +132,10 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
 
     ``spectrum`` is the classification report of ``coeffs``. The battery
     reads its three dense 9 x 9 spectra, of rho^Gamma, W and mu0^2 * 1 - W,
-    from one stacked ``eigvalsh``, and builds the three blocks B_m in one
-    product with :func:`_block_maps`; each row is bit for bit its own call's.
-    trace(W rho) is the noise grid's value at p = 0.
+    from one stacked ``eigvalsh``, each row bit for bit its own call's, and
+    its three blocks B_m from simplex's one block builder,
+    :func:`~belldistill.simplex._blocks`. trace(W rho) is the noise grid's
+    value at p = 0.
     """
     res = result.residuals
 
@@ -172,7 +164,7 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
     check("lambda_min_multiplicity", mult == 3, lambda: f"multiplicity {mult}")
 
     lam = wc.lambda_min
-    blocks = np.matmul(_block_maps(), coeffs.c.reshape(9, 1)).reshape(3, 3, 3)
+    blocks = _blocks(coeffs.c.reshape(1, 9), 3, (0, 1, 2))[0]
     block_res = float(np.abs((blocks @ wc.u[:, :, None])[..., 0] - lam * wc.u).max())
     bounded("block_eigenvectors", "block_eigen_residual", block_res, 1e-10)
     # row m: alpha_m shifted by one entry against alpha_{m+2}

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import belldistill
-from belldistill import filtering, linalg, report, verify, witness
+from belldistill import filtering, linalg, report, simplex, verify, witness
 from belldistill.filtering import FilterReport, filter_report
 from belldistill.linalg import partial_transpose
 from belldistill.simplex import PTSpectrumReport, build_state, classify, sample_npt
@@ -40,10 +40,11 @@ MOVED = ("apply_weyl_channel", "assemble_pt_from_blocks", "controlled_sum",
 
 #: second sources of one quantity that were deleted: the witness is the array
 #: W on the construction, the sampler classifies each batch from its one eigh,
-#: the rank-2 certificate of C has one tolerance, CERT_TOL, and the noise
-#: family's signs are read by simplex.verdict alone
+#: the rank-2 certificate of C has one tolerance, CERT_TOL, the noise
+#: family's signs are read by simplex.verdict alone, and the block maps come
+#: in stacks from simplex._block_maps
 REMOVED = ("WitnessOperator", "witness_operator", "_screen_lambda_min", "SCREEN_MARGIN",
-           "SCREEN_BATCH", "MINOR_TOL", "DET_TOL", "THRESHOLD_BAND")
+           "SCREEN_BATCH", "MINOR_TOL", "DET_TOL", "THRESHOLD_BAND", "_block_map")
 
 
 def test_all_is_the_pipeline():
@@ -195,3 +196,34 @@ def test_one_minor_expansion():
         assert "construct_witness_vector(" in inspect.getsource(function), function.__name__
     assert "certify_rank_2(" not in inspect.getsource(verify._check_invariants)
     assert "analysis_report(" in inspect.getsource(report.validate_report)
+
+
+def test_one_block_builder():
+    # the maps from a table to its Bell-frame blocks have one builder,
+    # simplex._block_maps, the only reader of the phase table outside weyl;
+    # pt_block, the solver and the verify battery reach them through _blocks
+    assert not hasattr(verify, "_block_maps")
+    tree = ast.parse(inspect.getsource(verify))
+    imported = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "simplex"
+        for alias in node.names
+    ]
+    assert "_blocks" in imported
+    assert not [name for name in imported if name.startswith("_block_map")]
+    readers = set()
+    for info in pkgutil.iter_modules(belldistill.__path__):
+        if info.name == "weyl":
+            continue
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"belldistill.{info.name}")))
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef) and any(
+                isinstance(node, ast.Name) and node.id == "phase_table"
+                for node in ast.walk(function)
+            ):
+                readers.add(f"{info.name}.{function.name}")
+    assert readers == {"simplex._block_maps"}
+    for function in (simplex.pt_block, simplex._solve, verify._check_invariants):
+        source = inspect.getsource(function)
+        assert "_blocks(" in source and "concatenate" not in source, function.__name__

@@ -99,24 +99,49 @@ def test_pt_blocks_are_hermitian(d, family):
 
 @pytest.mark.parametrize("d", [2, 3, 4, 5])
 def test_bell_frame_constants_are_shared_and_read_only(d):
-    maps = [simplex._block_map(d, m) for m in range(d)]
+    ms = tuple(range(d))
+    maps = simplex._block_maps(d, ms)
     v, vh = simplex._bell_vectors(d)
-    assert simplex._block_map(d, d - 1) is maps[-1]
+    assert simplex._block_maps(d, ms) is maps
     assert simplex._bell_vectors(d)[0] is v
-    assert all(t.shape == (d * d, d * d) for t in maps)
-    for arr in maps + [v, vh]:
+    assert maps.shape == (d, d * d, d * d)
+    singles = [simplex._block_maps(d, (m,)) for m in ms]
+    for arr in [maps, v, vh] + singles:
         assert not arr.flags.writeable
+    for m, single in zip(ms, singles):
+        assert maps[m].tobytes() == single[0].tobytes()
     columns = np.array([bell_vector(d, k, l) for k in range(d) for l in range(d)]).T
     assert np.array_equal(v, columns)
     assert np.array_equal(vh, bell_unitary(d))
 
 
+@pytest.mark.parametrize("family", sorted(KERNEL_FAMILIES))
+@pytest.mark.parametrize("d", [2, 3, 4, 5])
+def test_each_block_is_built_alone(d, family):
+    # a block of a stack has the bytes of its own stack of one table and one
+    # block, the bytes pt_block returns, whatever it is built with
+    tables = KERNEL_FAMILIES[family](d, 54)
+    for n in range(1, 10):
+        coeffs = tables[5 * (n - 1) : 5 * (n - 1) + n]
+        flat = np.array([c.c.ravel() for c in coeffs])
+        for ms in (tuple(range(d)), (0, 1)[: 2 - d % 2], (d - 1, 0)):
+            blocks = simplex._blocks(flat, d, ms)
+            assert blocks.shape == (n, len(ms), d, d)
+            for i, c in enumerate(coeffs):
+                for j, m in enumerate(ms):
+                    alone = simplex._blocks(flat[i : i + 1], d, (m,))[0, 0]
+                    assert blocks[i, j].tobytes() == alone.tobytes(), (n, ms, i, m)
+                    assert blocks[i, j].tobytes() == pt_block(c, m).tobytes(), (n, ms, i, m)
+                    assert np.abs(blocks[i, j] - pt_block_loop(c, m)).max() <= 1e-15
+
+
 def test_classify_builds_only_the_blocks_it_reads(tmp_path):
-    # d = 24 is used by no other test; its maps are dropped first so that the
+    # d = 24 is used by no other test; the maps are dropped first so that the
     # measurement covers building them. classify reads B_0 and B_1 (d even),
-    # each map is d^4 complex numbers, where all d maps would take 127 MB.
+    # one stack of two maps of d^4 complex numbers, where all d maps would
+    # take 127 MB.
     d = 24
-    simplex._block_map.cache_clear()
+    simplex._block_maps.cache_clear()
     table = uniform_table(d)
     tracemalloc.start()
     try:
@@ -125,7 +150,7 @@ def test_classify_builds_only_the_blocks_it_reads(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 4 * d**4 * 16
-    assert simplex._block_map.cache_info().currsize == 2
+    assert simplex._block_maps.cache_info().currsize == 1
 
     inp = tmp_path / "in.json"
     inp.write_text(json.dumps({"d": d, "c": table.c.tolist()}), encoding="utf-8")
@@ -157,11 +182,11 @@ def test_dimension_above_max_d_is_refused_before_any_map(tmp_path, capsys):
 
 
 def test_max_d_still_classifies():
-    # two maps of 16.8 MB each, dropped again so that later tests do not carry them
+    # one stack of two maps, 33.6 MB, dropped again so that later tests do not carry it
     try:
         assert classify(uniform_table(simplex.MAX_D)).classification == PPT
     finally:
-        simplex._block_map.cache_clear()
+        simplex._block_maps.cache_clear()
 
 
 def test_pt_block_rejects_bad_index():

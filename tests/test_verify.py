@@ -93,8 +93,8 @@ def test_witness_detects_exactly_the_npt_noisy_states():
         ("verify.EYE9", lambda: np.eye(9)),
         ("verify.EYE2", lambda: np.eye(2)),
         (
-            "verify._block_maps()",
-            lambda: np.array([simplex._block_map.__wrapped__(3, m) for m in range(3)]),
+            "simplex._block_maps(3, (0, 1, 2))",
+            lambda: simplex._block_maps.__wrapped__(3, (0, 1, 2)),
         ),
         ("filtering._identity(4)", lambda: np.eye(4)),
         ("filtering._identity(9)", lambda: np.eye(9)),
@@ -106,10 +106,10 @@ def test_shared_unitaries_are_read_only(name, fresh):
     # bits. A bare name is witness's; a call is a cached builder, which
     # returns the same array every time
     module, _, attr = name.rpartition(".")
-    owner = {"": witness, "verify": verify, "filtering": filtering}[module]
+    owner = {"": witness, "verify": verify, "filtering": filtering, "simplex": simplex}[module]
     if attr.endswith(")"):
         builder, _, arg = attr[:-1].partition("(")
-        args = (int(arg),) if arg else ()
+        args = ast.literal_eval(f"({arg},)") if arg else ()
         const = getattr(owner, builder)(*args)
         assert const is getattr(owner, builder)(*args)
     else:
@@ -308,7 +308,9 @@ MUTATIONS = {
         lambda m, a, b: partial_transpose(m, a, b) - 1e-3 * np.diag(np.arange(9.0)) / 8,
     ),
     # 1.001 B_m keeps B_m's eigenvectors, at 1.001 times their eigenvalues
-    "block_eigenvectors": ("_block_maps", lambda maps=verify._block_maps: 1.001 * maps()),
+    "block_eigenvectors": (
+        "_blocks", lambda flat, d, ms, blocks=verify._blocks: 1.001 * blocks(flat, d, ms)
+    ),
     "alpha_shift_relation": construction_with(alpha=lambda a: a * [[1.0], [1.0], [1.001]]),
     "eigenvector_property": (
         "build_state", lambda c: build_state(c) + 1e-6 * np.diag(np.arange(9.0))
