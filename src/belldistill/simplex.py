@@ -154,7 +154,9 @@ def _fix_phase(v: np.ndarray) -> np.ndarray:
     return v * (abs(pivot) / pivot)
 
 
-@functools.cache
+# tools/outputs.py compare classifies d = 2, 3, 4 and 5 in one process, four
+# keys, and a verify process reads two; a larger bound only keeps pt_block's
+@functools.lru_cache(maxsize=4)
 def _block_maps(d: int, ms: tuple) -> np.ndarray:
     """Stack of the constant linear maps from a flattened table c to the blocks B_m, m in ``ms``.
 
@@ -163,7 +165,9 @@ def _block_maps(d: int, ms: tuple) -> np.ndarray:
     omega^(y (k-m)) / d where a = l - y and b = l + y (mod d), zero
     elsewhere. Built with one scatter from the shared phase table on the
     first call for each (d, ms), read-only after; only the blocks that are
-    used are ever built, so callers ask for the blocks they read.
+    used are ever built, so callers ask for the blocks they read. The cache
+    keeps the four most recent stacks, so a caller that reads every block
+    of a large d once does not hold all of them.
     """
     tab = phase_table(d)
     j = np.arange(len(ms))[:, None, None, None]
@@ -175,12 +179,13 @@ def _block_maps(d: int, ms: tuple) -> np.ndarray:
     return t
 
 
-@functools.cache
+# every CLI, verify and benchmark path builds states at d = 3 alone
+@functools.lru_cache(maxsize=1)
 def _bell_vectors(d: int) -> tuple[np.ndarray, np.ndarray]:
     """The d^2 x d^2 matrix V whose column k*d + l is the Bell vector Omega_kl, and V^dag.
 
     V^dag is the Bell unitary. Built on the first call for each d,
-    read-only after.
+    read-only after; the cache keeps the pair of the last d only.
     """
     vh = bell_unitary(d)
     pair = (dag(vh).copy(), vh)
@@ -249,7 +254,7 @@ def _spectrum_report(values: np.ndarray, vectors: np.ndarray) -> PTSpectrumRepor
     return PTSpectrumReport(
         eigenvalues=eigenvalues,
         lambda_min=lambda_min,
-        negative_count=int(np.count_nonzero(eigenvalues < -BOUNDARY_TOL)),
+        negative_count=sum(verdict(x) == NPT for x in eigenvalues.tolist()),
         classification=verdict(lambda_min),
         u0=u0,
     )
@@ -315,7 +320,12 @@ def sample_simplex(seed) -> SimplexCoefficients:
     return SimplexCoefficients(d=3, c=c.reshape(3, 3))
 
 
-#: Dirichlet draws per batch of :func:`sample_npt`
+#: Dirichlet draws per batch of :func:`sample_npt`. One draw at a time
+#: gives the same bytes, but a trial that needs many draws then pays a
+#: Dirichlet call (about 9 us) and an ``eigh`` (about 10 us) per draw: in 6
+#: alternating 15 s pairs of verify_serial on a 2-vCPU host,
+#: ``item_p99_ms`` rose from 0.510-0.540 to 0.584-0.650 every time, a tail
+#: that the batch absorbs
 SAMPLE_BATCH = 8
 
 #: draws :func:`sample_npt` makes before it gives up, read at each call
@@ -334,9 +344,9 @@ def sample_npt(seed) -> tuple[SimplexCoefficients, PTSpectrumReport]:
     Draws come in batches of up to SAMPLE_BATCH from one
     :func:`_flat_tables` call, the draw :func:`sample_simplex` makes for one
     table. Each batch is solved in one stacked ``eigh`` (:func:`_solve`),
-    and the first row in draw order whose smallest eigenvalue is below
-    -BOUNDARY_TOL, which is :func:`verdict` NPT (a NaN row is not), is
-    returned with its report; no other row gets one. Every row gets the
+    and the first row in draw order whose smallest eigenvalue
+    :func:`verdict` labels NPT (a NaN row reads BOUNDARY) is returned with
+    its report; no other row gets one. Every row gets the
     bits it would get alone, so the accepted table, its report and the draw
     count at which sampling gives up are those of classifying every draw
     one by one.
@@ -347,7 +357,7 @@ def sample_npt(seed) -> tuple[SimplexCoefficients, PTSpectrumReport]:
         values, vectors = _solve(cs, 3)
         # eigh's values ascend, so entry 0 of B_0's spectrum is lambda_min
         for i, low in enumerate(values[:, 0, 0].tolist()):
-            if low < -BOUNDARY_TOL:
+            if verdict(low) == NPT:
                 spectrum = _spectrum_report(values[i], vectors[i])
                 return SimplexCoefficients(d=3, c=cs[i].reshape(3, 3)), spectrum
     raise SamplingExhaustedError(f"no NPT sample within {MAX_TRIES} tries")

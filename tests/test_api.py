@@ -41,10 +41,12 @@ MOVED = ("apply_weyl_channel", "assemble_pt_from_blocks", "controlled_sum",
 #: second sources of one quantity that were deleted: the witness is the array
 #: W on the construction, the sampler classifies each batch from its one eigh,
 #: the rank-2 certificate of C has one tolerance, CERT_TOL, the noise
-#: family's signs are read by simplex.verdict alone, and the block maps come
-#: in stacks from simplex._block_maps
+#: family's signs are read by simplex.verdict alone, the block maps come
+#: in stacks from simplex._block_maps, and the identities from
+#: filtering._identity
 REMOVED = ("WitnessOperator", "witness_operator", "_screen_lambda_min", "SCREEN_MARGIN",
-           "SCREEN_BATCH", "MINOR_TOL", "DET_TOL", "THRESHOLD_BAND", "_block_map")
+           "SCREEN_BATCH", "MINOR_TOL", "DET_TOL", "THRESHOLD_BAND", "_block_map", "EYE9",
+           "EYE2")
 
 
 def test_all_is_the_pipeline():
@@ -227,3 +229,74 @@ def test_one_block_builder():
     for function in (simplex.pt_block, simplex._solve, verify._check_invariants):
         source = inspect.getsource(function)
         assert "_blocks(" in source and "concatenate" not in source, function.__name__
+
+
+def test_the_npt_band_has_one_reader(monkeypatch):
+    # simplex.verdict is the one comparison with BOUNDARY_TOL and
+    # filtering._identity the one holder of identity matrices; the sampler's
+    # screen and the report's and the battery's negative counts read verdict
+    def names_tol(node):
+        return any(
+            isinstance(n, ast.Name) and n.id == "BOUNDARY_TOL"
+            or isinstance(n, ast.Attribute) and n.attr == "BOUNDARY_TOL"
+            for n in ast.walk(node)
+        )
+
+    comparisons, identities = [], []
+    for info in pkgutil.iter_modules(belldistill.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"belldistill.{info.name}")))
+        owner = {}
+        for function in ast.walk(tree):
+            if isinstance(function, ast.FunctionDef):
+                owner.update(dict.fromkeys(ast.walk(function), f"{info.name}.{function.name}"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Compare) and names_tol(node):
+                comparisons.append(owner.get(node, info.name))
+            if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.eye":
+                identities.append(owner.get(node, info.name))
+    assert comparisons == ["simplex.verdict"] * 2
+    assert identities == ["filtering._identity"]
+    for name in ("BOUNDARY_TOL", "EYE9", "EYE2"):
+        assert name not in inspect.getsource(verify), name
+
+    # just outside the band an eigenvalue is NPT, just inside and NaN are not
+    tol = simplex.BOUNDARY_TOL
+    below, inside, nan = -tol * (1 + 1e-3), -tol * (1 - 1e-3), float("nan")
+
+    def npt_count(values):
+        return sum(simplex.verdict(x) == simplex.NPT for x in values)
+
+    # the report repeats each of B_0's values over its orbit of three blocks
+    for row in ([below, inside, nan], [below, below, inside], [inside, inside, nan]):
+        rep = simplex._spectrum_report(np.array([row]), np.eye(3, dtype=complex)[None])
+        assert rep.negative_count == npt_count(rep.eigenvalues.tolist()) == 3 * npt_count(row)
+
+    # the battery's rho^Gamma spectrum is row 0 of its stacked eigvalsh
+    seed = verify.trial_seeds(0, 1)[0]
+    solve = np.linalg.eigvalsh
+    for low in ([below] * 3 + [inside] * 2, [below] * 2 + [inside] * 3, [below] * 4 + [inside]):
+        spectrum = low + [0.1] * 3 + [nan]
+
+        def eigvalsh(a, spectrum=spectrum):
+            values = solve(a)
+            if np.shape(a) == (3, 9, 9):
+                values[0] = spectrum
+            return values
+
+        with monkeypatch.context() as m:
+            m.setattr(np.linalg, "eigvalsh", eigvalsh)
+            failures = verify.run_trial(seed).failures
+        count = npt_count(spectrum)
+        expected = [] if count == 3 else [f"negative_count: {count} negative eigenvalues"]
+        assert [f for f in failures if f.startswith("negative_count")] == expected
+
+    # sigma^Gamma's spectrum is the filter report's
+    for spectrum in ([below, inside, 0.1, nan], [below, below, inside, nan], [inside] * 3 + [nan]):
+        def report(rho, wc, spectrum=np.array(spectrum)):
+            return dataclasses.replace(filter_report(rho, wc), sigma_pt_spectrum=spectrum)
+
+        with monkeypatch.context() as m:
+            m.setattr(verify, "filter_report", report)
+            failures = verify.run_trial(seed).failures
+        fired = any(f.startswith("sigma_single_negative") for f in failures)
+        assert fired == (npt_count(spectrum) != 1)

@@ -159,6 +159,42 @@ def test_classify_builds_only_the_blocks_it_reads(tmp_path):
     validate_report(json.loads(out.read_text(encoding="utf-8")))
 
 
+def test_block_map_cache_is_bounded():
+    # classifying d = 2..5 in one process asks for four stacks, and a second
+    # pass finds all of them; a caller that reads every block of a d = 16
+    # table once keeps the four most recent single maps, not sixteen
+    simplex._block_maps.cache_clear()
+    for _ in range(2):
+        for d in (2, 3, 4, 5):
+            classify(uniform_table(d))
+    assert simplex._block_maps.cache_info().misses == 4
+    d = 16
+    table = uniform_table(d)
+    tracemalloc.start()
+    try:
+        for m in range(d):
+            pt_block(table, m)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        simplex._block_maps.cache_clear()
+    assert held <= 5 * d**4 * 16
+
+
+def test_bell_vector_cache_is_bounded():
+    # every command builds states at d = 3 alone, so the cache keeps the
+    # pair of the last d: after d = 16 down to 2, only d = 2's is held
+    tracemalloc.start()
+    try:
+        for d in range(16, 1, -1):
+            build_state(uniform_table(d))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20
+    assert simplex._bell_vectors.cache_info().currsize == 1
+
+
 def test_dimension_above_max_d_is_refused_before_any_map(tmp_path, capsys):
     # the maps grow as d^4: a 100 x 100 table would ask for 1.6 GB per block
     d = simplex.MAX_D + 1

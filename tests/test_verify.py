@@ -90,12 +90,11 @@ def test_witness_detects_exactly_the_npt_noisy_states():
         ("F3_DAG", lambda: dag(fourier(3))),
         ("SWAP3", lambda: swap_conjugation(3)),
         ("verify.W_SPECTRUM", lambda: np.array([-0.5] + [0.0] * 5 + [0.5] * 3)),
-        ("verify.EYE9", lambda: np.eye(9)),
-        ("verify.EYE2", lambda: np.eye(2)),
         (
             "simplex._block_maps(3, (0, 1, 2))",
             lambda: simplex._block_maps.__wrapped__(3, (0, 1, 2)),
         ),
+        ("filtering._identity(2)", lambda: np.eye(2)),
         ("filtering._identity(4)", lambda: np.eye(4)),
         ("filtering._identity(9)", lambda: np.eye(9)),
     ],
