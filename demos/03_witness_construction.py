@@ -18,10 +18,11 @@ wc = construct_witness_vector(rep)
 print("\nu_0 (ground vector of block B_0):", np.round(wc.u[0], 4))
 print("alpha^(0) = F^dag u_0          :", np.round(wc.alpha[0], 4))
 
-# The coefficient matrix is singular and its adjugate has Frobenius norm
-# 1/2, which certifies Schmidt rank exactly 2.
-print(f"\n|det C| = {abs(wc.det_C):.2e}")
-print("principal minors:", np.round(np.abs(wc.minors), 4))
+# The coefficient matrix C = [[a, 0, b], [c, -b, 0], [0, -a, -c]] has
+# C C^dag = ||u_0||^2 / 2 * 1 - v v^dag for any u_0, so its singular values
+# are (1/sqrt 2, 1/sqrt 2, 0): Schmidt rank exactly 2, with equal coefficients.
+singular = np.linalg.svd(wc.phi_tilde.reshape(3, 3), compute_uv=False)
+print("\nsingular values of C :", np.round(singular, 10))
 print("Schmidt coefficients:", np.round(wc.schmidt_coefficients, 10))
 
 # phi really is a ground eigenvector of the full 9x9 partial transpose.

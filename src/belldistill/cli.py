@@ -32,7 +32,7 @@ from .simplex import (
     verdict,
 )
 from .verify import run_campaign, summary_text, trial_seeds
-from .witness import RankCertificationError, construct_witness_vector
+from .witness import construct_witness_vector
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -78,9 +78,8 @@ def cmd_analyze(args) -> int:
     try:
         coeffs, renormalized = parse_coefficients(_read_input(args.input))
         report = analysis_report(coeffs, renormalized=renormalized)
-    except (OSError, ValueError, RankCertificationError) as exc:
-        # unreadable or invalid tables, NPT tables the construction refuses (d != 3),
-        # and tables whose construction fails its rank-2 certificate
+    except (OSError, ValueError) as exc:
+        # unreadable or invalid tables, and NPT tables the construction refuses (d != 3)
         return _fail(f"bad input: {exc}")
     try:
         _write_text(args.output, dump_report(report))
@@ -109,9 +108,8 @@ def cmd_sweep(args) -> int:
     try:
         coeffs, _ = parse_coefficients(_read_input(args.input))
         wc = construct_witness_vector(classify(coeffs))
-    except (OSError, ValueError, RankCertificationError) as exc:
-        # unreadable or invalid tables, tables that are not NPT, d != 3, and a
-        # construction that fails its rank-2 certificate
+    except (OSError, ValueError) as exc:
+        # unreadable or invalid tables, tables that are not NPT, and d != 3
         return _fail(f"bad input: {exc}")
     rho = build_state(coeffs)
     rep = filter_report(rho, wc)

@@ -15,7 +15,9 @@ these fields move continuously with the input table. ``schmidt_coefficients``
 is [mu0, mu1, mu2], where mu0 and mu1 equal 1/sqrt 2 up to rounding
 and mu2, the weight of phi outside the frame, is of rounding size;
 ``mu0`` and ``mu1`` repeat its first two entries and ``schmidt_rank`` is
-always 2, since the construction refuses any other rank.
+always 2, since the construction has rank 2 by an identity. The section
+carries the coefficient matrix ``C`` but not its minors or determinant,
+which that identity fixes: det C = 0 for every table.
 
 :func:`dump_report` writes exactly the bytes of
 ``json.dumps(obj, indent=2, allow_nan=False)`` plus a final newline, but
@@ -51,12 +53,7 @@ from .simplex import (
     check_entries,
     classify,
 )
-from .witness import (
-    PSI,
-    RankCertificationError,
-    WitnessConstruction,
-    construct_witness_vector,
-)
+from .witness import PSI, WitnessConstruction, construct_witness_vector
 
 #: input tables whose sum deviates from one by at most this are renormalized
 RENORM_TOL = 1e-9
@@ -142,8 +139,6 @@ def witness_to_json(wc: WitnessConstruction) -> dict:
         "alpha": _json(wc.alpha),
         "psi": _json(PSI),
         "C": _json(wc.phi_tilde.reshape(3, 3)),
-        "minors": _json(wc.minors),
-        "det_C": _json(wc.det_C),
         "phi_tilde": _json(wc.phi_tilde),
         "phi": _json(wc.phi),
         "schmidt_coefficients": _json(wc.schmidt_coefficients),
@@ -288,9 +283,8 @@ def validate_report(report: dict) -> None:
     report must equal the result leaf by leaf, in type and in value (a
     float's repr, so -0.0 is not 0.0). The first leaf that differs is named
     by its path, as in ``report.filter.q is -3.0, not 0.666...``; a report
-    that is not an object, a flag that is not a boolean, an input that does
-    not parse and an input whose witness fails its rank-2 certificate raise
-    too, all as ValueError.
+    that is not an object, a flag that is not a boolean and an input that
+    does not parse raise too, all as ValueError.
 
     The rule is exact, so it holds for reports written by the same build:
     another numpy or LAPACK build may move the last bits of a report, and
@@ -301,10 +295,7 @@ def validate_report(report: dict) -> None:
     renormalized = report.get("renormalized")
     if type(renormalized) is not bool:
         raise ValueError(f"renormalized must be a boolean, got {reprlib.repr(renormalized)}")
-    try:
-        expected = analysis_report(SimplexCoefficients(*_table(report.get("input"))), renormalized)
-    except RankCertificationError as exc:
-        raise ValueError(f"report input fails its rank-2 certificate: {exc}") from exc
+    expected = analysis_report(SimplexCoefficients(*_table(report.get("input"))), renormalized)
     difference = _first_difference(report, expected, "report")
     if difference is not None:
         raise ValueError(difference)

@@ -2,10 +2,14 @@
 
 Each trial samples an NPT coefficient table from its own seed, runs the
 complete pipeline and checks every identity the construction promises:
-ground-eigenvector property, Schmidt coefficients mu0 = mu1 = 1/sqrt 2, an
-orthonormal local frame that rebuilds the witness vector, the three-fold
-degeneracy of the negative eigenvalue, the witness spectrum, the filtered
-state's spectrum and the white-noise thresholds. The battery checks the
+ground-eigenvector property, Schmidt coefficients mu0 = mu1 = 1/sqrt 2, a
+third coefficient mu2 of rounding size, an orthonormal local frame that
+rebuilds the witness vector, the three-fold degeneracy of the negative
+eigenvalue, the witness spectrum, the filtered state's spectrum and the
+white-noise thresholds. Rank 2 is an identity of the construction, which
+therefore guards nothing about it at run time; mu2, the weight of phi on
+the closed-form kernel vector a_2, is the battery's check that the
+identity was written correctly. The battery checks the
 construction rather than repeating it: every check reads an identity from
 the construction's output that no step of the construction computes or
 guards, so each of them can fail. On a p-grid that holds both thresholds,
@@ -38,7 +42,7 @@ from .simplex import (
     sample_npt,
     verdict,
 )
-from .witness import RankCertificationError, construct_witness_vector
+from .witness import construct_witness_vector
 
 #: white-noise grid for threshold-semantics checks, as plain floats; it
 #: starts at p = 0, where the noisy state is rho itself
@@ -48,16 +52,14 @@ NOISE_GRID = tuple(np.linspace(0.0, 1.0, 21).tolist())
 W_SPECTRUM = np.array([-0.5, 0.0, 0.0, 0.0, 0.0, 0.0, 0.5, 0.5, 0.5])
 W_SPECTRUM.setflags(write=False)
 
-#: residual names in fixed reporting order; three are recorded but not
-#: checked, because a construction guard already bounds them: abs_det_C by
-#: certify_rank_2's CERT_TOL, schmidt_third_relative by the frame's RANK_RTOL
-#: and sigma_trace_dev by sigma's normalization, sigma = compressed / q
+#: residual names in fixed reporting order; sigma_trace_dev alone is
+#: recorded but not checked, because sigma's normalization, sigma =
+#: compressed / q, already bounds it
 RESIDUAL_KEYS = (
     "block_eigen_residual",
     "alpha_shift_residual",
     "eigenvector_residual",
     "expectation_minus_lambda",
-    "abs_det_C",
     "schmidt_third_relative",
     "witness_spectrum_dev",
     "witness_trace_identity",
@@ -106,8 +108,10 @@ def trial_seeds(master_seed: int, count: int) -> list:
 def run_trial(seed: int) -> TrialResult:
     """Sample one NPT state from ``seed`` and check the full invariant battery.
 
-    An error the package raises fails this trial instead of aborting the
-    campaign. NotNPTError is not among them: sample_npt accepts a table only
+    A sampler that gives up, SamplingExhaustedError, fails this trial
+    instead of aborting the campaign. No construction error is caught:
+    sample_npt's u_0 comes from an eigensolver, so it is a unit vector, and
+    NotNPTError cannot arise either, since sample_npt accepts a table only
     when verdict labels B_0's smallest eigenvalue NPT, and for d = 3 that
     same float is the report's lambda_min, which verdict reads the same way.
     """
@@ -116,7 +120,7 @@ def run_trial(seed: int) -> TrialResult:
         coeffs, spectrum = sample_npt(seed)
         result.coefficients = np.asarray(coeffs.c)
         _check_invariants(coeffs, spectrum, result)
-    except (SamplingExhaustedError, RankCertificationError) as exc:
+    except SamplingExhaustedError as exc:
         result.failures.append(f"{type(exc).__name__}: {exc}")
     return result
 
@@ -171,8 +175,9 @@ def _check_invariants(coeffs, spectrum, result: TrialResult) -> None:
     exp_dev = abs(complex(wc.phi.conj() @ rho_pt @ wc.phi).real - lam)
     bounded("expectation_equals_lambda", "expectation_minus_lambda", exp_dev, 1e-10, "deviation")
 
-    res["abs_det_C"] = abs(wc.det_C)
-    res["schmidt_third_relative"] = float(mu[2] / mu[0])
+    # mu2 is the weight of phi on the closed-form kernel vector a_2; no
+    # construction step bounds it, so a wrong a_2 fails here
+    bounded("schmidt_rank_2", "schmidt_third_relative", float(mu[2] / mu[0]), 1e-12)
     # the closed forms P_A = 2 M M^dag and P_B = 2 M^dag M assume mu0 = mu1 = 1/sqrt 2
     mu_dev = float(np.abs(mu[:2] - np.sqrt(0.5)).max())
     check("schmidt_equal_coefficients", mu_dev <= 1e-9, lambda: f"coefficients {mu}")

@@ -21,6 +21,16 @@ a_i^*, so that phi = (a_0 (x) b_0 + a_1 (x) b_1) / sqrt 2. Every pivot is
 chosen by :func:`~belldistill.simplex.pivot_index`, so the frame moves
 continuously with the input table except where a pivot weight crosses its
 tie threshold.
+
+Rank 2 is an identity of the construction, not a property of the input.
+For any u_0 the coefficient matrix C = phi_tilde reshaped to 3 x 3 has the
+pattern [[a, 0, b], [c, -b, 0], [0, -a, -c]], so C C^dag = S 1 - v v^dag
+with v = conj(c, -a, b) and S = |a|^2 + |b|^2 + |c|^2 = ||u_0||^2 / 2, and
+C (b, c, -a)^T = 0: det C = 0 and the singular values are (sqrt S, sqrt S,
+0). The equal coefficients 1/sqrt 2 need a unit u_0, which is checked, and
+only the eigenvector property rho^Gamma phi = lambda phi needs u_0 to be
+B_0's ground vector. So the third frame vector is written down rather than
+solved for: a_2 = sqrt 2 F^dag conj(b, c, -a) spans the left kernel of M.
 """
 
 import math
@@ -32,16 +42,12 @@ from .linalg import dag, partial_transpose
 from .simplex import NPT, PTSpectrumReport, pivot_index
 from .weyl import fourier, swap_conjugation, weyl
 
-#: |det C| and | ||adj C||_F - 1/2 | above this fail rank certification;
-#: measured, both stay at or below 1e-15 on NPT tables, including tables
-#: at the NPT edge of the boundary band
-CERT_TOL = 1e-10
+#: u_0 counts as a unit vector iff | ||u_0||^2 - 1 | is at most this; B_0's
+#: ground vector misses by rounding, measured at most 2e-15 over 3000 samples
+UNIT_TOL = 1e-10
 
 #: imaginary parts above this in a witness expectation signal a Hermiticity bug
 IMAG_TOL = 1e-11
-
-#: a Schmidt coefficient counts as nonzero iff above RANK_RTOL times the largest
-RANK_RTOL = 1e-9
 
 #: the d = 3 constants of the construction, built once and shared read-only:
 #: the diagonal Weyl operator W_{1,0}, the Fourier matrix F and F^dag (a
@@ -64,14 +70,6 @@ class NotNPTError(ValueError):
     """Witness construction requires a strictly NPT input state."""
 
 
-class RankCertificationError(RuntimeError):
-    """The coefficient matrix failed its rank-2 certificate.
-
-    The construction guarantees rank 2 for NPT inputs, so this signals
-    numerical breakdown rather than a mathematical possibility.
-    """
-
-
 @dataclass(frozen=True)
 class WitnessConstruction:
     """Full trace of the rank-2 eigenvector build.
@@ -80,10 +78,8 @@ class WitnessConstruction:
     alpha[m] its Fourier transform, phi_tilde the pre-swap vector that
     mixes the alpha[m] with the fixed amplitudes PSI, and phi the
     normalized rank-2 eigenvector. The coefficient matrix C is phi_tilde
-    reshaped to 3 x 3, so it is not held apart; minors are its principal
-    2 x 2 minors and det_C its determinant. Its rank-2 certificate,
-    :func:`certify_rank_2`, holds: |det C| and | ||adj C||_F - 1/2 | are
-    both at most CERT_TOL.
+    reshaped to 3 x 3, so it is not held apart; by the module's identity
+    its singular values are (1/sqrt 2, 1/sqrt 2, 0) up to rounding.
 
     W = (|phi><phi|)^Gamma is the witness, a read-only 9 x 9 array. Its
     spectrum is {mu0^2, mu1^2, mu0 mu1, -mu0 mu1, 0 x5}, so mu0^2 * 1 - W
@@ -93,15 +89,14 @@ class WitnessConstruction:
     :func:`~belldistill.filtering.filter_report`. schmidt_left holds
     the frame vectors a_0, a_1 as rows and schmidt_right b_0, b_1, so that
     phi = sum_i a_i (x) b_i / sqrt 2. schmidt_coefficients is
-    [mu0, mu1, mu2] with mu_i = |a_i^dag M| and a_2 = (a_0 x a_1)^*; mu2
-    measures the part of phi outside the frame.
+    [mu0, mu1, mu2] with mu_i = |a_i^dag M| and a_2 the closed-form left
+    kernel vector of M; mu2 measures the part of phi outside the frame, and
+    is of rounding size.
     """
 
     lambda_min: float
     u: np.ndarray
     alpha: np.ndarray
-    minors: np.ndarray
-    det_C: complex
     phi_tilde: np.ndarray
     phi: np.ndarray
     W: np.ndarray
@@ -118,8 +113,9 @@ def construct_witness_vector(spectrum: PTSpectrumReport) -> WitnessConstruction:
     ``spectrum`` is the :func:`~belldistill.simplex.classify` report of the
     table; lambda_min and u_0, the ground vector of B_0, are read from it.
     Only d = 3 is supported and the report must say NPT; PPT and boundary
-    tables are refused because the construction has no meaning there. The
-    result is deterministic for identical input.
+    tables are refused because the construction has no meaning there, and
+    so is a u_0 that is not a finite unit vector (ValueError). The result is
+    deterministic for identical input.
     """
     u0 = spectrum.u0
     if u0.size != 3:
@@ -128,6 +124,9 @@ def construct_witness_vector(spectrum: PTSpectrumReport) -> WitnessConstruction:
     verdict = spectrum.classification
     if verdict != NPT:
         raise NotNPTError(f"state classifies as {verdict} (lambda_min = {lambda_min!r}); need NPT")
+    norm2 = float(np.vdot(u0, u0).real)
+    if not abs(norm2 - 1.0) <= UNIT_TOL:  # NaN fails too
+        raise ValueError(f"u0 is not a unit vector: ||u0||^2 = {norm2!r}")
 
     # u_{m+2} = W_{1,0} u_m keeps the relative phases the identities need;
     # only u_0 comes from an eigensolve, the other two are derived.
@@ -141,37 +140,30 @@ def construct_witness_vector(spectrum: PTSpectrumReport) -> WitnessConstruction:
     for i, entries in _MIX:
         phi_tilde[entries] += PSI[i] * alpha[i]
 
-    all_minors, det_c = certify_rank_2(phi_tilde.reshape(3, 3))
-    minors = np.array([all_minors[j][j] for j in range(3)])
-
     phi = SWAP3 @ phi_tilde
     m = phi.reshape(3, 3)
     p_a = 2.0 * (m @ dag(m))
     p_b = 2.0 * (dag(m) @ m)
     a0 = _pivot_column(p_a)
     a1 = _pivot_column(p_a - _outer(a0, a0))
-    # a_2 = (a_0 x a_1)^*: the cross product is the signed row-2 minors of [a_0; a_1; any]
-    m20, m21, m22 = _minors([a0.tolist(), a1.tolist(), [0j, 0j, 0j]])[2]
-    a2 = np.array([m20, -m21, m22]).conj()
+    # C = [[a, 0, b], [c, -b, 0], [0, -a, -c]] has C (b, c, -a)^T = 0, so the
+    # unit vector a_2 = sqrt 2 F^dag conj(b, c, -a) spans the left kernel of M
+    a2 = np.sqrt(2.0) * (F3_DAG @ (phi_tilde[[2, 3, 0]].conj() * [1.0, 1.0, -1.0]))
     # row i is a_i^dag M: rows 0 and 1 are b_0^T and b_1^T over sqrt 2, row 2 is
     # the part of phi outside the frame
     rows = np.array([a0, a1, a2]).conj() @ m
     # np.linalg.norm(rows, axis=1), spelled out
     mu = np.sqrt(np.add.reduce((rows.conj() * rows).real, axis=1))
-    if not mu[2] <= RANK_RTOL * mu.max() < mu[1]:
-        raise RankCertificationError(f"Schmidt coefficients {mu} do not form a rank 2 frame")
     left = np.array([a0, a1])
     right = np.sqrt(2.0) * rows[:2]
     w = partial_transpose(_outer(phi, phi), 3, 3)
 
-    for arr in (u, alpha, minors, phi_tilde, phi, w, p_a, p_b, mu, left, right):
+    for arr in (u, alpha, phi_tilde, phi, w, p_a, p_b, mu, left, right):
         arr.setflags(write=False)
     return WitnessConstruction(
         lambda_min=lambda_min,
         u=u,
         alpha=alpha,
-        minors=minors,
-        det_C=det_c,
         phi_tilde=phi_tilde,
         phi=phi,
         W=w,
@@ -181,41 +173,6 @@ def construct_witness_vector(spectrum: PTSpectrumReport) -> WitnessConstruction:
         schmidt_left=left,
         schmidt_right=right,
     )
-
-
-def _minors(rows: list) -> list:
-    """The nine 2 x 2 minors of a 3 x 3 nested list; [i][j] deletes row i and column j."""
-    (a, b, c), (d, e, f), (g, h, i) = rows
-    return [
-        [e * i - f * h, d * i - f * g, d * h - e * g],
-        [b * i - c * h, a * i - c * g, a * h - b * g],
-        [b * f - c * e, a * f - c * d, a * e - b * d],
-    ]
-
-
-def certify_rank_2(matrix: np.ndarray) -> tuple[list, complex]:
-    """Certify that the 3 x 3 coefficient matrix C has rank 2; returns its nine minors and det.
-
-    On every NPT table C has singular values (1/sqrt 2, 1/sqrt 2, 0), so
-    det C = 0 and its adjugate, the matrix of the nine signed minors, has
-    Frobenius norm exactly 1/2. A nonzero adjugate means rank >= 2 and a
-    vanishing determinant rank <= 2, so this raises RankCertificationError
-    unless |det C| and | ||adj C||_F - 1/2 | are both at most CERT_TOL (NaN
-    and overflow fail too). Minors and det are formed on Python complex
-    entries, det C along the first row.
-    """
-    rows = np.asarray(matrix, dtype=complex).tolist()
-    m = _minors(rows)
-    (a, b, c), _, _ = rows
-    det = a * m[0][0] - b * m[0][1] + c * m[0][2]
-    # hypot of the real and imaginary parts overflows to inf where abs() raises
-    adj = math.hypot(*[part for row in m for x in row for part in (x.real, x.imag)])
-    det_abs = math.hypot(det.real, det.imag)
-    if not (det_abs <= CERT_TOL and abs(adj - 0.5) <= CERT_TOL):
-        raise RankCertificationError(
-            f"|det C| = {det_abs:.3e}, ||adj C||_F - 1/2 = {adj - 0.5:.3e}"
-        )
-    return m, det
 
 
 def _pivot_column(p: np.ndarray) -> np.ndarray:

@@ -20,9 +20,6 @@ same quantity another way, so that the tests can compare the two:
   state with 9 x 9 products in the SVD frame, where ``filter_report``
   compresses it with the construction's 9 x 4 frame matrix;
 - ``sample_npt_sequential`` draws and fully classifies one table at a time;
-- ``adjugate_norm`` is the Frobenius norm of adj C from numpy's
-  determinants of the nine 2 x 2 submatrices, where ``certify_rank_2``
-  expands the minors by hand;
 - ``expectation`` is the checked quadratic form <v|M|v>;
   ``eigenvector_residual`` and ``witness_expectation_from_state`` are the
   two dense quantities that the verify battery computes inline;
@@ -51,7 +48,10 @@ from belldistill.filtering import MIN_Q, FilterAnnihilationError, filter_report
 from belldistill.linalg import dag, kron, partial_transpose
 from belldistill.simplex import SamplingExhaustedError, SimplexCoefficients, build_state, pt_block
 from belldistill.weyl import _check_dim, bell_unitary, bell_vector, phase_table, weyl
-from belldistill.witness import F3, PSI, RANK_RTOL, W10, detect
+from belldistill.witness import F3, PSI, W10, detect
+
+#: a singular value counts toward the Schmidt rank iff above RANK_RTOL times the largest
+RANK_RTOL = 1e-9
 
 
 def pt_block_loop(coeffs: SimplexCoefficients, m: int) -> np.ndarray:
@@ -243,12 +243,6 @@ def sample_npt_sequential(seed, max_tries: int = 1000):
     raise SamplingExhaustedError(f"no NPT sample within {max_tries} tries")
 
 
-def adjugate_norm(c: np.ndarray) -> float:
-    """||adj C||_F of a 3 x 3 matrix, from the determinants of its 2 x 2 submatrices."""
-    subs = [np.delete(np.delete(c, i, 0), j, 1) for i in range(3) for j in range(3)]
-    return float(np.linalg.norm(np.linalg.det(np.array(subs))))
-
-
 def expectation(m: np.ndarray, v: np.ndarray) -> complex:
     """Quadratic form <v|M|v>, refusing a matrix whose shape does not match ``v``."""
     m = np.asarray(m)
@@ -285,7 +279,7 @@ def mix_loop(u0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def battery_residuals_loop(coeffs: SimplexCoefficients, wc) -> dict:
-    """The verify battery's 13 residuals, block by block and one eigvalsh call per spectrum."""
+    """The verify battery's 12 residuals, block by block and one eigvalsh call per spectrum."""
     rho = build_state(coeffs)
     rho_pt = partial_transpose(rho, 3, 3)
     lam = wc.lambda_min
@@ -306,7 +300,6 @@ def battery_residuals_loop(coeffs: SimplexCoefficients, wc) -> dict:
         ),
         "eigenvector_residual": float(np.abs(rho_pt @ wc.phi - lam * wc.phi).max()),
         "expectation_minus_lambda": abs(complex(wc.phi.conj() @ rho_pt @ wc.phi).real - lam),
-        "abs_det_C": abs(wc.det_C),
         "schmidt_third_relative": float(mu[2] / mu[0]),
         "witness_spectrum_dev": float(np.abs(w_eigs - expected).max()),
         "witness_trace_identity": abs(detect(wc.W, rho) - lam),

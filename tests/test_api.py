@@ -40,13 +40,14 @@ MOVED = ("apply_weyl_channel", "assemble_pt_from_blocks", "controlled_sum",
 
 #: second sources of one quantity that were deleted: the witness is the array
 #: W on the construction, the sampler classifies each batch from its one eigh,
-#: the rank-2 certificate of C has one tolerance, CERT_TOL, the noise
-#: family's signs are read by simplex.verdict alone, the block maps come
-#: in stacks from simplex._block_maps, and the identities from
-#: filtering._identity
+#: the noise family's signs are read by simplex.verdict alone, the block maps
+#: come in stacks from simplex._block_maps, and the identities from
+#: filtering._identity; rank 2 of C is an identity of the construction, so
+#: its run-time certificate, the frame's rank guard and their error are gone
 REMOVED = ("WitnessOperator", "witness_operator", "_screen_lambda_min", "SCREEN_MARGIN",
            "SCREEN_BATCH", "MINOR_TOL", "DET_TOL", "THRESHOLD_BAND", "_block_map", "EYE9",
-           "EYE2")
+           "EYE2", "certify_rank_2", "_minors", "CERT_TOL", "RANK_RTOL",
+           "RankCertificationError")
 
 
 def test_all_is_the_pipeline():
@@ -161,43 +162,6 @@ def test_one_dirichlet_draw():
             and node.func.attr == "dirichlet"
         ]
     assert calls == ["simplex"]
-
-
-def test_one_minor_expansion():
-    # a 2 x 2 minor written by hand is a difference of two products of names,
-    # x * y - z * w; the nine of them live in witness._minors, which the
-    # construction and its frame share, and the verify battery and
-    # validate_report reach the certificate through the construction
-    def is_product_of_names(node):
-        return (
-            isinstance(node, ast.BinOp)
-            and isinstance(node.op, ast.Mult)
-            and isinstance(node.left, ast.Name)
-            and isinstance(node.right, ast.Name)
-        )
-
-    found = {}
-    for info in pkgutil.iter_modules(belldistill.__path__):
-        tree = ast.parse(inspect.getsource(importlib.import_module(f"belldistill.{info.name}")))
-        for function in ast.walk(tree):
-            if isinstance(function, ast.FunctionDef):
-                count = sum(
-                    isinstance(node, ast.BinOp)
-                    and isinstance(node.op, ast.Sub)
-                    and is_product_of_names(node.left)
-                    and is_product_of_names(node.right)
-                    for node in ast.walk(function)
-                )
-                if count:
-                    found[f"{info.name}.{function.name}"] = count
-    assert found == {"witness._minors": 9}
-    for function in (witness.construct_witness_vector, witness.certify_rank_2):
-        assert "_minors(" in inspect.getsource(function), function.__name__
-    assert "certify_rank_2(" in inspect.getsource(witness.construct_witness_vector)
-    for function in (verify._check_invariants, report.analysis_report):
-        assert "construct_witness_vector(" in inspect.getsource(function), function.__name__
-    assert "certify_rank_2(" not in inspect.getsource(verify._check_invariants)
-    assert "analysis_report(" in inspect.getsource(report.validate_report)
 
 
 def test_one_block_builder():

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -10,7 +11,6 @@ import pytest
 from belldistill.cli import main
 from belldistill.report import validate_report
 from belldistill.simplex import SimplexCoefficients, classify, pt_block
-from belldistill.witness import RankCertificationError
 
 
 def write_input(tmp_path, table, name="in.json"):
@@ -247,23 +247,6 @@ def test_npt_table_with_d_not_3_exits_1(tmp_path, capsys, command, table):
     assert "d=3" in err
 
 
-@pytest.mark.parametrize("command", ["analyze", "sweep"])
-def test_rank_certification_error_exits_1(tmp_path, capsys, monkeypatch, command):
-    # a construction that fails its rank-2 certificate is a clean refusal:
-    # one error line, no traceback and no output file
-    def refuse(spectrum):
-        raise RankCertificationError("|det C| = 1.000e+00, ||adj C||_F - 1/2 = -5.000e-01")
-
-    monkeypatch.setattr("belldistill.report.construct_witness_vector", refuse)
-    monkeypatch.setattr("belldistill.cli.construct_witness_vector", refuse)
-    out = tmp_path / "out"
-    assert main([command, str(write_input(tmp_path, PURE)), "--output", str(out)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: bad input: |det C| = 1.000e+00, ||adj C||_F - 1/2 = -5.000e-01\n"
-    assert not out.exists()
-
-
 def test_analyze_ppt_d2_exits_2_but_writes(tmp_path):
     inp = write_input(tmp_path, {"d": 2, "c": [[0.25, 0.25], [0.25, 0.25]]})
     out = tmp_path / "report.json"
@@ -324,11 +307,10 @@ def test_verify_failure_exits_1_and_dumps_seed(monkeypatch, capsys):
 
 
 def test_verify_records_package_error_as_failed_trial(monkeypatch, capsys):
-    # an error raised inside one trial fails that trial, named by its seed and
-    # table, while the campaign runs the others to the end
+    # a construction that goes wrong on one trial fails that trial's battery,
+    # named by its seed and table, while the campaign runs the others to the end
     from belldistill import verify
     from belldistill.simplex import sample_npt
-    from belldistill.witness import RankCertificationError
 
     bad_seed = verify.trial_seeds(5, 4)[2]
     bad_coeffs, bad_report = sample_npt(bad_seed)
@@ -337,9 +319,12 @@ def test_verify_records_package_error_as_failed_trial(monkeypatch, capsys):
     construct = verify.construct_witness_vector
 
     def construct_failing_on_bad_seed(spectrum):
+        wc = construct(spectrum)
         if np.array_equal(spectrum.eigenvalues, bad_spectrum):
-            raise RankCertificationError("|det C| = 1.000e-03, ||adj C||_F - 1/2 = 1.000e-02")
-        return construct(spectrum)
+            # phi with weight 1e-3 outside its frame
+            mu = wc.schmidt_coefficients + [0.0, 0.0, 1e-3]
+            return dataclasses.replace(wc, schmidt_coefficients=mu)
+        return wc
 
     monkeypatch.setattr(verify, "construct_witness_vector", construct_failing_on_bad_seed)
     assert main(["verify", "--count", "4", "--seed", "5", "--jobs", "1"]) == 1
@@ -347,7 +332,7 @@ def test_verify_records_package_error_as_failed_trial(monkeypatch, capsys):
     assert "failures      : 1" in out
     assert f"FAILED trial seed {bad_seed}\n    coefficients:\n" in out
     assert repr(float(bad_table[0, 0])) in out
-    assert "RankCertificationError: |det C|" in out
+    assert "    schmidt_rank_2: residual 1.414e-03\n" in out
     assert out.endswith("FAIL\n")
 
 

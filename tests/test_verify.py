@@ -317,6 +317,8 @@ MUTATIONS = {
     # 1.01 phi is still an eigenvector, of norm 1.01
     "expectation_equals_lambda": construction_with(phi=lambda v: 1.01 * v),
     "schmidt_equal_coefficients": construction_with(schmidt_coefficients=lambda mu: 1.01 * mu),
+    # phi with weight 1e-9 on the kernel vector a_2, outside its frame
+    "schmidt_rank_2": construction_with(schmidt_coefficients=lambda mu: mu + [0.0, 0.0, 1e-9]),
     "frame_orthonormal": construction_with(schmidt_left=lambda a: 1.01 * a),
     # b_0 and b_1 swapped stay orthonormal but rebuild another vector
     "frame_rebuilds_phi": construction_with(schmidt_right=lambda b: b[::-1]),
@@ -368,4 +370,38 @@ def test_mutation_table_names_every_check():
     appends = [ast.unparse(c.func) for c in calls if isinstance(c.func, ast.Attribute)]
     assert appends.count("result.failures.append") == 2  # check's line and the noise grid's
     assert names | {"rho_threshold_semantics", "sigma_threshold_semantics"} == set(MUTATIONS)
-    assert len(MUTATIONS) == 20
+    assert len(MUTATIONS) == 21
+
+
+def sample_npt_with_doubled_u0(seed):
+    coeffs, spectrum = sample_npt(seed)
+    return coeffs, dataclasses.replace(spectrum, u0=2.0 * spectrum.u0)
+
+
+#: breakages of the construction itself, each a module attribute and its
+#: replacement: the mixing amplitudes with a sign flipped, the i = 2 term of
+#: phi_tilde mixed into the entries of i = 1, the Weyl operator that derives
+#: u_1 and u_2 replaced by its adjoint, and a u0 that is not a unit vector
+CONSTRUCTION_MUTATIONS = {
+    "psi_sign": (witness, "PSI", np.array([1.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)),
+    "mix_index": (witness, "_MIX", (witness._MIX[0], (2, np.array([1, 5, 6])))),
+    "w10_adjoint": (witness, "W10", dag(witness.W10)),
+    "non_unit_u0": (verify, "sample_npt", sample_npt_with_doubled_u0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONSTRUCTION_MUTATIONS))
+def test_every_construction_breakage_fails(monkeypatch, name):
+    # rank 2 is an identity of the construction and nothing guards it at run
+    # time, so a construction written wrongly must fail the battery: on each
+    # of 20 trials, by named checks only, schmidt_rank_2 among them. A u0 that
+    # is not a unit vector is refused instead by the construction's one guard
+    assert [i for i, _ in witness._MIX] == [0, 2]  # the terms the mix_index row rewrites
+    monkeypatch.setattr(*CONSTRUCTION_MUTATIONS[name])
+    for seed in verify.trial_seeds(0, 20):
+        if name == "non_unit_u0":
+            with pytest.raises(ValueError, match="not a unit vector"):
+                verify.run_trial(seed)
+            continue
+        names = {line.split(":")[0] for line in verify.run_trial(seed).failures}
+        assert "schmidt_rank_2" in names and names <= set(MUTATIONS), (seed, names)

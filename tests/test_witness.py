@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,22 +13,13 @@ from belldistill.simplex import (
     build_state,
     classify,
     pt_block,
+    sample_npt,
 )
 from belldistill.weyl import bell_unitary, flip, weyl
-from belldistill.witness import (
-    PSI,
-    RANK_RTOL,
-    W10,
-    NotNPTError,
-    RankCertificationError,
-    certify_rank_2,
-    construct_witness_vector,
-    detect,
-)
+from belldistill.witness import PSI, W10, NotNPTError, construct_witness_vector, detect
 
 from conftest import isotropic_table, pure_bell_table, random_table, uniform_table
 from reference import (
-    adjugate_norm,
     eigenvector_residual,
     expectation,
     product_vector_positivity_check,
@@ -38,6 +31,19 @@ NPT_SEEDS = [s for s in range(160) if classify(random_table(s)).classification =
 
 def npt_table(seed):
     return random_table(seed)
+
+
+def singular_values(wc) -> np.ndarray:
+    """Descending singular values of the coefficient matrix C = phi_tilde reshaped to 3 x 3."""
+    return np.linalg.svd(wc.phi_tilde.reshape(3, 3), compute_uv=False)
+
+
+def assert_rank_2(wc, tol):
+    # C's singular values are (1/sqrt 2, 1/sqrt 2, 0), and mu2 vanishes, within tol
+    assert np.abs(singular_values(wc) - [np.sqrt(0.5), np.sqrt(0.5), 0.0]).max() <= tol
+    mu = wc.schmidt_coefficients
+    assert np.abs(mu[:2] - np.sqrt(0.5)).max() <= tol
+    assert mu[2] <= tol
 
 
 # ------------------------------------------------- pure Bell closed forms
@@ -58,8 +64,7 @@ def test_pure_bell_alpha_and_coefficient_matrix():
         [[0.0, 0.0, -0.5j], [0.5j, 0.5j, 0.0], [0.0, 0.0, -0.5j]]
     )
     assert np.abs(wc.phi_tilde.reshape(3, 3) - expected_c).max() < 1e-14
-    assert abs(wc.det_C) < 1e-15
-    assert np.abs(wc.minors - np.array([0.25, 0.0, 0.0])).max() < 1e-14
+    assert_rank_2(wc, 1e-15)
 
 
 def test_pure_bell_schmidt_data():
@@ -96,24 +101,16 @@ def test_rejects_wrong_dimension():
         construct_witness_vector(classify(random_table(0, d=4)))
 
 
-def test_rank_certificate_guard(monkeypatch):
-    # the certificate can only fail on numerical breakdown; force the guard
-    # with a negative tolerance, which no |det C| can meet
-    import belldistill.witness as witness_mod
-
-    monkeypatch.setattr(witness_mod, "CERT_TOL", -1.0)
-    with pytest.raises(witness_mod.RankCertificationError):
-        construct_witness_vector(classify(npt_table(NPT_SEEDS[0])))
-
-
-def test_rank_certificate_check_fires_only_when_broken():
-    # C scaled by 1.01 keeps det C = 0 but has ||adj C||_F = 1.0201 / 2
-    c = construct_witness_vector(classify(npt_table(NPT_SEEDS[0]))).phi_tilde.reshape(3, 3)
-    certify_rank_2(c)
-    with pytest.raises(RankCertificationError) as info:
-        certify_rank_2(1.01 * c)
-    assert str(info.value).startswith("|det C| = ")
-    assert str(info.value).endswith(", ||adj C||_F - 1/2 = 1.005e-02")
+@pytest.mark.parametrize(
+    "scale", [2.0, np.nan, 1.0 + 1e-9], ids=["double", "nan", "off_by_1e-9"]
+)
+def test_rejects_a_u0_that_is_not_a_unit_vector(scale):
+    # rank 2 is an identity for every u0, but Schmidt coefficients 1/sqrt 2
+    # need a unit u0: the construction's one guard refuses any other, NaN too
+    _, spectrum = sample_npt(NPT_SEEDS[0])
+    construct_witness_vector(dataclasses.replace(spectrum, u0=(1.0 + 1e-12) * spectrum.u0))
+    with pytest.raises(ValueError, match="not a unit vector"):
+        construct_witness_vector(dataclasses.replace(spectrum, u0=scale * spectrum.u0))
 
 
 # --------------------------------------------- construction invariants
@@ -138,13 +135,8 @@ def test_construction_invariants(seed):
     for m in range(3):
         assert np.abs(np.roll(wc.alpha[m], -1) - wc.alpha[(m + 2) % 3]).max() <= 1e-12
 
-    # rank-2 certificate
-    assert abs(wc.det_C) <= 1e-10
-    assert np.abs(wc.minors).max() > 1e-9
-    assert abs(adjugate_norm(wc.phi_tilde.reshape(3, 3)) - 0.5) <= 1e-14
-    mu = wc.schmidt_coefficients
-    assert mu[1] > 1e-9
-    assert mu[2] < 1e-9 * mu[0]
+    # Schmidt rank 2 with equal coefficients
+    assert_rank_2(wc, 1e-14)
 
     # ground eigenvector of the full partial transpose
     assert eigenvector_residual(coeffs, wc) <= 1e-10
@@ -152,24 +144,61 @@ def test_construction_invariants(seed):
     assert abs(np.linalg.norm(wc.phi) - 1.0) < 1e-12
 
 
-# -------------------------------------------------- the rank-2 certificate
+# ------------------------------------------------------ the rank-2 identity
+
+def cofactor_det(m) -> complex:
+    """det of a 3 x 3 nested list along its first row, in Python complex arithmetic."""
+    (a, b, c), (d, e, f), (g, h, i) = m
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+
+
+def test_rank_2_identity_is_exact():
+    # C = [[a, 0, b], [c, -b, 0], [0, -a, -c]] has C C^dag = S 1 - v v^dag with
+    # v = conj(c, -a, b), S = |a|^2 + |b|^2 + |c|^2, and C (b, c, -a)^T = 0, so
+    # det C = 0 for every a, b, c. Products and sums of complex numbers with
+    # small integer parts (here at most 20, so every sum stays below 2^53) are
+    # exact in float64, so each equation holds with ==
+    rng = np.random.default_rng(2024)
+    parts = rng.integers(-20, 21, size=(2000, 3, 2)).astype(float)
+    a, b, c = (parts[:, k, 0] + 1j * parts[:, k, 1] for k in range(3))
+    C = np.zeros((2000, 3, 3), dtype=complex)
+    C[:, 0, 0], C[:, 0, 2] = a, b
+    C[:, 1, 0], C[:, 1, 1] = c, -b
+    C[:, 2, 1], C[:, 2, 2] = -a, -c
+    v = np.stack([c, -a, b], axis=1).conj()
+    S = (parts**2).sum(axis=(1, 2))
+    gram = C @ np.swapaxes(C, 1, 2).conj()
+    assert np.array_equal(gram, S[:, None, None] * np.eye(3) - v[:, :, None] * v[:, None, :].conj())
+    kernel = np.stack([b, c, -a], axis=1)
+    assert np.array_equal(C @ kernel[:, :, None], np.zeros((2000, 3, 1)))
+    assert all(cofactor_det(m) == 0 for m in C.tolist())
+
+
+@pytest.mark.parametrize("seed", NPT_SEEDS[:40])
+def test_coefficient_matrix_has_the_identity_pattern(seed):
+    # the construction's C has exact zeros at (0, 1), (1, 2) and (2, 0), and
+    # C[1, 1] = -C[0, 2], C[2, 1] = -C[0, 0], C[2, 2] = -C[1, 0] up to the
+    # rounding of the alpha shift
+    c = construct_witness_vector(classify(npt_table(seed))).phi_tilde.reshape(3, 3)
+    assert [c[0, 1], c[1, 2], c[2, 0]] == [0j, 0j, 0j]
+    pairs = [((1, 1), (0, 2)), ((2, 1), (0, 0)), ((2, 2), (1, 0))]
+    assert max(abs(c[x] + c[y]) for x, y in pairs) <= 1e-15
+
 
 @pytest.mark.parametrize("images", [0, 1, 2])
 def test_certificate_holds_where_principal_minors_vanish(images):
     # u0 = (1, 1, 1)/sqrt 3 and its W_{1,0} images, as synthetic NPT reports with
     # lambda_min = -0.1 three-fold: all three principal minors of C are of
-    # rounding size, yet C has rank 2 and ||adj C||_F = 1/2
+    # rounding size, yet C has rank 2 with two equal singular values
     u0 = np.ones(3, dtype=complex) / np.sqrt(3.0)
     for _ in range(images):
         u0 = W10 @ u0
     eigenvalues = np.array([-0.1] * 3 + [0.1] * 6)
     wc = construct_witness_vector(PTSpectrumReport(eigenvalues, -0.1, 3, NPT, u0))
     c = wc.phi_tilde.reshape(3, 3)
-    assert np.abs(wc.minors).max() <= 1e-15
-    assert abs(wc.det_C) <= 1e-15
-    assert abs(adjugate_norm(c) - 0.5) <= 1e-15
-    mu = wc.schmidt_coefficients
-    assert mu[2] <= RANK_RTOL * mu.max() < mu[1]
+    principal = [np.linalg.det(np.delete(np.delete(c, j, 0), j, 1)) for j in range(3)]
+    assert np.abs(principal).max() <= 1e-15
+    assert_rank_2(wc, 1e-15)
 
 
 def face_edge_table(face, k, l, t):
@@ -193,23 +222,15 @@ FACE_EDGE_FAMILIES = [("row", k, l) for k in (1, 2) for l in range(3)] + [
 @pytest.mark.parametrize("face, k, l", FACE_EDGE_FAMILIES)
 def test_certificate_margin_at_the_face_edge(face, k, l):
     # lambda_min ~ -t^2/3, so the NPT edge lies between t = 1.732e-6
-    # (BOUNDARY) and t = 1.733e-6 (lambda_min ~ -1.001e-12); the
-    # certificate keeps its full margin all the way to it
+    # (BOUNDARY) and t = 1.733e-6 (lambda_min ~ -1.001e-12); rank 2 with
+    # equal coefficients holds to rounding all the way to it
     for t in (1e-6, 1.732e-6):
         assert classify(face_edge_table(face, k, l, t)).classification == BOUNDARY
     for t in (1e-3, 1e-5, 1.733e-6):
         spectrum = classify(face_edge_table(face, k, l, t))
-        wc = construct_witness_vector(spectrum)
-        assert abs(wc.det_C) <= 1e-15
-        assert abs(adjugate_norm(wc.phi_tilde.reshape(3, 3)) - 0.5) <= 1e-15
+        assert_rank_2(construct_witness_vector(spectrum), 1e-15)
         if t == 1.733e-6:
             assert -1.002e-12 < spectrum.lambda_min < -1.001e-12
-        if face == "row":
-            # the largest principal minor shrinks with the distance to the
-            # boundary, about sqrt(3)/2 * sqrt|lambda_min|; at the edge the
-            # rule "some principal minor > 1e-9" had only an 870x margin
-            ratio = np.abs(wc.minors).max() / np.sqrt(-spectrum.lambda_min)
-            assert abs(ratio - np.sqrt(3.0) / 2.0) <= 1e-3
 
 
 @pytest.mark.parametrize("seed", NPT_SEEDS[:20])
@@ -226,7 +247,7 @@ def test_phi_equals_direct_bell_frame_route(seed):
 @pytest.mark.parametrize("seed", NPT_SEEDS[:20])
 def test_coefficient_matrix_singular_values_match_schmidt(seed):
     wc = construct_witness_vector(classify(npt_table(seed)))
-    singular = np.linalg.svd(wc.phi_tilde.reshape(3, 3), compute_uv=False)
+    singular = singular_values(wc)
     assert np.abs(singular[:2] - wc.schmidt_coefficients[:2]).max() <= 1e-10
     assert singular[2] <= 1e-10
 
@@ -261,15 +282,6 @@ def test_frame_pivots_break_ties_at_the_lowest_index():
     assert np.array_equal(wc.schmidt_left[1], rest[:, 1] / np.linalg.norm(rest[:, 1]))
     rebuilt = (wc.schmidt_left.T @ wc.schmidt_right).ravel() / np.sqrt(2)
     assert np.abs(rebuilt - wc.phi).max() <= 1e-14
-
-
-def test_frame_rank_guard(monkeypatch):
-    # mu2 is of rounding size; a zero tolerance must refuse it
-    import belldistill.witness as witness_mod
-
-    monkeypatch.setattr(witness_mod, "RANK_RTOL", 0.0)
-    with pytest.raises(witness_mod.RankCertificationError, match="rank 2"):
-        construct_witness_vector(classify(npt_table(NPT_SEEDS[0])))
 
 
 # ------------------------------------------------------ witness operator
