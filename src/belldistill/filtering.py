@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import dag, partial_transpose
+from .linalg import dag, kron, partial_transpose
 from .witness import WitnessConstruction, detect
 
 #: thresholds closer than this count as a tie in the robustness comparison
@@ -129,9 +129,8 @@ def filter_report(rho: np.ndarray, wc: WitnessConstruction) -> FilterReport:
     lambda / q is at least -1/2 for a two-qubit state, so
     q >= 2 |lambda| > 2 BOUNDARY_TOL > MIN_Q on every NPT table.
     """
-    b_star = wc.schmidt_right.conj()
     # column 2i + j is a_i (x) b*_j
-    embed = (wc.schmidt_left.T[:, None, :, None] * b_star.T[None, :, None, :]).reshape(9, 4)
+    embed = kron(wc.schmidt_left.T, wc.schmidt_right.conj().T)
     compressed = dag(embed) @ rho @ embed
     q = float(np.trace(compressed).real)
     if q <= MIN_Q:

@@ -147,10 +147,12 @@ def verdict(lambda_min: float) -> str:
 
 
 def _fix_phase(v: np.ndarray) -> np.ndarray:
-    """Rotate a vector's global phase so its pivot entry (see pivot_index) is real positive."""
+    """Rotate a vector's global phase so its pivot entry (see pivot_index) is real positive.
+
+    The vector must be nonzero: for a unit vector, such as an ``eigh``
+    column, the pivot's modulus is at least (1 - PIVOT_RTOL) / sqrt(d).
+    """
     pivot = v[pivot_index(np.abs(v))]
-    if pivot == 0:
-        return v
     return v * (abs(pivot) / pivot)
 
 

@@ -1,7 +1,16 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from belldistill import SimplexCoefficients
+
+#: tools/outputs.py, loaded once: its builders make the check tables the tests read
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "outputs.py"
+_spec = importlib.util.spec_from_file_location("outputs", TOOL)
+outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(outputs)
 
 
 def random_table(seed: int, d: int = 3) -> SimplexCoefficients:
@@ -29,11 +38,7 @@ def uniform_table(d: int = 3) -> SimplexCoefficients:
 
 def sparse_table(seed: int, d: int = 3) -> SimplexCoefficients:
     """Dirichlet weights on a random support of 1..d^2 Bell projectors."""
-    rng = np.random.default_rng(seed)
-    support = rng.choice(d * d, size=rng.integers(1, d * d + 1), replace=False)
-    c = np.zeros(d * d)
-    c[support] = rng.dirichlet(np.ones(support.size))
-    return SimplexCoefficients(d=d, c=(c / c.sum()).reshape(d, d))
+    return SimplexCoefficients(**outputs.sparse_table(seed, d))
 
 
 def boundary_walk_table(start: SimplexCoefficients, lambda_min: float, target: float):

@@ -12,6 +12,8 @@ from belldistill.cli import main
 from belldistill.report import validate_report
 from belldistill.simplex import SimplexCoefficients, classify, pt_block
 
+from conftest import outputs
+
 
 def write_input(tmp_path, table, name="in.json"):
     path = tmp_path / name
@@ -80,24 +82,13 @@ def test_analyze_boundary_edge_table_exits_2(tmp_path, capsys):
     assert report["witness"] is None
 
 
-def face_family(face, t):
-    # (1 - t) face + t (pure Bell), the face being the uniform one-row or one-column table
-    c = np.zeros((3, 3))
-    if face == "row":
-        c[0, :] = 1 / 3
-    else:
-        c[:, 0] = 1 / 3
-    c *= 1 - t
-    c[0, 0] += t
-    return {"d": 3, "c": c.tolist()}
-
-
 @pytest.mark.parametrize("face", ["row", "column"])
 @pytest.mark.parametrize("t", [1e-3, 1e-6, 1e-9, 1e-11, 3.1e-12])
 def test_face_families_keep_full_report(tmp_path, face, t):
-    # lambda_min = -t/3, so these tables stay NPT down to the BOUNDARY_TOL
-    # edge near t = 3e-12; B_0's relative gap is 2 along the whole family
-    table = face_family(face, t)
+    # (1 - t) face + t (pure Bell): lambda_min = -t/3, so these tables stay NPT
+    # down to the BOUNDARY_TOL edge near t = 3e-12; B_0's relative gap is 2
+    # along the whole family
+    table = outputs.face_table(face, 0, 0, t)
     inp = write_input(tmp_path, table)
     out = tmp_path / "report.json"
     assert main(["analyze", str(inp), "--output", str(out)]) == 0
@@ -112,7 +103,7 @@ def test_face_families_keep_full_report(tmp_path, face, t):
 
 @pytest.mark.parametrize("face", ["row", "column"])
 def test_face_families_reach_boundary(tmp_path, face):
-    inp = write_input(tmp_path, face_family(face, 3e-12))
+    inp = write_input(tmp_path, outputs.face_table(face, 0, 0, 3e-12))
     out = tmp_path / "report.json"
     assert main(["analyze", str(inp), "--output", str(out)]) == 2
     report = json.loads(out.read_text())

@@ -7,7 +7,7 @@ from belldistill.linalg import kron, partial_transpose
 from belldistill.simplex import SimplexCoefficients, _fix_phase, build_state, classify, pt_block
 from belldistill.weyl import weyl
 
-from conftest import pure_bell_table, random_table, uniform_table
+from conftest import outputs, pure_bell_table, random_table, uniform_table
 from reference import expectation, schmidt_decompose, schmidt_reconstruct
 
 
@@ -333,8 +333,7 @@ def test_phase_convention_is_stable_under_one_ulp():
     rng = np.random.default_rng(11)
     checked = 0
     for mask in range(1, 2**9):
-        c = np.array([(mask >> i) & 1 for i in range(9)], dtype=float)
-        coeffs = SimplexCoefficients(d=3, c=(c / c.sum()).reshape(3, 3))
+        coeffs = SimplexCoefficients(**outputs.support_table(mask))
         b0 = pt_block(coeffs, 0)
         lam = np.linalg.eigvalsh(b0)
         if lam[1] - lam[0] < 1e-6:

@@ -33,7 +33,7 @@ from belldistill.simplex import (
 )
 from belldistill.witness import PSI, construct_witness_vector
 
-from conftest import pure_bell_table, random_table, sparse_table, uniform_table
+from conftest import outputs, pure_bell_table, random_table, sparse_table, uniform_table
 from reference import (
     dump_json,
     matrix_to_json,
@@ -503,9 +503,7 @@ def test_validate_accepts_renormalized_inputs():
     # 1.0 by an ulp, and their reports would no longer match
     parsed_again = 0
     for seed in range(500):
-        rng = np.random.default_rng(seed)
-        c = rng.dirichlet(np.ones(9)) * (1 + rng.uniform(-9e-10, 9e-10))
-        coeffs, renormalized = parse_coefficients({"d": 3, "c": c.reshape(3, 3).tolist()})
+        coeffs, renormalized = parse_coefficients(outputs.renormalized_table(seed))
         assert renormalized, seed
         report = json.loads(dump_report(analysis_report(coeffs, renormalized)))
         validate_report(report)
@@ -566,8 +564,7 @@ def test_equal_weight_supports_match_dense_oracle():
     # many zero weights and exact degeneracies, 24 tables exactly on the boundary
     counts = {NPT: 0, PPT: 0, BOUNDARY: 0}
     for mask in range(1, 2**9):
-        c = np.array([(mask >> i) & 1 for i in range(9)], dtype=float)
-        coeffs = SimplexCoefficients(d=3, c=(c / c.sum()).reshape(3, 3))
+        coeffs = SimplexCoefficients(**outputs.support_table(mask))
         report = analysis_report(coeffs)
         text = dump_report(report)
         assert text == dump_json(report), f"support mask {mask:09b}"

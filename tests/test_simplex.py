@@ -22,7 +22,7 @@ from belldistill.simplex import (
 )
 from belldistill.weyl import bell_unitary, fourier, weyl
 
-from conftest import isotropic_table, random_table, sparse_table, uniform_table
+from conftest import isotropic_table, outputs, random_table, sparse_table, uniform_table
 from reference import apply_weyl_channel, assemble_pt_from_blocks
 
 
@@ -317,8 +317,7 @@ def test_b0_relative_gap_is_at_least_two():
     sparse = np.where(rng.random(flat.shape) < 0.3, 0.0, flat)
     sparse = sparse[sparse.sum(axis=1) > 0]
     sparse /= sparse.sum(axis=1, keepdims=True)
-    masks = (np.arange(1, 2**9)[:, None] >> np.arange(9)) & 1
-    supports = masks / masks.sum(axis=1, keepdims=True)
+    supports = np.array([outputs.support_table(m)["c"] for m in range(1, 2**9)]).reshape(-1, 9)
     gaps = [_b0_relative_gaps(tables) for tables in (flat, sparse, supports)]
     assert min(gaps[0].size, gaps[1].size) > 1000
     assert gaps[2].size == 315

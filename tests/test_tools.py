@@ -1,18 +1,16 @@
-"""tools/outputs.py: its move printers, its byte check and its table writer."""
+"""tools/outputs.py: its move printers, its byte check, its table builders and its writer."""
 
 import ast
 import collections
-import importlib.util
 import json
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-TOOL = Path(__file__).resolve().parent.parent / "tools" / "outputs.py"
-_spec = importlib.util.spec_from_file_location("outputs", TOOL)
-outputs = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(outputs)
+from belldistill.report import coefficients_to_json
+from belldistill.simplex import sample_simplex
+from belldistill.verify import trial_seeds
+from conftest import TOOL, outputs
 
 
 def make_trees(tmp_path, files):
@@ -119,6 +117,12 @@ def test_table_writer_writes_each_family_with_the_same_bytes_twice(tmp_path):
             assert 0 < abs(total - 1) <= 1e-9, name
         else:
             assert abs(total - 1) <= 1e-12, name
+    # the in-memory families are the written ones, flat drawn as `sample --count 100 --seed 1`
+    flat = [coefficients_to_json(sample_simplex(s)) for s in trial_seeds(1, 100)]
+    written = {f"{family}/{name}": text for family, files in families[0].items()
+               for name, text in files.items()}
+    assert {path: json.dumps(table).encode()
+            for path, table in outputs.table_families(flat).items()} == written
 
 
 def test_validate_passes_on_this_tree(tmp_path, capsys):
@@ -201,3 +205,13 @@ def test_tool_imports_nothing_from_the_package():
 def test_usage_errors_exit_2(argv, capsys):
     assert outputs.main(argv) == 2
     assert "tools/outputs.py compare" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["compare", str(outputs.REPO), str(outputs.REPO)], ["validate"]],
+                         ids=["compare", "validate"])
+def test_a_used_workdir_is_refused_before_anything_is_written(tmp_path, command, capsys):
+    (tmp_path / "tables").mkdir()
+    assert outputs.main([*command, str(tmp_path)]) == 2
+    message = f"WORKDIR {tmp_path.resolve()} is not empty: name an absent or empty one"
+    assert capsys.readouterr().err.splitlines() == [message]
+    assert [p.name for p in tmp_path.rglob("*")] == ["tables"]

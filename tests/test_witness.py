@@ -18,7 +18,7 @@ from belldistill.simplex import (
 from belldistill.weyl import bell_unitary, flip, weyl
 from belldistill.witness import PSI, W10, NotNPTError, construct_witness_vector, detect
 
-from conftest import isotropic_table, pure_bell_table, random_table, uniform_table
+from conftest import isotropic_table, outputs, pure_bell_table, random_table, uniform_table
 from reference import (
     eigenvector_residual,
     expectation,
@@ -201,33 +201,19 @@ def test_certificate_holds_where_principal_minors_vanish(images):
     assert_rank_2(wc, 1e-15)
 
 
-def face_edge_table(face, k, l, t):
-    # (1 - t) face + t (Bell weight (k, l) outside it), the face being the
-    # uniform row-0 or column-0 table
-    c = np.zeros((3, 3))
-    if face == "row":
-        c[0, :] = 1 / 3
-    else:
-        c[:, 0] = 1 / 3
-    c *= 1 - t
-    c[k, l] += t
-    return SimplexCoefficients(d=3, c=c)
-
-
-FACE_EDGE_FAMILIES = [("row", k, l) for k in (1, 2) for l in range(3)] + [
-    ("column", k, l) for k in range(3) for l in (1, 2)
-]
-
-
-@pytest.mark.parametrize("face, k, l", FACE_EDGE_FAMILIES)
+@pytest.mark.parametrize("face, k, l", outputs.EDGES)
 def test_certificate_margin_at_the_face_edge(face, k, l):
-    # lambda_min ~ -t^2/3, so the NPT edge lies between t = 1.732e-6
-    # (BOUNDARY) and t = 1.733e-6 (lambda_min ~ -1.001e-12); rank 2 with
-    # equal coefficients holds to rounding all the way to it
+    # (1 - t) face + t (Bell weight (k, l) outside it): lambda_min ~ -t^2/3,
+    # so the NPT edge lies between t = 1.732e-6 (BOUNDARY) and t = 1.733e-6
+    # (lambda_min ~ -1.001e-12); rank 2 with equal coefficients holds to
+    # rounding all the way to it
+    def edge(t):
+        return classify(SimplexCoefficients(**outputs.face_table(face, k, l, t)))
+
     for t in (1e-6, 1.732e-6):
-        assert classify(face_edge_table(face, k, l, t)).classification == BOUNDARY
+        assert edge(t).classification == BOUNDARY
     for t in (1e-3, 1e-5, 1.733e-6):
-        spectrum = classify(face_edge_table(face, k, l, t))
+        spectrum = edge(t)
         assert_rank_2(construct_witness_vector(spectrum), 1e-15)
         if t == 1.733e-6:
             assert -1.002e-12 < spectrum.lambda_min < -1.001e-12

@@ -3,12 +3,13 @@
     python tools/outputs.py compare BASE_ROOT HEAD_ROOT WORKDIR
     python tools/outputs.py validate WORKDIR
 
-Both write the tables of :func:`write_tables` into WORKDIR. ``compare`` writes
-every CLI and demo output of each source tree into WORKDIR/base and /head, and
-exits 1 on any moved byte. ``validate`` analyzes every table with this repo's
-package, then checks each report with ``validate_report`` under ``-X dev -W
-error``. Package code runs only in subprocesses, with ``PYTHONPATH=<root>/src``
-and one BLAS/OpenMP thread, so the script can drive any commit.
+Both write the tables of :func:`table_families` into WORKDIR, which must be
+absent or empty. ``compare`` writes every CLI and demo output of each source
+tree into WORKDIR/base and /head, and exits 1 on any moved byte. ``validate``
+analyzes every table with this repo's package, then checks each report with
+``validate_report`` under ``-X dev -W error``. Package code runs only in
+subprocesses, with ``PYTHONPATH=<root>/src`` and one BLAS/OpenMP thread, so
+the script can drive any commit.
 
 Every ``analyze`` and ``sweep`` of a table runs through one :data:`DRIVER`
 process per tree, which calls the tree's ``belldistill.cli.main(argv)`` once
@@ -87,10 +88,47 @@ def run(root: pathlib.Path, cwd: pathlib.Path, args: list, **kwargs) -> int:
     return subprocess.run([sys.executable, *args], cwd=cwd, env=env, **kwargs).returncode
 
 
-def write_tables(workdir: pathlib.Path, root: pathlib.Path) -> None:
-    """Write the input tables into WORKDIR/tables and WORKDIR/supports, one JSON file each.
+def sparse_table(seed: int, d: int = 3, full: bool = False) -> dict:
+    """Dirichlet weights on a random support of 1 to d^2 Bell weights (all d^2 if FULL), per seed."""
+    rng = np.random.default_rng(seed)
+    size = d * d if full else rng.integers(1, d * d + 1)
+    support = rng.choice(d * d, size=size, replace=False)
+    c = np.zeros(d * d)
+    c[support] = rng.dirichlet(np.ones(support.size))
+    return {"d": d, "c": (c / c.sum()).reshape(d, d).tolist()}
 
-    tables/ holds ROOT's ``sample --count 100 --seed 1``; 100 tables with 1
+
+def face_table(face: str, k: int, l: int, t: float) -> dict:
+    """(1 - t) face + t (Bell weight (k, l)), the face being the uniform row-0 or column-0 table."""
+    c = np.zeros((3, 3))
+    (c.T if face == "column" else c)[0] = 1 / 3
+    c *= 1 - t
+    c[k, l] += t
+    return {"d": 3, "c": c.tolist()}
+
+
+def support_table(mask: int) -> dict:
+    """Equal weight on the Bell weights c.flat[i] whose bit i of MASK is set."""
+    c = np.array([(mask >> i) & 1 for i in range(9)], dtype=float)
+    return {"d": 3, "c": (c / c.sum()).reshape(3, 3).tolist()}
+
+
+def renormalized_table(seed: int) -> dict:
+    """Flat Dirichlet table scaled by 1 +- up to 9e-10, per seed: analyze renormalizes it."""
+    rng = np.random.default_rng(seed)
+    c = rng.dirichlet(np.ones(9)) * (1 + rng.uniform(-9e-10, 9e-10))
+    return {"d": 3, "c": c.reshape(3, 3).tolist()}
+
+
+#: the (face, k, l) of :func:`face_table` whose Bell weight (k, l) lies off the face
+EDGES = [("row", k, l) for k in (1, 2) for l in range(3)]
+EDGES += [("column", k, l) for k in range(3) for l in (1, 2)]
+
+
+def table_families(flat: list) -> dict:
+    """Every input table by its path under WORKDIR, given the tables FLAT of ``sample``.
+
+    tables/ holds FLAT, ``sample --count 100 --seed 1``; 100 tables with 1
     to 9 Bell weights; 15 with d in {2, 4, 5}, flat and sparse in turn (the
     even-d two-block path, the exit-2 PPT report, the exit-1 refusal of NPT
     d != 3); the 24 tables (1 - t) face + t (one Bell weight off the face),
@@ -99,38 +137,25 @@ def write_tables(workdir: pathlib.Path, root: pathlib.Path) -> None:
     9e-10, which analyze renormalizes. supports/ holds the 511 equal-weight
     supports: the null sections, the 24 BOUNDARY reports and exact zeros.
     """
+    tables = {f"tables/flat_{i:03d}.json": table for i, table in enumerate(flat)}
+    tables |= {f"tables/sparse_{s:03d}.json": sparse_table(s) for s in range(100)}
+    tables |= {f"tables/dims_{i:03d}.json": sparse_table(5000 + i, (2, 4, 5)[i % 3], i % 2 == 0)
+               for i in range(15)}
+    tables |= {f"tables/edge_{face}_{k}{l}_{tag}.json": face_table(face, k, l, t)
+               for face, k, l in EDGES for tag, t in (("1e-3", 1e-3), ("npt_edge", 1.733e-6))}
+    tables |= {f"tables/renormalized_{s}.json": renormalized_table(s) for s in range(4)}
+    return tables | {f"supports/mask_{m:03d}.json": support_table(m) for m in range(1, 2**9)}
+
+
+def write_tables(workdir: pathlib.Path, root: pathlib.Path) -> None:
+    """Write :func:`table_families` into WORKDIR, one JSON file each, FLAT by ROOT's ``sample``."""
     for family in ("tables", "supports"):
         (workdir / family).mkdir(parents=True)
     run(root, workdir, ["-m", "belldistill.cli", "sample", "--count", "100", "--seed", "1",
                         "--output", "samples.json"], stdout=subprocess.DEVNULL, check=True)
-    tables = {f"tables/flat_{i:03d}": table
-              for i, table in enumerate(json.loads((workdir / "samples.json").read_text()))}
-    for name, seed, d, full in [(f"sparse_{s:03d}", s, 3, False) for s in range(100)] + [
-        (f"dims_{i:03d}", 5000 + i, (2, 4, 5)[i % 3], i % 2 == 0) for i in range(15)
-    ]:
-        rng = np.random.default_rng(seed)
-        size = d * d if full else rng.integers(1, d * d + 1)
-        support = rng.choice(d * d, size=size, replace=False)
-        c = np.zeros(d * d)
-        c[support] = rng.dirichlet(np.ones(support.size))
-        tables[f"tables/{name}"] = {"d": d, "c": (c / c.sum()).reshape(d, d).tolist()}
-    for column, k, l in np.ndindex(2, 3, 3):
-        for tag, t in (("1e-3", 1e-3), ("npt_edge", 1.733e-6)) if (k, l)[column] else ():
-            c = np.zeros((3, 3))
-            (c.T if column else c)[0] = 1 / 3
-            c *= 1 - t
-            c[k, l] += t
-            face = "column" if column else "row"
-            tables[f"tables/edge_{face}_{k}{l}_{tag}"] = {"d": 3, "c": c.tolist()}
-    for seed in range(4):
-        rng = np.random.default_rng(seed)
-        c = rng.dirichlet(np.ones(9)) * (1 + rng.uniform(-9e-10, 9e-10))
-        tables[f"tables/renormalized_{seed}"] = {"d": 3, "c": c.reshape(3, 3).tolist()}
-    for mask in range(1, 2**9):
-        c = np.array([(mask >> i) & 1 for i in range(9)], dtype=float)
-        tables[f"supports/mask_{mask:03d}"] = {"d": 3, "c": (c / c.sum()).reshape(3, 3).tolist()}
-    for name, table in tables.items():
-        (workdir / f"{name}.json").write_text(json.dumps(table))
+    flat = json.loads((workdir / "samples.json").read_text())
+    for path, table in table_families(flat).items():
+        (workdir / path).write_text(json.dumps(table))
 
 
 def table_paths(workdir: pathlib.Path, family: str) -> list:
@@ -279,16 +304,20 @@ def validate(workdir: pathlib.Path) -> int:
 
 
 def main(argv: list) -> int:
-    if len(argv) == 4 and argv[0] == "compare":
-        base, head, workdir = (pathlib.Path(a).resolve() for a in argv[1:])
-        write_tables(workdir, head)
-        produce(base, workdir, "base")
-        produce(head, workdir, "head")
-        return check_bytes(workdir)
-    if len(argv) == 2 and argv[0] == "validate":
-        return validate(pathlib.Path(argv[1]).resolve())
-    print(__doc__.split("\n\n")[1], file=sys.stderr)
-    return 2
+    if not (len(argv) == 4 and argv[0] == "compare" or len(argv) == 2 and argv[0] == "validate"):
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    workdir = pathlib.Path(argv[-1]).resolve()
+    if workdir.is_file() or workdir.is_dir() and any(workdir.iterdir()):
+        print(f"WORKDIR {workdir} is not empty: name an absent or empty one", file=sys.stderr)
+        return 2
+    if argv[0] == "validate":
+        return validate(workdir)
+    base, head = (pathlib.Path(a).resolve() for a in argv[1:3])
+    write_tables(workdir, head)
+    produce(base, workdir, "base")
+    produce(head, workdir, "head")
+    return check_bytes(workdir)
 
 
 if __name__ == "__main__":
