@@ -100,9 +100,13 @@ def add_white_noise(state: np.ndarray, p) -> np.ndarray:
     return (1.0 - p) * state + (p / n) * _identity(n)
 
 
-@functools.cache
+@functools.lru_cache(maxsize=3)
 def _identity(n: int) -> np.ndarray:
-    """The n x n identity of :func:`add_white_noise`, built once per n and read-only."""
+    """The n x n identity of :func:`add_white_noise`, built once per n and read-only.
+
+    Bounded because add_white_noise is public and takes states of any size;
+    the package itself reads only n = 9, 4 and 2, which the three entries hold.
+    """
     eye = np.eye(n)
     eye.setflags(write=False)
     return eye

@@ -19,19 +19,17 @@ def dag(m: np.ndarray) -> np.ndarray:
 
 
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product A (x) B with complex dtype, for A and B of equal rank.
+    """Kronecker product A (x) B of two matrices, with complex dtype.
 
     One broadcast multiply: out[(i,k),(j,l)] = A[i,j] * B[k,l], the same
     products as ``np.kron`` without its generic set-up.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    if a.ndim != b.ndim:
-        raise ValueError(f"kron needs factors of equal rank, got {a.ndim} and {b.ndim}")
-    product = a.reshape([x for n in a.shape for x in (n, 1)]) * b.reshape(
-        [x for n in b.shape for x in (1, n)]
-    )
-    return product.reshape([m * n for m, n in zip(a.shape, b.shape)])
+    if not a.ndim == b.ndim == 2:
+        raise ValueError(f"kron needs two matrices, got ranks {a.ndim} and {b.ndim}")
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
 
 
 def partial_transpose(m: np.ndarray, d_a: int, d_b: int) -> np.ndarray:

@@ -4,7 +4,8 @@ Input files carry a coefficient table as {"d": int, "c": [[...], ...]},
 row-major with c[k][l] the weight of the Bell projector with Weyl index
 (k, l). Reports serialize every number as a JSON double (repr round-trips
 at up to 17 significant digits) and complex entries as [re, im] pairs, so
-a report reloads losslessly.
+a report reloads losslessly. :func:`analysis_report` writes a report as
+one dict literal, its nine top-level keys in the order they are written.
 
 The witness section carries the local frame of the witness vector phi
 (see :mod:`belldistill.witness`): ``schmidt_left`` lists a_0 and a_1 and
@@ -41,34 +42,25 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import __version__
-from .filtering import FilterReport, filter_report
+from .filtering import filter_report
 from .simplex import (
     BOUNDARY,
     NPT,
     PPT,
     InvalidCoefficientsError,
-    PTSpectrumReport,
     SimplexCoefficients,
     build_state,
     check_entries,
     classify,
 )
-from .witness import PSI, WitnessConstruction, construct_witness_vector
+from .witness import PSI, construct_witness_vector
 
 #: input tables whose sum deviates from one by at most this are renormalized
 RENORM_TOL = 1e-9
 
-REASON_PPT = "no negative partial-transpose eigenvalue"
-REASON_BOUNDARY = "partial transpose sits on the positivity boundary"
-
 #: the reason code each label carries; an NPT report has none
-REASONS = {NPT: None, PPT: REASON_PPT, BOUNDARY: REASON_BOUNDARY}
-
-#: a report's top-level keys, in the order they are written
-REPORT_KEYS = (
-    "tool_version", "seed_used", "input", "renormalized", "classification",
-    "witness", "witness_spectrum", "filter", "reason",
-)
+REASONS = {NPT: None, PPT: "no negative partial-transpose eigenvalue",
+           BOUNDARY: "partial transpose sits on the positivity boundary"}
 
 
 def _json(a) -> list:
@@ -121,68 +113,58 @@ def coefficients_to_json(coeffs: SimplexCoefficients) -> dict:
     return {"d": coeffs.d, "c": _json(coeffs.c)}
 
 
-def classification_to_json(rep: PTSpectrumReport) -> dict:
-    return {
-        "eigenvalues": _json(rep.eigenvalues),
-        "lambda_min": float(rep.lambda_min),
-        "negative_count": int(rep.negative_count),
-        "classification": rep.classification,
-    }
-
-
-def witness_to_json(wc: WitnessConstruction) -> dict:
-    return {
-        "lambda_min": wc.lambda_min,
-        "mu0": float(wc.schmidt_coefficients[0]),
-        "mu1": float(wc.schmidt_coefficients[1]),
-        "u": _json(wc.u),
-        "alpha": _json(wc.alpha),
-        "psi": _json(PSI),
-        "C": _json(wc.phi_tilde.reshape(3, 3)),
-        "phi_tilde": _json(wc.phi_tilde),
-        "phi": _json(wc.phi),
-        "schmidt_coefficients": _json(wc.schmidt_coefficients),
-        "schmidt_left": _json(wc.schmidt_left),
-        "schmidt_right": _json(wc.schmidt_right),
-        "schmidt_rank": 2,
-    }
-
-
-def filter_to_json(rep: FilterReport, wc: WitnessConstruction) -> dict:
-    return {
-        "P_A": _json(wc.P_A),
-        "P_B": _json(wc.P_B),
-        "q": rep.q,
-        "sigma": _json(rep.sigma),
-        "sigma_pt_spectrum": _json(rep.sigma_pt_spectrum),
-        "p_rho_max": rep.p_rho_max,
-        "p_sigma_max": rep.p_sigma_max,
-        "qubit_more_robust": rep.qubit_more_robust,
-        "robustness_tie": rep.robustness_tie,
-    }
-
-
 def analysis_report(coeffs: SimplexCoefficients, renormalized: bool = False) -> dict:
-    """Full pipeline report for one coefficient table.
+    """Full pipeline report for one coefficient table, its keys in the order they are written.
 
     When the state is NPT the witness and filter sections are populated;
     otherwise they are null and ``reason`` says why. ``seed_used`` is
     always null: a report describes a given table, not a sampling run.
     """
     rep = classify(coeffs)
-    out = dict.fromkeys(REPORT_KEYS)
-    out["tool_version"] = __version__
-    out["input"] = coefficients_to_json(coeffs)
-    out["renormalized"] = bool(renormalized)
-    out["classification"] = classification_to_json(rep)
-    out["reason"] = REASONS[rep.classification]
-    if rep.classification != NPT:
-        return out
-    wc = construct_witness_vector(rep)
-    out["witness"] = witness_to_json(wc)
-    out["witness_spectrum"] = _json(np.linalg.eigvalsh(wc.W))
-    out["filter"] = filter_to_json(filter_report(build_state(coeffs), wc), wc)
-    return out
+    npt = rep.classification == NPT
+    if npt:
+        wc = construct_witness_vector(rep)
+        fr = filter_report(build_state(coeffs), wc)
+    return {
+        "tool_version": __version__,
+        "seed_used": None,
+        "input": coefficients_to_json(coeffs),
+        "renormalized": bool(renormalized),
+        "classification": {
+            "eigenvalues": _json(rep.eigenvalues),
+            "lambda_min": float(rep.lambda_min),
+            "negative_count": int(rep.negative_count),
+            "classification": rep.classification,
+        },
+        "witness": {
+            "lambda_min": wc.lambda_min,
+            "mu0": float(wc.schmidt_coefficients[0]),
+            "mu1": float(wc.schmidt_coefficients[1]),
+            "u": _json(wc.u),
+            "alpha": _json(wc.alpha),
+            "psi": _json(PSI),
+            "C": _json(wc.phi_tilde.reshape(3, 3)),
+            "phi_tilde": _json(wc.phi_tilde),
+            "phi": _json(wc.phi),
+            "schmidt_coefficients": _json(wc.schmidt_coefficients),
+            "schmidt_left": _json(wc.schmidt_left),
+            "schmidt_right": _json(wc.schmidt_right),
+            "schmidt_rank": 2,
+        } if npt else None,
+        "witness_spectrum": _json(np.linalg.eigvalsh(wc.W)) if npt else None,
+        "filter": {
+            "P_A": _json(wc.P_A),
+            "P_B": _json(wc.P_B),
+            "q": fr.q,
+            "sigma": _json(fr.sigma),
+            "sigma_pt_spectrum": _json(fr.sigma_pt_spectrum),
+            "p_rho_max": fr.p_rho_max,
+            "p_sigma_max": fr.p_sigma_max,
+            "qubit_more_robust": fr.qubit_more_robust,
+            "robustness_tie": fr.robustness_tie,
+        } if npt else None,
+        "reason": REASONS[rep.classification],
+    }
 
 
 def dump_report(report: dict | list) -> str:

@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from belldistill import SimplexCoefficients
+from belldistill import NPT, SimplexCoefficients, classify
 
 #: tools/outputs.py, loaded once: its builders make the check tables the tests read
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "outputs.py"
@@ -17,6 +17,10 @@ def random_table(seed: int, d: int = 3) -> SimplexCoefficients:
     """Flat-Dirichlet coefficient table, reproducible per seed."""
     c = np.random.default_rng(seed).dirichlet(np.ones(d * d))
     return SimplexCoefficients(d=d, c=(c / c.sum()).reshape(d, d))
+
+
+#: the first 100 seeds whose random_table classifies NPT; modules read prefixes
+NPT_SEEDS = [s for s in range(160) if classify(random_table(s)).classification == NPT][:100]
 
 
 def pure_bell_table() -> SimplexCoefficients:

@@ -148,7 +148,7 @@ class SchmidtDecomposition:
 
     coefficients are strictly positive and descending; left_vectors[:, i]
     and right_vectors[:, i] are the matching orthonormal local vectors, so
-    the input equals sum_i coefficients[i] * kron(left[:, i], right[:, i]).
+    the input equals sum_i coefficients[i] * np.kron(left[:, i], right[:, i]).
     schmidt_rank counts coefficients above RANK_RTOL times the largest.
     """
 

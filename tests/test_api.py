@@ -16,7 +16,7 @@ from belldistill.linalg import partial_transpose
 from belldistill.simplex import PTSpectrumReport, build_state, classify, sample_npt
 from belldistill.witness import WitnessConstruction, construct_witness_vector
 
-from conftest import pure_bell_table, random_table, uniform_table
+from conftest import outputs, pure_bell_table, random_table, uniform_table
 from reference import SchmidtDecomposition
 
 PIPELINE = {
@@ -43,11 +43,14 @@ MOVED = ("apply_weyl_channel", "assemble_pt_from_blocks", "controlled_sum",
 #: the noise family's signs are read by simplex.verdict alone, the block maps
 #: come in stacks from simplex._block_maps, and the identities from
 #: filtering._identity; rank 2 of C is an identity of the construction, so
-#: its run-time certificate, the frame's rank guard and their error are gone
+#: its run-time certificate, the frame's rank guard and their error are gone;
+#: a report is the one literal of analysis_report, with no key tuple, section
+#: converters or reason constants beside it
 REMOVED = ("WitnessOperator", "witness_operator", "_screen_lambda_min", "SCREEN_MARGIN",
            "SCREEN_BATCH", "MINOR_TOL", "DET_TOL", "THRESHOLD_BAND", "_block_map", "EYE9",
            "EYE2", "certify_rank_2", "_minors", "CERT_TOL", "RANK_RTOL",
-           "RankCertificationError")
+           "RankCertificationError", "classification_to_json", "witness_to_json",
+           "filter_to_json", "REPORT_KEYS", "REASON_PPT", "REASON_BOUNDARY")
 
 
 def test_all_is_the_pipeline():
@@ -142,11 +145,18 @@ def test_sampler_retry_cap_is_a_constant():
 
 
 def test_report_keys_are_one_tuple():
-    # the writer starts from the tuple, and the validator compares a report
-    # with the writer's report of its own input
-    for table in (pure_bell_table(), uniform_table()):
-        assert tuple(report.analysis_report(table)) == report.REPORT_KEYS
-    assert "REPORT_KEYS" in inspect.getsource(report.analysis_report)
+    # the writer returns one literal with every key in this order, and the
+    # validator compares a report with the writer's report of its own input
+    keys = ("tool_version", "seed_used", "input", "renormalized", "classification",
+            "witness", "witness_spectrum", "filter", "reason")
+    # weight 1/3 on each of the Bell states (0, 0), (0, 1) and (0, 2) is a BOUNDARY table
+    boundary = simplex.SimplexCoefficients(**outputs.support_table(7))
+    labelled = ((pure_bell_table(), simplex.NPT), (uniform_table(), simplex.PPT),
+                (boundary, simplex.BOUNDARY))
+    for table, label in labelled:
+        out = report.analysis_report(table)
+        assert tuple(out) == keys
+        assert out["classification"]["classification"] == label
     assert "analysis_report(" in inspect.getsource(report.validate_report)
 
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,10 +18,8 @@ from belldistill.linalg import kron, partial_transpose
 from belldistill.simplex import build_state, classify, sample_npt
 from belldistill.witness import construct_witness_vector, detect
 
-from conftest import pure_bell_table, random_table
+from conftest import NPT_SEEDS, pure_bell_table, random_table
 from reference import filter_state, filters_from_witness, schmidt_decompose
-
-NPT_SEEDS = [s for s in range(120) if classify(random_table(s)).classification == "NPT"][:60]
 
 
 def npt_construction(seed):
@@ -220,6 +220,21 @@ def test_white_noise_of_no_weights_is_an_empty_stack():
     for n in (4, 9):
         out = add_white_noise(np.eye(n) / n, np.array([]))
         assert out.shape == (0, n, n) and out.dtype == complex
+
+
+def test_white_noise_identity_cache_is_bounded():
+    # the package mixes noise into states of n = 9, 4 and 2 only, so the
+    # cache keeps three identities: after n = 128, 256 and 512 and then
+    # those three, none of the large ones is held
+    tracemalloc.start()
+    try:
+        for n in (128, 256, 512, 9, 4, 2):
+            add_white_noise(np.zeros((n, n)), 0.5)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2**20
+    assert filtering._identity.cache_info().currsize == 3
 
 
 def test_stacked_noise_grid_equals_single_points():

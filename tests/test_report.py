@@ -13,7 +13,7 @@ from belldistill.cli import main
 from belldistill.filtering import filter_report
 from belldistill.linalg import partial_transpose
 from belldistill.report import (
-    REASON_PPT,
+    REASONS,
     analysis_report,
     dump_report,
     parse_coefficients,
@@ -33,7 +33,7 @@ from belldistill.simplex import (
 )
 from belldistill.witness import PSI, construct_witness_vector
 
-from conftest import outputs, pure_bell_table, random_table, sparse_table, uniform_table
+from conftest import NPT_SEEDS, outputs, pure_bell_table, random_table, sparse_table, uniform_table
 from reference import (
     dump_json,
     matrix_to_json,
@@ -124,7 +124,7 @@ def test_report_ppt_sections_absent():
     assert report["witness"] is None
     assert report["filter"] is None
     assert report["witness_spectrum"] is None
-    assert report["reason"] == REASON_PPT
+    assert report["reason"] == REASONS[PPT]
     validate_report(report)
 
 
@@ -237,7 +237,7 @@ def _ppt_with_witness(report):
 
 
 def _npt_with_reason(report):
-    report["reason"] = REASON_PPT
+    report["reason"] = REASONS[PPT]
     return report
 
 
@@ -276,14 +276,15 @@ def _unknown_label(report):
 
 
 def _c_entry_doubled(report):
-    # the pure Bell table's C[1][1] = 0.5j becomes 1j: det C stays 0, but
-    # ||adj C||_F becomes sqrt(5/8)
+    # the pure Bell table's C[1][1] = 0.5j becomes 1j; the validator names
+    # the first of its two doubled parts
     report["witness"]["C"][1][1] = [2 * x for x in report["witness"]["C"][1][1]]
     return report
 
 
 def _c_overflows(report):
-    # finite entries whose minor e*i - f*h = (1.5e308, 1.5e308) has no finite modulus
+    # finite entries near the square root of the largest double, whose
+    # products overflow; the validator compares leaves and multiplies none
     report["witness"]["C"][1][1] = [1.5e154, 0.0]
     report["witness"]["C"][2][2] = [1e154, 1e154]
     return report
@@ -522,9 +523,6 @@ def test_validate_refuses_an_input_too_large_to_sum():
 
 # ------------------------------------------- walks toward the PPT boundary
 
-BOUNDARY_PATH_SEEDS = [s for s in range(120) if classify(random_table(s)).classification == NPT][:60]
-
-
 def _last_npt_on_path(start: SimplexCoefficients) -> SimplexCoefficients:
     """Last NPT table on the segment from ``start`` to the uniform table.
 
@@ -546,8 +544,8 @@ def _last_npt_on_path(start: SimplexCoefficients) -> SimplexCoefficients:
 
 
 def test_last_npt_tables_toward_the_boundary_get_full_reports():
-    assert len(BOUNDARY_PATH_SEEDS) >= 50
-    for seed in BOUNDARY_PATH_SEEDS:
+    assert len(NPT_SEEDS) >= 60
+    for seed in NPT_SEEDS[:60]:
         report = analysis_report(_last_npt_on_path(random_table(seed)))
         validate_report(report)
         validate_report(json.loads(dump_report(report)))

@@ -18,19 +18,20 @@ from belldistill.simplex import (
 from belldistill.weyl import bell_unitary, flip, weyl
 from belldistill.witness import PSI, W10, NotNPTError, construct_witness_vector, detect
 
-from conftest import isotropic_table, outputs, pure_bell_table, random_table, uniform_table
+from conftest import (
+    NPT_SEEDS,
+    isotropic_table,
+    outputs,
+    pure_bell_table,
+    random_table,
+    uniform_table,
+)
 from reference import (
     eigenvector_residual,
     expectation,
     product_vector_positivity_check,
     witness_expectation_from_state,
 )
-
-NPT_SEEDS = [s for s in range(160) if classify(random_table(s)).classification == "NPT"][:100]
-
-
-def npt_table(seed):
-    return random_table(seed)
 
 
 def singular_values(wc) -> np.ndarray:
@@ -117,7 +118,7 @@ def test_rejects_a_u0_that_is_not_a_unit_vector(scale):
 
 @pytest.mark.parametrize("seed", NPT_SEEDS[:40])
 def test_construction_invariants(seed):
-    coeffs = npt_table(seed)
+    coeffs = random_table(seed)
     wc = construct_witness_vector(classify(coeffs))
     lam = wc.lambda_min
     assert lam < 0
@@ -179,7 +180,7 @@ def test_coefficient_matrix_has_the_identity_pattern(seed):
     # the construction's C has exact zeros at (0, 1), (1, 2) and (2, 0), and
     # C[1, 1] = -C[0, 2], C[2, 1] = -C[0, 0], C[2, 2] = -C[1, 0] up to the
     # rounding of the alpha shift
-    c = construct_witness_vector(classify(npt_table(seed))).phi_tilde.reshape(3, 3)
+    c = construct_witness_vector(classify(random_table(seed))).phi_tilde.reshape(3, 3)
     assert [c[0, 1], c[1, 2], c[2, 0]] == [0j, 0j, 0j]
     pairs = [((1, 1), (0, 2)), ((2, 1), (0, 0)), ((2, 2), (1, 0))]
     assert max(abs(c[x] + c[y]) for x, y in pairs) <= 1e-15
@@ -222,7 +223,7 @@ def test_certificate_margin_at_the_face_edge(face, k, l):
 @pytest.mark.parametrize("seed", NPT_SEEDS[:20])
 def test_phi_equals_direct_bell_frame_route(seed):
     # independent route: phi = U^dag (sum_i psi_i |i> (x) u_i)
-    wc = construct_witness_vector(classify(npt_table(seed)))
+    wc = construct_witness_vector(classify(random_table(seed)))
     psi_vec = np.zeros(9, dtype=complex)
     for i in range(3):
         psi_vec[i * 3:(i + 1) * 3] = PSI[i] * wc.u[i]
@@ -232,15 +233,15 @@ def test_phi_equals_direct_bell_frame_route(seed):
 
 @pytest.mark.parametrize("seed", NPT_SEEDS[:20])
 def test_coefficient_matrix_singular_values_match_schmidt(seed):
-    wc = construct_witness_vector(classify(npt_table(seed)))
+    wc = construct_witness_vector(classify(random_table(seed)))
     singular = singular_values(wc)
     assert np.abs(singular[:2] - wc.schmidt_coefficients[:2]).max() <= 1e-10
     assert singular[2] <= 1e-10
 
 
 def test_construction_deterministic():
-    first = construct_witness_vector(classify(npt_table(NPT_SEEDS[0])))
-    second = construct_witness_vector(classify(npt_table(NPT_SEEDS[0])))
+    first = construct_witness_vector(classify(random_table(NPT_SEEDS[0])))
+    second = construct_witness_vector(classify(random_table(NPT_SEEDS[0])))
     assert np.array_equal(first.phi, second.phi)
     assert np.array_equal(first.u, second.u)
     assert first.lambda_min == second.lambda_min
@@ -282,7 +283,7 @@ def test_witness_spectrum_pure_bell():
 
 @pytest.mark.parametrize("seed", NPT_SEEDS[:25])
 def test_witness_operator_invariants(seed):
-    coeffs = npt_table(seed)
+    coeffs = random_table(seed)
     wc = construct_witness_vector(classify(coeffs))
     w = wc.W
     assert w.shape == (9, 9) and not w.flags.writeable
@@ -318,7 +319,7 @@ def test_detect_on_maximally_mixed():
 @pytest.mark.parametrize("p", [0.0, 0.3, 0.75])
 def test_detect_affine_in_noise(p):
     # (1-p) <phi|rho^G|phi> + p / 9 for the white-noise admixture
-    coeffs = npt_table(NPT_SEEDS[1])
+    coeffs = random_table(NPT_SEEDS[1])
     wc = construct_witness_vector(classify(coeffs))
     w = wc.W
     rho = build_state(coeffs)
@@ -334,7 +335,7 @@ def test_detect_dimension_mismatch():
 
 
 def test_detect_rejects_large_imaginary_part():
-    wc = construct_witness_vector(classify(npt_table(NPT_SEEDS[2])))
+    wc = construct_witness_vector(classify(random_table(NPT_SEEDS[2])))
     w = wc.W
     # pick the entry with the largest imaginary part and feed the matching
     # non-Hermitian basis unit; trace(W E_jk) = W[k, j]
@@ -349,7 +350,7 @@ def test_detect_rejects_large_imaginary_part():
 def test_detect_on_a_stack():
     # a single state gives a float, a stack an array; one non-Hermitian
     # state anywhere in a stack raises
-    wc = construct_witness_vector(classify(npt_table(NPT_SEEDS[2])))
+    wc = construct_witness_vector(classify(random_table(NPT_SEEDS[2])))
     w = wc.W
     stack = np.array([np.eye(9) / 9] * 5, dtype=complex)
     assert isinstance(detect(w, stack[0]), float)
@@ -365,7 +366,7 @@ def test_detect_on_a_stack():
 
 
 def test_detect_rejects_nan():
-    w = construct_witness_vector(classify(npt_table(NPT_SEEDS[2]))).W
+    w = construct_witness_vector(classify(random_table(NPT_SEEDS[2]))).W
     with pytest.raises(ValueError, match="imaginary"):
         detect(w, np.full((9, 9), complex(0, np.nan)))
     with pytest.raises(ValueError, match="imaginary"):
@@ -375,7 +376,7 @@ def test_detect_rejects_nan():
 
 def test_detect_on_an_empty_stack():
     # no states give no values; a NaN imaginary part anywhere in a stack still raises
-    w = construct_witness_vector(classify(npt_table(NPT_SEEDS[2]))).W
+    w = construct_witness_vector(classify(random_table(NPT_SEEDS[2]))).W
     values = detect(w, np.zeros((0, 9, 9), dtype=complex))
     assert isinstance(values, np.ndarray) and values.shape == (0,)
     stack = np.array([np.eye(9) / 9] * 3, dtype=complex)
@@ -395,14 +396,14 @@ def test_product_positivity_pure_bell():
 
 @pytest.mark.parametrize("seed", NPT_SEEDS[:5])
 def test_product_positivity_random_states(seed):
-    w = construct_witness_vector(classify(npt_table(seed))).W
+    w = construct_witness_vector(classify(random_table(seed))).W
     assert product_vector_positivity_check(w, 2_000, seed=seed) >= -1e-10
 
 
 @pytest.mark.parametrize("seed", NPT_SEEDS[:10])
 def test_weak_optimality_vector(seed):
     # the product vector |a_0, b_1*> lies in the witness kernel
-    wc = construct_witness_vector(classify(npt_table(seed)))
+    wc = construct_witness_vector(classify(random_table(seed)))
     w = wc.W
     a0 = wc.schmidt_left[0]
     b1_star = wc.schmidt_right[1].conj()
