@@ -16,6 +16,7 @@ from belldistill.cli import main
 from belldistill.filtering import add_white_noise, filter_report
 from belldistill.linalg import dag, partial_transpose
 from belldistill.simplex import (
+    BOUNDARY_TOL,
     NPT,
     build_state,
     classify,
@@ -193,7 +194,7 @@ def test_criterion_5_filter_suite():
         rep = filter_report(rho, wc)
         ratio_dev = abs(rep.sigma_pt_spectrum[0] - wc.lambda_min / rep.q)
         worst_ratio = max(worst_ratio, ratio_dev)
-        single_negative = int(np.sum(rep.sigma_pt_spectrum < -1e-12)) == 1
+        single_negative = int(np.sum(rep.sigma_pt_spectrum < -BOUNDARY_TOL)) == 1
         compare_ok = rep.robustness_tie or rep.qubit_more_robust == (rep.q < 4 / 9)
         ok = ratio_dev <= 1e-9 and single_negative and compare_ok
         failures += 0 if ok else 1

@@ -327,8 +327,9 @@ def test_verify_records_package_error_as_failed_trial(monkeypatch, capsys):
     assert out.endswith("FAIL\n")
 
 
-def test_verify_records_sampling_exhaustion(monkeypatch, capsys):
-    # a sampler that gives up leaves a failed trial without a table
+def test_verify_lets_sampling_exhaustion_through(monkeypatch):
+    # no seed reaches a give-up, so a trial never catches one: it ends the
+    # campaign as any package error does, and every failed trial has a table
     from belldistill import verify
     from belldistill.simplex import SamplingExhaustedError, sample_npt
 
@@ -340,11 +341,8 @@ def test_verify_records_sampling_exhaustion(monkeypatch, capsys):
         return sample_npt(seed, *args, **kwargs)
 
     monkeypatch.setattr(verify, "sample_npt", sample_exhausted_on_bad_seed)
-    assert main(["verify", "--count", "3", "--seed", "5", "--jobs", "1"]) == 1
-    out = capsys.readouterr().out
-    assert f"FAILED trial seed {bad_seed}\n    SamplingExhaustedError: no NPT" in out
-    assert "coefficients:" not in out
-    assert out.endswith("FAIL\n")
+    with pytest.raises(SamplingExhaustedError, match="within 1000 tries"):
+        verify.run_campaign(3, 5, jobs=1)
 
 
 # ------------------------------------------------------------------ sweep
@@ -459,7 +457,7 @@ def test_negative_seed_exits_1(tmp_path, capsys, command):
     assert not out.exists()
 
 
-def test_sample_exhaustion_exits_1(tmp_path, monkeypatch):
+def test_sample_lets_sampling_exhaustion_through(tmp_path, monkeypatch):
     from belldistill import cli
     from belldistill.simplex import SamplingExhaustedError
 
@@ -467,8 +465,10 @@ def test_sample_exhaustion_exits_1(tmp_path, monkeypatch):
         raise SamplingExhaustedError("no NPT sample within 1 tries")
 
     monkeypatch.setattr(cli, "sample_npt", always_exhausted)
-    assert main(["sample", "--count", "1", "--npt-only",
-                 "--output", str(tmp_path / "t.json")]) == 1
+    out = tmp_path / "t.json"
+    with pytest.raises(SamplingExhaustedError, match="within 1 tries"):
+        main(["sample", "--count", "1", "--npt-only", "--output", str(out)])
+    assert not out.exists()
 
 
 # ------------------------------------------------------------- exit codes

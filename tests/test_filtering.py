@@ -15,7 +15,7 @@ from belldistill.filtering import (
     p_sigma_max,
 )
 from belldistill.linalg import kron, partial_transpose
-from belldistill.simplex import build_state, classify, sample_npt
+from belldistill.simplex import BOUNDARY_TOL, build_state, classify, sample_npt
 from belldistill.witness import construct_witness_vector, detect
 
 from conftest import NPT_SEEDS, pure_bell_table, random_table
@@ -108,7 +108,7 @@ def test_filtered_pt_minimum_is_lambda_over_q(seed):
     rep = filter_report(build_state(coeffs), wc)
     assert abs(rep.sigma_pt_spectrum[0] - wc.lambda_min / rep.q) <= 1e-9
     # exactly one negative eigenvalue: the filtered pair is entangled NPT
-    assert int(np.sum(rep.sigma_pt_spectrum < -1e-12)) == 1
+    assert int(np.sum(rep.sigma_pt_spectrum < -BOUNDARY_TOL)) == 1
     sigma_eigs = np.linalg.eigvalsh(rep.sigma)
     assert sigma_eigs[0] >= -1e-10
     assert abs(np.trace(rep.sigma).real - 1.0) <= 1e-12

@@ -146,7 +146,7 @@ def _pivot_is_real_positive(v) -> bool:
     return abs(pivot.imag) < 1e-15 * abs(pivot) and pivot.real > 0.0
 
 
-def test_eigensystem_diagonal_case():
+def test_b0_solve_diagonal_case():
     # c[k, l] = p_l / 3 is constant down each column, so the Weyl phases of
     # every off-diagonal entry of B_0 sum to zero: B_0 = diag(p) / 3
     p = np.array([3.0, 1.0, 2.0]) / 6.0
@@ -155,7 +155,7 @@ def test_eigensystem_diagonal_case():
     assert np.abs(rep.u0 - np.array([0.0, 1.0, 0.0])).max() < 1e-15
 
 
-def test_eigensystem_pure_bell_block():
+def test_b0_solve_pure_bell_block():
     # partial-transpose block of the canonical Bell projector
     b0 = np.zeros((3, 3))
     b0[0, 0] = 1 / 3
@@ -177,13 +177,13 @@ def test_eigensystem_pure_bell_block():
     assert np.abs(rep.u0 - np.array([0.0, 1.0, -1.0]) / np.sqrt(2.0)).max() < 1e-15
 
 
-def test_eigensystem_maximally_mixed():
+def test_b0_solve_maximally_mixed():
     rep = classify(uniform_table())
     assert np.abs(rep.eigenvalues - 1 / 9).max() < 1e-15
 
 
 @pytest.mark.parametrize("seed,n", [(0, 3), (1, 5), (2, 9), (3, 9)])
-def test_eigensystem_invariants_on_random_hermitian(seed, n):
+def test_b0_solve_invariants_on_random_tables(seed, n):
     # B_0 of a random table of odd dimension n is a random Hermitian block
     # whose spectrum, repeated over the n blocks, is the dense PT spectrum
     coeffs = random_table(seed, d=n)
@@ -197,7 +197,7 @@ def test_eigensystem_invariants_on_random_hermitian(seed, n):
     assert _pivot_is_real_positive(rep.u0)
 
 
-def test_eigensystem_phase_convention():
+def test_b0_solve_phase_convention():
     vectors = np.linalg.eigh(random_hermitian(11, 6)).eigenvectors
     for i in range(6):
         assert _pivot_is_real_positive(_fix_phase(vectors[:, i]))
@@ -205,7 +205,7 @@ def test_eigensystem_phase_convention():
         assert _pivot_is_real_positive(classify(random_table(seed)).u0)
 
 
-def test_eigensystem_deterministic():
+def test_b0_solve_deterministic():
     coeffs = random_table(12, d=9)
     first = classify(coeffs)
     second = classify(coeffs)

@@ -446,13 +446,13 @@ def _input_removed(report):
          "report.classification.eigenvalues[0] is 0.333"),
         (_unknown_label, "classification MAYBE contradicts lambda_min",
          "report.classification.classification is 'MAYBE', not 'NPT'"),
-        (_c_entry_doubled, "witness C fails its rank-2 certificate",
+        (_c_entry_doubled, "a C entry doubled",
          "report.witness.C[1][1][0] is -3.9"),
-        (_c_overflows, "witness C fails its rank-2 certificate",
+        (_c_overflows, "C entries whose products overflow",
          "report.witness.C[1][1][0] is 1.5e+154, not "),
-        (_c_infinite, "witness C fails its rank-2 certificate",
+        (_c_infinite, "an infinite C entry",
          "report.witness.C[0][0][0] is inf, not 0.0"),
-        (_c_huge_integer, "witness C fails its rank-2 certificate: int too large",
+        (_c_huge_integer, "a C entry too large for a float",
          "report.witness.C[0][0][0] is 1000"),
         (_c_removed, "witness section is missing keys ['C']",
          "report.witness is missing keys ['C']"),

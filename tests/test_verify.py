@@ -204,7 +204,8 @@ def test_campaign_holds_seeds_as_words(monkeypatch):
     # the seeds are trial_seeds', dispatched as ints, but held as one uint64
     # array: numpy's generate_state peaks at 24 B per word while it runs and
     # holds 8 B after, where a list of ints held about 50 B per trial
-    seen, passed = [], verify.TrialResult(0, None)
+    seen, residuals = [], dict.fromkeys(verify.RESIDUAL_KEYS, 0.0)
+    passed = verify.TrialResult(0, np.full((3, 3), 1 / 9), residuals=residuals)
     monkeypatch.setattr(verify, "run_trial", lambda seed: seen.append(seed) or passed)
     verify.run_campaign(1000, 7)
     assert seen == verify.trial_seeds(7, 1000)

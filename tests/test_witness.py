@@ -187,7 +187,7 @@ def test_coefficient_matrix_has_the_identity_pattern(seed):
 
 
 @pytest.mark.parametrize("images", [0, 1, 2])
-def test_certificate_holds_where_principal_minors_vanish(images):
+def test_rank_2_identity_holds_where_principal_minors_vanish(images):
     # u0 = (1, 1, 1)/sqrt 3 and its W_{1,0} images, as synthetic NPT reports with
     # lambda_min = -0.1 three-fold: all three principal minors of C are of
     # rounding size, yet C has rank 2 with two equal singular values
@@ -203,7 +203,7 @@ def test_certificate_holds_where_principal_minors_vanish(images):
 
 
 @pytest.mark.parametrize("face, k, l", outputs.EDGES)
-def test_certificate_margin_at_the_face_edge(face, k, l):
+def test_rank_2_identity_holds_to_the_face_edge(face, k, l):
     # (1 - t) face + t (Bell weight (k, l) outside it): lambda_min ~ -t^2/3,
     # so the NPT edge lies between t = 1.732e-6 (BOUNDARY) and t = 1.733e-6
     # (lambda_min ~ -1.001e-12); rank 2 with equal coefficients holds to
