@@ -96,16 +96,19 @@ def add_white_noise(state: np.ndarray, p) -> np.ndarray:
         raise ValueError(f"noise weight {float(p[outside][0])!r} outside [0, 1]")
     state = np.asarray(state, dtype=complex)
     n = state.shape[0]
-    p = p[..., None, None]
-    return (1.0 - p) * state + (p / n) * _identity(n)
+    mixed = np.multiply(1.0 - p[..., None, None], state, order="C")
+    # adding 0.0 turns -0.0 into +0.0, as adding the identity's zeros would
+    mixed += 0.0
+    # C order makes this reshape a view, so only the mixture's diagonal moves
+    mixed.reshape(p.shape + (n * n,))[..., :: n + 1] += p[..., None] / n
+    return mixed
 
 
-@functools.lru_cache(maxsize=3)
+@functools.lru_cache(maxsize=2)
 def _identity(n: int) -> np.ndarray:
-    """The n x n identity of :func:`add_white_noise`, built once per n and read-only.
+    """The n x n identity of the verify battery, built once per n and read-only.
 
-    Bounded because add_white_noise is public and takes states of any size;
-    the package itself reads only n = 9, 4 and 2, which the three entries hold.
+    The battery reads n = 9 and 2, which the two entries hold.
     """
     eye = np.eye(n)
     eye.setflags(write=False)

@@ -46,16 +46,11 @@ def weyl(d: int, k: int, l: int) -> np.ndarray:
 def bell_vector(d: int, k: int, l: int) -> np.ndarray:
     """Maximally entangled basis vector (W_{k,l} (x) 1) applied to the canonical one.
 
-    The (0,0) vector is (1/sqrt d) sum_i |i,i>; the d*d of them form an
+    The (0,0) vector is (1/sqrt d) sum_i |i,i>, so the (k,l) one holds the
+    entries of W_{k,l} row-major over sqrt d; the d*d of them form an
     orthonormal basis of the bipartite space.
     """
-    d = _check_dim(d)
-    tab = phase_table(d)
-    v = np.zeros(d * d, dtype=complex)
-    # (W_{k,l} (x) 1) |i,i> = omega^((i-l) k) |i-l, i>
-    for i in range(d):
-        v[((i - l) % d) * d + i] = tab[((i - l) * k) % d]
-    return v / np.sqrt(d)
+    return weyl(d, k, l).ravel() / np.sqrt(d)
 
 
 def fourier(d: int) -> np.ndarray:
@@ -72,15 +67,11 @@ def fourier(d: int) -> np.ndarray:
 def bell_unitary(d: int) -> np.ndarray:
     """Unitary sending the Bell basis to the computational basis, |Omega_rs> -> |r,s>.
 
-    Equals (F (x) 1) C_s with F the Fourier matrix and C_s the controlled sum
-    |i,j> -> |i, j-i mod d>.
+    Row r*d + s is the conjugated Bell vector Omega_rs. Equals (F (x) 1) C_s
+    with F the Fourier matrix and C_s the controlled sum |i,j> -> |i, j-i mod d>.
     """
     d = _check_dim(d)
-    u = np.zeros((d * d, d * d), dtype=complex)
-    for r in range(d):
-        for s in range(d):
-            u[r * d + s, :] = bell_vector(d, r, s).conj()
-    return u
+    return np.conj([bell_vector(d, r, s) for r, s in np.ndindex(d, d)])
 
 
 def flip(d: int) -> np.ndarray:

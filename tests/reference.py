@@ -3,6 +3,8 @@
 The package holds one route per quantity; each function here reaches the
 same quantity another way, so that the tests can compare the two:
 
+- ``bell_vector_loop`` writes each Bell vector's d entries from the
+  phase table, where ``bell_vector`` reads them off ``weyl``;
 - ``pt_block_loop`` and ``build_state_loop`` spell out term by term the
   Bell-frame kernel that ``pt_block`` and ``build_state`` evaluate in
   closed form;
@@ -52,6 +54,16 @@ from belldistill.witness import F3, PSI, W10, detect
 
 #: a singular value counts toward the Schmidt rank iff above RANK_RTOL times the largest
 RANK_RTOL = 1e-9
+
+
+def bell_vector_loop(d: int, k: int, l: int) -> np.ndarray:
+    """(W_{k,l} (x) 1) |Omega_00>, entry by entry: omega^((i-l) k) at |i-l, i> over sqrt d."""
+    d = _check_dim(d)
+    tab = phase_table(d)
+    v = np.zeros(d * d, dtype=complex)
+    for i in range(d):
+        v[((i - l) % d) * d + i] = tab[((i - l) * k) % d]
+    return v / np.sqrt(d)
 
 
 def pt_block_loop(coeffs: SimplexCoefficients, m: int) -> np.ndarray:

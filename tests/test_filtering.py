@@ -207,6 +207,23 @@ def test_white_noise_has_the_bits_of_its_formula(form):
                 assert mixed.tobytes() == want.tobytes(), (n, w)
 
 
+def test_white_noise_shifts_the_diagonal_of_any_layout():
+    # the diagonal is shifted through a flat view of the mixture: a
+    # transposed or reversed state, or weights that are not C-contiguous,
+    # signed zeros included, still get the bits of the formula
+    coeffs, _ = npt_construction(NPT_SEEDS[0])
+    rho = build_state(coeffs)
+    rho[0, 1] = rho[1, 0] = complex(-0.0, -0.0)
+    grid = np.array([[0.0, 0.3, 1.0], [0.5, 0.25, 0.125]])
+    for state in (rho, rho.T, np.asfortranarray(rho), rho[:, ::-1], rho.real.T):
+        for weights in (grid[0], grid.T, grid[:, ::2], np.asfortranarray(grid)):
+            got = add_white_noise(state, weights)
+            assert got.shape == weights.shape + (9, 9) and got.flags.c_contiguous
+            for w, mixed in zip(weights.ravel().tolist(), got.reshape(-1, 9, 9)):
+                want = (1 - w) * np.asarray(state, dtype=complex) + (w / 9) * np.eye(9)
+                assert mixed.tobytes() == want.tobytes(), w
+
+
 @pytest.mark.parametrize(
     "ps, first",
     [([0.2, -0.1, 1.5], -0.1), ([0.2, 1.5, np.nan], 1.5), ([0.2, np.nan, -0.1], np.nan)],
@@ -222,19 +239,19 @@ def test_white_noise_of_no_weights_is_an_empty_stack():
         assert out.shape == (0, n, n) and out.dtype == complex
 
 
-def test_white_noise_identity_cache_is_bounded():
-    # the package mixes noise into states of n = 9, 4 and 2 only, so the
-    # cache keeps three identities: after n = 128, 256 and 512 and then
-    # those three, none of the large ones is held
+def test_identity_cache_is_bounded():
+    # the battery reads identities of n = 9 and 2 only, so the cache keeps
+    # two: after n = 128, 256 and 512 and then those two, none of the large
+    # ones is held
     tracemalloc.start()
     try:
-        for n in (128, 256, 512, 9, 4, 2):
-            add_white_noise(np.zeros((n, n)), 0.5)
+        for n in (128, 256, 512, 9, 2):
+            filtering._identity(n)
         held = tracemalloc.get_traced_memory()[0]
     finally:
         tracemalloc.stop()
     assert held < 2**20
-    assert filtering._identity.cache_info().currsize == 3
+    assert filtering._identity.cache_info().currsize == 2
 
 
 def test_stacked_noise_grid_equals_single_points():

@@ -1,3 +1,7 @@
+import ast
+import importlib
+import inspect
+
 import numpy as np
 import pytest
 
@@ -12,7 +16,7 @@ from belldistill.weyl import (
     weyl,
 )
 
-from reference import controlled_sum
+from reference import bell_vector_loop, controlled_sum
 
 DIMS = (2, 3, 4, 5)
 
@@ -106,6 +110,33 @@ def test_bell_vectors_orthonormal():
         for b, vb in vs.items():
             overlap = va.conj() @ vb
             assert abs(overlap - (1.0 if a == b else 0.0)) < 1e-14
+
+
+@pytest.mark.parametrize("d", range(2, 9))
+def test_bell_basis_has_the_bits_of_the_loop_form(d):
+    # bell_vector reads W_kl off weyl and bell_unitary stacks the vectors;
+    # both keep, byte for byte, the entries the phase-table loop writes
+    u = bell_unitary(d)
+    assert u.shape == (d * d, d * d) and u.flags.c_contiguous
+    for k, l in np.ndindex(d, d):
+        want = bell_vector_loop(d, k, l)
+        assert bell_vector(d, k, l).tobytes() == want.tobytes(), (k, l)
+        assert u[k * d + l].tobytes() == want.conj().tobytes(), (k, l)
+
+
+def test_weyl_phases_are_written_once():
+    # weyl writes W_kl's phases and fourier the Fourier matrix's; the Bell
+    # vectors and the Bell unitary read weyl, with no index arithmetic mod d
+    tree = ast.parse(inspect.getsource(importlib.import_module("belldistill.weyl")))
+    functions = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    readers = {
+        name for name, f in functions.items()
+        if any(isinstance(n, ast.Name) and n.id == "phase_table" for n in ast.walk(f))
+    }
+    assert readers == {"weyl", "fourier"}
+    for name in ("bell_vector", "bell_unitary"):
+        nodes = list(ast.walk(functions[name]))
+        assert not any(isinstance(n, (ast.For, ast.Mod)) for n in nodes), name
 
 
 def test_bell_vector_matches_weyl_action():
